@@ -66,11 +66,16 @@ bool CheckMetricsOverhead(const subsim::Graph& graph, std::uint64_t seed) {
     instrumented = rep == 0 ? i : std::min(instrumented, i);
   }
 
+  // The gate is 2% plus a 10 ms absolute allowance for short runs; the
+  // message names the bar that passed.
   const double budget = plain * 1.02 + 0.010;
   const double pct = plain > 0.0 ? (instrumented / plain - 1.0) * 100.0 : 0.0;
+  const char* verdict = instrumented <= plain * 1.02 ? "OK (within 2%)"
+                        : instrumented <= budget
+                            ? "OK (over 2%, within the 10 ms allowance)"
+                            : "FAIL (over 2% + 10 ms)";
   std::printf("metrics overhead: base %.3fs, instrumented %.3fs (%+.2f%%) %s\n",
-              plain, instrumented, pct,
-              instrumented <= budget ? "OK (within 2%)" : "FAIL (over 2%)");
+              plain, instrumented, pct, verdict);
   return instrumented <= budget;
 }
 

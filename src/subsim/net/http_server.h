@@ -40,8 +40,8 @@ struct HttpRequestContext {
 /// timeouts bound how long an idle or trickling peer can pin a worker.
 ///
 /// This file and its .cc are the only places in the library allowed to
-/// make raw socket calls (`subsim_lint.py` / `subsim_analyze.py`
-/// raw-socket rule); everything above the wire goes through the handler.
+/// make raw socket calls (`subsim_analyze.py` raw-socket rule);
+/// everything above the wire goes through the handler.
 class HttpServer {
  public:
   /// Handlers run on worker threads and must be thread-safe.

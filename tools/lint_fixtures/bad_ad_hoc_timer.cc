@@ -1,10 +1,11 @@
+// ANALYZE-AS: src/subsim/algo/example_timer.cc
 // Fixture: WallTimer inside the instrumented layers (algo/rrset/serve)
 // must be flagged — PhaseScope is the sanctioned stopwatch there. Never
-// compiled — linted only by subsim_lint.py --self-test.
+// compiled — checked only by subsim_analyze.py --self-test.
 #include "subsim/util/timer.h"
 
 double TimeAPhaseByHand() {
-  subsim::WallTimer timer;  // LINT-EXPECT: ad-hoc-timer
+  subsim::WallTimer timer;  // ANALYZE-EXPECT: ad-hoc-timer
   return timer.ElapsedSeconds();
 }
 

@@ -1,32 +1,33 @@
+// ANALYZE-AS: src/subsim/obs/example_fill.cc
 // Fixture: RR-set bulk generation outside the one FillCollection entry
-// point must be flagged. Never compiled — linted only by
-// subsim_lint.py --self-test.
+// point must be flagged. Never compiled — checked only by
+// subsim_analyze.py --self-test.
 
 struct Rng {
   Rng Fork(unsigned long long stream) const;
 };
 
 void AdHocFill(Rng& master) {
-  Rng worker = master.Fork(1);  // LINT-EXPECT: fill-entry-point
+  Rng worker = master.Fork(1);  // ANALYZE-EXPECT: fill-entry-point
   (void)worker;
   Rng* ptr = &master;
-  Rng other = ptr->Fork(2);  // LINT-EXPECT: fill-entry-point
+  Rng other = ptr->Fork(2);  // ANALYZE-EXPECT: fill-entry-point
   (void)other;
 }
 
 void LegacyEntryPoint() {
-  ParallelFill();  // LINT-EXPECT: fill-entry-point
-  ParallelFillOptions options;  // LINT-EXPECT: fill-entry-point
+  ParallelFill();  // ANALYZE-EXPECT: fill-entry-point
+  ParallelFillOptions options;  // ANALYZE-EXPECT: fill-entry-point
   (void)options;
 }
 
 // The batched chunk kernel is the fill's internal engine; naming the type
 // or calling its chunk entry outside random/rrset bypasses FillCollection.
 void DirectBatchKernel(void* kernel_ptr) {
-  BatchRrKernel* kernel = nullptr;  // LINT-EXPECT: fill-entry-point
+  BatchRrKernel* kernel = nullptr;  // ANALYZE-EXPECT: fill-entry-point
   (void)kernel;
   (void)kernel_ptr;
-  GenerateChunk(11, 0, 64);  // LINT-EXPECT: fill-entry-point
+  GenerateChunk(11, 0, 64);  // ANALYZE-EXPECT: fill-entry-point
 }
 
 // A suppression with a reason is honoured.

@@ -1,15 +1,15 @@
-// Fixture: SUBSIM-NOLINT without a reason is itself a violation; with a
-// reason it suppresses. Never compiled — linted by --self-test only.
-#include <cstdio>
+// ANALYZE-AS: src/subsim/algo/example.cc
+// Fixture: a suppression without a reason is itself a finding — the why
+// is the whole point of the marker.
+#include <cstdint>
 
-void Emit(int n) {
-  printf("%d\n", n);  // SUBSIM-NOLINT(iostream-logging) LINT-EXPECT: nolint-needs-reason
-  printf("%d\n", n);  // SUBSIM-NOLINT(iostream-logging): CLI result rows go to stdout by design
+#include "subsim/random/rng.h"
+
+namespace subsim {
+
+std::uint64_t BadSuppression(std::uint64_t seed) {
+  Rng rng(seed);  // SUBSIM-NOLINT(rng-confinement) -- ANALYZE-EXPECT: nolint-needs-reason
+  return rng.NextU64();
 }
 
-void EmitNextline(int n) {
-  // SUBSIM-NOLINT-NEXTLINE(iostream-logging) LINT-EXPECT: nolint-needs-reason
-  printf("%d\n", n);
-  // SUBSIM-NOLINT-NEXTLINE(iostream-logging): progress bar writes straight to the terminal
-  printf("%d\n", n);
-}
+}  // namespace subsim

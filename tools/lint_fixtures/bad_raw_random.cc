@@ -1,18 +1,15 @@
-// Fixture: raw libc/std randomness outside src/subsim/random/ must be
-// flagged. Never compiled — linted only by subsim_lint.py --self-test.
+// ANALYZE-AS: src/subsim/algo/example.cc
+// Fixture: raw randomness sources in an algorithm file. Every one of these
+// breaks single-seed reproducibility and must be a finding.
 #include <cstdlib>
 #include <random>
 
-int NoisySeed() {
-  std::random_device rd;  // LINT-EXPECT: raw-random
-  return static_cast<int>(rd());
+namespace subsim {
+
+unsigned BadEntropy() {
+  std::random_device dev;                // ANALYZE-EXPECT: raw-random
+  std::mt19937 engine(dev());            // ANALYZE-EXPECT: raw-random
+  return engine() + std::rand();         // ANALYZE-EXPECT: raw-random
 }
 
-int LibcDraw() {
-  srand(42);  // LINT-EXPECT: raw-random
-  return std::rand();  // LINT-EXPECT: raw-random
-}
-
-// Mentioning rand() in a comment is fine; identifiers merely containing the
-// word, like operand_count or rand_index, are fine too.
-int operand_count(int rand_index);
+}  // namespace subsim

@@ -1,19 +1,18 @@
-// Fixture: socket headers and syscalls outside src/subsim/net/ must be
-// flagged. Never compiled — linted only by subsim_lint.py --self-test.
-#include <arpa/inet.h>   // LINT-EXPECT: raw-socket
-#include <sys/socket.h>  // LINT-EXPECT: raw-socket
+// ANALYZE-AS: src/subsim/serve/example.cc
+// Fixture: raw sockets outside the net layer. Bytes must enter through
+// HttpServer (fuzzable parser, IO timeouts, admission control), not
+// through a side-channel dial.
+#include <netinet/in.h>  // ANALYZE-EXPECT: raw-socket
+#include <sys/socket.h>  // ANALYZE-EXPECT: raw-socket
 
-int DialDirect(const char* text_addr) {
-  int fd = socket(2, 1, 0);  // LINT-EXPECT: raw-socket
-  unsigned addr = 0;
-  inet_pton(2, text_addr, &addr);  // LINT-EXPECT: raw-socket
-  return fd;
+namespace subsim {
+
+int DialDirect() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);  // ANALYZE-EXPECT: raw-socket
+  sockaddr_in addr{};
+  const sockaddr* sa = reinterpret_cast<const sockaddr*>(&addr);
+  const int rc = ::connect(fd, sa, sizeof(addr));  // ANALYZE-EXPECT: raw-socket
+  return rc == 0 ? fd : -1;
 }
 
-int AwaitDirect(int fd, void* sa, unsigned* len) {
-  listen(fd, 16);  // LINT-EXPECT: raw-socket
-  return accept(fd, sa, len);  // LINT-EXPECT: raw-socket
-}
-
-// `socket` in a comment is fine, as is Connect()-style method naming below.
-int ConnectBudget();
+}  // namespace subsim

@@ -1,37 +1,15 @@
-// Fixture: dropped Status/Result returns must be flagged; consumed ones
-// must not. Never compiled — linted only by subsim_lint.py --self-test.
-#include <string>
+// ANALYZE-AS: src/subsim/algo/example.cc
+// Fixture: a Status-returning call used as a bare expression statement —
+// the error vanishes. ([[nodiscard]] catches this at compile time; the
+// analyzer keeps it visible to source-only tooling.)
+#include "subsim/util/status.h"
 
-struct Status {
-  bool ok() const;
-};
+namespace subsim {
 
-template <typename T>
-struct Result {
-  bool ok() const;
-};
+Status FlushDiscardFixture();
 
-Status SaveCheckpoint(const std::string& path);
-Status Flush();
-Result<int> CountEdges(const std::string& path);
-
-namespace writer {
-Status Sync();
-}  // namespace writer
-
-void Caller(const std::string& path) {
-  SaveCheckpoint(path);  // LINT-EXPECT: status-discarded
-  Flush();  // LINT-EXPECT: status-discarded
-  CountEdges(path);  // LINT-EXPECT: status-discarded
-  writer::Sync();  // LINT-EXPECT: status-discarded
-
-  // All consumed: no findings.
-  Status s = SaveCheckpoint(path);
-  (void)s;
-  (void)Flush();
-  if (!writer::Sync().ok()) {
-    return;
-  }
-  const Status again = Flush();
-  (void)again;
+void BadDiscard() {
+  FlushDiscardFixture();                 // ANALYZE-EXPECT: status-discarded
 }
+
+}  // namespace subsim

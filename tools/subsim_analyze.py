@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""subsim_analyze: semantic concurrency & determinism analyzer.
+"""subsim_analyze: the repo's invariant checker.
 
-Companion to subsim_lint.py, one level deeper: where the linter pattern-
-matches single lines, this tool reasons about declarations, initializers,
-statement position, and loop structure. It has two engines:
+Enforces the rules that clang-tidy cannot express because they encode
+*this* repository's architecture: reproducible randomness, confined
+threads and sockets, one RR fill entry point, and consumed Status values.
+It has two engines:
 
   ast    libclang over compile_commands.json — full semantic accuracy
          (type-resolved references, real statement boundaries).
@@ -14,16 +15,66 @@ statement position, and loop structure. It has two engines:
 
 Engine selection is `--engine=auto` by default: ast when the `clang`
 python bindings AND a loadable libclang are present, otherwise text with
-a one-line notice. Both engines produce the same (file, line, rule)
-findings on the fixture corpus, which the self-test enforces.
+a one-line notice. Checks the preprocessor hides from the AST, or that are
+plain name mentions, run on the stripped text for both engines, so the
+engines agree on them by construction. The self-test holds both engines to
+the same (file, line, rule) findings on the fixture corpus.
 
-Rules (shared suppression vocabulary with subsim_lint.py:
-`// SUBSIM-NOLINT(<rule>): <reason>` / `// SUBSIM-NOLINT-NEXTLINE(...)`):
+Rules (paths are relative to the repo root; suppress with
+`// SUBSIM-NOLINT(<rule>): <reason>` on the line or
+`// SUBSIM-NOLINT-NEXTLINE(<rule>): <reason>` on the line above):
 
+  status-discarded     A call whose result is Status/Result used as a bare
+                       expression statement, anywhere. `[[nodiscard]]`
+                       catches this at compile time; the analyzer keeps it
+                       visible to tooling that only sees sources. The text
+                       engine matches by name: declarations are gathered
+                       from src/ and the scanned paths, and a name also
+                       declared with a non-Status return type is skipped.
   raw-random           std::random_device / rand / srand / <random> engine
                        types (mt19937 et al.) outside src/subsim/random/.
                        Every random bit must derive from a subsim::Rng so a
                        single 64-bit seed reproduces the run.
+  raw-thread           std::thread / std::jthread / <thread> under src/,
+                       except rrset/parallel_fill.cc, serve/query_engine.cc,
+                       util/threading.cc and net/http_server.{h,cc}. Thread
+                       management stays in those units so TSan coverage and
+                       determinism arguments stay local. (Text, both
+                       engines.)
+  raw-socket           Socket headers (<sys/socket.h> et al.) or socket
+                       syscalls (socket, connect, listen, ...) outside
+                       src/subsim/net/. All wire traffic goes through
+                       HttpServer/HttpClient so the fuzzable parser, IO
+                       timeouts, and the admission layer cannot be
+                       bypassed. The header check is text for both engines.
+                       Under src/ the text engine matches bare and
+                       qualified calls; elsewhere only ::-qualified ones,
+                       the repo convention for libc calls (bare connect()
+                       there is usually a client method).
+  iostream-logging     std::cout / cerr / clog, <iostream>, or the printf
+                       family under src/, except util/logging.{h,cc} and
+                       util/check.h. Console writes bypass the log-level
+                       filter and interleave under concurrency; use
+                       SUBSIM_LOG. (Text, both engines.)
+  ad-hoc-timer         WallTimer inside src/subsim/{algo,rrset,serve}.
+                       Timing there flows through PhaseScope so every
+                       measured interval is a traced span. (Text, both
+                       engines.)
+  fill-entry-point     ParallelFill / Rng::Fork / the batched chunk kernel
+                       outside src/subsim/{random,rrset}/ and tests/random/:
+                       bulk RR generation has exactly one entry point,
+                       FillCollection(FillRequest). Mentions of the
+                       ParallelFillOptions and BatchRrKernel types are text
+                       checks for both engines.
+  rr-span-access       `.Set(` on an RrCollection / RrCollectionView handle
+                       outside src/subsim/rrset/. The arena may be
+                       delta-varint encoded, so no contiguous NodeId span
+                       exists; consumers iterate through View(id) and the
+                       RrSetView cursor (ForEachNode / Decode). The text
+                       engine tracks names declared with an RR-collection
+                       type; the ast engine resolves the callee's class, so
+                       Gauge::Set / BitVector::Set never false-positive.
+  nolint-needs-reason  A suppression of any rule must carry a reason.
   wall-clock           Reading any clock (steady/system/high_resolution
                        ::now, time(nullptr), gettimeofday, clock_gettime)
                        inside src/subsim/{algo,rrset,random}. Those layers
@@ -38,23 +89,6 @@ Rules (shared suppression vocabulary with subsim_lint.py:
                        sample i is the same no matter which thread draws
                        it. A raw seed starts a sequential stream that
                        silently breaks thread-count invariance.
-  fill-entry-point     ParallelFill / Rng::Fork outside src/subsim/random/
-                       and src/subsim/rrset/: bulk RR generation has
-                       exactly one entry point, FillCollection(FillRequest).
-  raw-socket           Socket headers (<sys/socket.h> et al.) or qualified
-                       socket syscalls (::socket, ::connect, ::listen, ...)
-                       outside src/subsim/net/. All wire traffic goes
-                       through HttpServer/HttpClient so the fuzzable parser,
-                       IO timeouts, and the admission layer cannot be
-                       bypassed. The header check is engine-independent
-                       (the preprocessor is invisible to the ast engine);
-                       the call check matches ::-qualified syscalls, which
-                       is the repo convention for libc calls.
-  status-discarded     A call whose result is Status/Result used as a bare
-                       expression statement. `[[nodiscard]]` catches this
-                       at compile time; the analyzer keeps it visible to
-                       tooling that only sees sources (and to the ast
-                       engine, which resolves the real return type).
   unordered-iteration  Range-for over a std::unordered_{set,map} inside
                        src/subsim/{algo,rrset,random,graph} — the layers
                        whose outputs must be bit-identical across standard
@@ -64,23 +98,14 @@ Rules (shared suppression vocabulary with subsim_lint.py:
                        different results on libc++ vs libstdc++. (This rule
                        found a real bug: GenerateBarabasiAlbert emitted
                        attachment targets in unordered_set order.)
-  rr-span-access       `.Set(` on an RrCollection / RrCollectionView handle
-                       outside src/subsim/rrset/. The arena may be
-                       delta-varint encoded, so no contiguous NodeId span
-                       exists; consumers iterate through View(id) and the
-                       RrSetView cursor (ForEachNode / Decode). The text
-                       engine tracks names declared with an RR-collection
-                       type; the ast engine resolves the callee's class, so
-                       Gauge::Set / BitVector::Set never false-positive.
-  nolint-needs-reason  A suppression of any rule above must carry a reason.
 
 Usage:
   tools/subsim_analyze.py <path>...              analyze files/directories
   tools/subsim_analyze.py --engine=ast <path>... require the ast engine
   tools/subsim_analyze.py --self-test            run the fixture corpus
 
-Fixtures live in tools/lint_fixtures/analyze/. Because every rule is
-path-scoped, each fixture declares a virtual location on its first lines:
+Fixtures live in tools/lint_fixtures/. Because rules are path-scoped, each
+fixture declares a virtual location on its first lines:
 `// ANALYZE-AS: src/subsim/algo/example.cc`. Expected findings are marked
 in place with `// ANALYZE-EXPECT: <rule>[, <rule>...]`.
 
@@ -99,11 +124,28 @@ import sys
 CXX_SUFFIXES = {".cc", ".cpp", ".cxx", ".h", ".hpp"}
 
 # ---------------------------------------------------------------------------
-# Path policy. Matched against POSIX path suffixes/components, exactly like
-# subsim_lint.allowed(); ANALYZE-AS substitutes a virtual path for fixtures.
+# Path policy. Rules see a file's path relative to the repo root (or its
+# ANALYZE-AS pragma). A trailing-slash pattern matches any directory
+# component prefix; otherwise the path suffix must match.
 # ---------------------------------------------------------------------------
 
+# raw-thread, iostream-logging and the bare-call raw-socket check apply
+# only under this prefix.
+SRC_PREFIX = "src/"
 RAW_RANDOM_ALLOWED = ("src/subsim/random/",)
+RAW_THREAD_ALLOWED = (
+    "rrset/parallel_fill.cc",
+    "serve/query_engine.cc",
+    "util/threading.cc",  # the hardware_concurrency fallback helper
+    "net/http_server.cc",  # acceptor + worker pool (the serving frontend)
+    "net/http_server.h",
+)
+IOSTREAM_ALLOWED = ("util/logging.h", "util/logging.cc", "util/check.h")
+AD_HOC_TIMER_FORBIDDEN = (
+    "src/subsim/algo/",
+    "src/subsim/rrset/",
+    "src/subsim/serve/",
+)
 WALL_CLOCK_FORBIDDEN = (
     "src/subsim/algo/",
     "src/subsim/rrset/",
@@ -132,15 +174,18 @@ UNORDERED_ITER_FORBIDDEN = (
 RR_SPAN_ALLOWED = ("src/subsim/rrset/",)
 
 ALL_RULES = (
-    "raw-random",
-    "wall-clock",
-    "rng-confinement",
-    "fill-entry-point",
-    "raw-socket",
     "status-discarded",
-    "unordered-iteration",
+    "raw-random",
+    "raw-thread",
+    "raw-socket",
+    "iostream-logging",
+    "ad-hoc-timer",
+    "fill-entry-point",
     "rr-span-access",
     "nolint-needs-reason",
+    "wall-clock",
+    "rng-confinement",
+    "unordered-iteration",
 )
 
 # Functions that mint sanctioned, replayable streams. An Rng initializer
@@ -159,14 +204,28 @@ RAW_RANDOM_RE = re.compile(
     r"\b(?:std::)?(?:s?rand|random_device|mt19937(?:_64)?"
     r"|default_random_engine|minstd_rand0?|ranlux(?:24|48)(?:_base)?"
     r"|knuth_b)\b")
+RAW_THREAD_RE = re.compile(
+    r"\bstd::j?thread\b|^[ \t]*#[ \t]*include[ \t]*<thread>", re.MULTILINE)
+IOSTREAM_RE = re.compile(
+    r"\bstd::(?:cout|cerr|clog)\b"
+    r"|^[ \t]*#[ \t]*include[ \t]*<iostream>"
+    r"|\b(?:std::)?(?:printf|fprintf|puts|fputs)\s*\(",
+    re.MULTILINE,
+)
+# Any mention of the type is a use: you cannot time with WallTimer without
+# naming it.
+AD_HOC_TIMER_RE = re.compile(r"\bWallTimer\b")
 WALL_CLOCK_RE = re.compile(
     r"\b(?:std::chrono::)?(?:system_clock|steady_clock"
     r"|high_resolution_clock)\s*::\s*now\b"
     r"|\bgettimeofday\s*\(|\bclock_gettime\s*\(|\bstd::time\s*\("
     r"|(?<![\w:.>])time\s*\(\s*(?:nullptr|NULL)")
-FILL_ENTRY_RE = re.compile(
-    r"\bParallelFill\s*\(|\bParallelFillOptions\b|(?:\.|->|::)\s*Fork\s*\("
-    r"|\bBatchRrKernel\b|\bGenerateChunk\s*\(")
+# fill-entry-point: calls are engine checks (the ast engine resolves
+# Rng::Fork's class); naming the legacy options type or the batched chunk
+# kernel is a text check for both engines.
+FILL_ENTRY_CALL_RE = re.compile(
+    r"\bParallelFill\s*\(|(?:\.|->|::)\s*Fork\s*\(|\bGenerateChunk\s*\(")
+FILL_ENTRY_TYPE_RE = re.compile(r"\b(?:ParallelFillOptions|BatchRrKernel)\b")
 
 # Direct Rng construction: `Rng name(init)`, `Rng name{init}`, `= Rng(...)`,
 # `return Rng(...)`. `Rng name = Rng::Substream(...)` never matches these
@@ -175,19 +234,26 @@ FILL_ENTRY_RE = re.compile(
 RNG_DECL_RE = re.compile(r"\bRng\s+(?P<name>\w+)\s*(?P<open>[({])")
 RNG_TEMP_RE = re.compile(r"(?:=|return)\s*Rng\s*(?P<open>[({])")
 
-# Status-returning declarations — same name-based scheme as subsim_lint.
+# Function declarations returning Status or Result<...>, e.g.
+#   Status WriteEdgeListText(...)
+#   [[nodiscard]] Result<EdgeList> ReadEdgeListText(...)
 STATUS_DECL_RE = re.compile(
     r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:static\s+|inline\s+|virtual\s+)*"
     r"(?:::)?(?:subsim::)?(?:Status|Result<[\w:<>,\s*&]+>)\s+"
     r"(?P<name>[A-Za-z_]\w*)\s*\(",
     re.MULTILINE,
 )
+# Same-name declarations with a different return type (e.g. void Fill vs
+# Status Fill). Matching is name-based and file-blind, so ambiguous names
+# are dropped from enforcement rather than risking false positives.
 NON_STATUS_DECL_RE = re.compile(
     r"^\s*(?:static\s+|inline\s+|virtual\s+|constexpr\s+|explicit\s+)*"
     r"(?:void|bool|int|unsigned|float|double|std::size_t|size_t)\s+"
     r"(?P<name>[A-Za-z_]\w*)\s*\(",
     re.MULTILINE,
 )
+# A discarded call statement: `Foo(...)` or `obj.Foo(...)` / `ptr->Foo(...)`
+# / `ns::Foo(...)` appearing at the start of a statement.
 CALL_HEAD_RE = re.compile(
     r"^(?:[A-Za-z_]\w*(?:\s*(?:::|\.|->)\s*))*(?P<name>[A-Za-z_]\w*)\s*\(")
 STMT_KEYWORDS = {
@@ -196,11 +262,9 @@ STMT_KEYWORDS = {
     "template", "typedef", "static_assert", "sizeof",
 }
 
-# Socket confinement. The include check runs outside both engines (clang
-# expands the preprocessor before the AST exists, so an engine-level check
-# could never agree across engines); the call check matches ::-qualified
-# syscalls only — bare bind/send/recv would collide with std::bind and
-# generic method names, and real socket code cannot avoid the headers.
+# Socket confinement. bind/send/recv are deliberately absent (std::bind and
+# generic Send/Recv method names would false-positive); real socket code
+# cannot avoid the headers or the distinctive calls below.
 SOCKET_HEADER_RE = re.compile(
     r"^[ \t]*#[ \t]*include[ \t]*<(?P<header>sys/socket\.h|netinet/in\.h"
     r"|netinet/tcp\.h|arpa/inet\.h|sys/un\.h|netdb\.h)>",
@@ -211,8 +275,9 @@ SOCKET_SYSCALL_NAMES = {
     "getpeername", "setsockopt", "getsockopt", "inet_pton", "inet_ntop",
     "recvfrom", "sendto",
 }
-SOCKET_CALL_RE = re.compile(
-    r"::\s*(?:" + "|".join(sorted(SOCKET_SYSCALL_NAMES)) + r")\s*\(")
+_SOCKET_NAMES = "|".join(sorted(SOCKET_SYSCALL_NAMES))
+SOCKET_QUALIFIED_CALL_RE = re.compile(r"::\s*(?:" + _SOCKET_NAMES + r")\s*\(")
+SOCKET_ANY_CALL_RE = re.compile(r"\b(?:" + _SOCKET_NAMES + r")\s*\(")
 
 UNORDERED_TYPE_RE = re.compile(
     r"\bstd\s*::\s*unordered_(?:set|map|multiset|multimap)\s*<")
@@ -315,9 +380,11 @@ def matching_close(code: str, open_offset: int) -> int:
 
 def find_nolint(raw_lines: list[str], lineno: int):
     """Returns (rules, has_reason, marker_line) for a suppression covering
-    `lineno`, or None."""
+    `lineno`: a SUBSIM-NOLINT on the line itself or a
+    SUBSIM-NOLINT-NEXTLINE on the line above; None otherwise."""
     if lineno - 1 < len(raw_lines):
         m = NOLINT_RE.search(raw_lines[lineno - 1])
+        # Guard against NOLINT-NEXTLINE also matching the plain-NOLINT regex.
         if m and "SUBSIM-NOLINT-NEXTLINE" not in raw_lines[lineno - 1]:
             rules = {r.strip() for r in m.group("rules").split(",")}
             return rules, m.group("reason") is not None, lineno
@@ -329,12 +396,18 @@ def find_nolint(raw_lines: list[str], lineno: int):
     return None
 
 
-def virtual_path(path: pathlib.Path, raw: str) -> str:
+def virtual_path(path: pathlib.Path, raw: str, root: pathlib.Path) -> str:
     """The POSIX path rules are applied to: the ANALYZE-AS pragma when the
-    file carries one (fixtures), the real path otherwise."""
+    file carries one (fixtures), else the path relative to the repo root
+    (the absolute path for files outside it)."""
     head = "\n".join(raw.splitlines()[:5])
     m = ANALYZE_AS_RE.search(head)
-    return m.group("path") if m else path.as_posix()
+    if m:
+        return m.group("path")
+    try:
+        return path.relative_to(root).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
 def collect_status_functions(files: list[pathlib.Path]) -> set[str]:
@@ -352,11 +425,65 @@ def collect_status_functions(files: list[pathlib.Path]) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
+# Engine-independent checks
+# ---------------------------------------------------------------------------
+
+
+def lexical_findings(code: str, vpath: str) -> list[tuple[int, str, str]]:
+    """Checks that run on the stripped text under both engines: include
+    directives vanish before the AST exists, and the remaining checks flag
+    bare name mentions, which need no semantic resolution."""
+    out: list[tuple[int, str, str]] = []
+    in_src = vpath.startswith(SRC_PREFIX)
+
+    if not path_matches(vpath, RAW_SOCKET_ALLOWED):
+        for m in SOCKET_HEADER_RE.finditer(code):
+            out.append((line_of(code, m.start()), "raw-socket",
+                        f"#include <{m.group('header')}> outside "
+                        "src/subsim/net/; raw sockets are confined to the "
+                        "net layer"))
+
+    if in_src and not path_matches(vpath, RAW_THREAD_ALLOWED):
+        for m in RAW_THREAD_RE.finditer(code):
+            out.append((line_of(code, m.start()), "raw-thread",
+                        "std::thread outside the fill fan-out, the "
+                        "QueryEngine and HttpServer pools, and "
+                        "util/threading.cc; route parallelism through "
+                        "FillCollection or a worker pool"))
+
+    if in_src and not path_matches(vpath, IOSTREAM_ALLOWED):
+        for m in IOSTREAM_RE.finditer(code):
+            out.append((line_of(code, m.start()), "iostream-logging",
+                        "direct console output is forbidden outside "
+                        "util/logging; use SUBSIM_LOG(level)"))
+
+    if path_matches(vpath, AD_HOC_TIMER_FORBIDDEN):
+        for m in AD_HOC_TIMER_RE.finditer(code):
+            out.append((line_of(code, m.start()), "ad-hoc-timer",
+                        "WallTimer is forbidden in src/subsim/{algo,rrset,"
+                        "serve}; time phases with PhaseScope "
+                        "(subsim/obs/phase_tracer.h) so the interval is "
+                        "traced as a span"))
+
+    if not path_matches(vpath, FILL_ENTRY_ALLOWED):
+        for m in FILL_ENTRY_TYPE_RE.finditer(code):
+            out.append((line_of(code, m.start()), "fill-entry-point",
+                        f"{m.group(0)} is fill machinery; generate RR sets "
+                        "through FillCollection(FillRequest)"))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Textual engine
 # ---------------------------------------------------------------------------
 
 
 def iter_statements(code: str):
+    """Yields (offset, statement) pairs, splitting on ';' and '{' / '}'.
+
+    Crude but sufficient: statement boundaries inside for(;;) headers and
+    initializer lists produce fragments that simply fail the call-head match.
+    """
     start = 0
     for i, ch in enumerate(code):
         if ch in ";{}":
@@ -416,8 +543,6 @@ def range_for_headers(code: str):
 
 
 def text_engine_findings(
-    path: pathlib.Path,
-    raw: str,
     code: str,
     vpath: str,
     status_functions: set[str],
@@ -462,14 +587,16 @@ def text_engine_findings(
                             "RngStream API"))
 
     if not path_matches(vpath, FILL_ENTRY_ALLOWED):
-        for m in FILL_ENTRY_RE.finditer(code):
+        for m in FILL_ENTRY_CALL_RE.finditer(code):
             out.append((line_of(code, m.start()), "fill-entry-point",
                         "bulk RR generation must go through FillCollection"
                         "(FillRequest); ParallelFill/Rng::Fork here bypasses "
                         "the thread-count-invariance contract"))
 
     if not path_matches(vpath, RAW_SOCKET_ALLOWED):
-        for m in SOCKET_CALL_RE.finditer(code):
+        call_re = (SOCKET_ANY_CALL_RE if vpath.startswith(SRC_PREFIX)
+                   else SOCKET_QUALIFIED_CALL_RE)
+        for m in call_re.finditer(code):
             out.append((line_of(code, m.start()), "raw-socket",
                         "socket syscall outside src/subsim/net/; serve over "
                         "HttpServer and drive clients through HttpClient so "
@@ -727,27 +854,16 @@ def analyze_file(
     raw = read_text(path)
     raw_lines = raw.splitlines()
     code = strip_comments_and_strings(raw)
-    vpath = virtual_path(path, raw)
+    vpath = virtual_path(path, raw, root)
 
-    # Engine-independent pre-pass: include directives vanish before the AST
-    # exists, so the socket-header check runs on the stripped text for both
-    # engines — guaranteeing they agree on it.
-    triples: list[tuple[int, str, str]] = []
-    if not path_matches(vpath, RAW_SOCKET_ALLOWED):
-        for m in SOCKET_HEADER_RE.finditer(code):
-            triples.append(
-                (line_of(code, m.start()), "raw-socket",
-                 f"#include <{m.group('header')}> outside src/subsim/net/; "
-                 "raw sockets are confined to the net layer"))
-
+    triples = lexical_findings(code, vpath)
     if engine == "ast":
-        triples += ast_engine_findings(
-            cindex, path, vpath, compile_args_for(path, compdb, root))
         # The ast engine resolves status-discarded from real return types;
         # everything it cannot see (headers outside the TU) is accepted.
+        triples += ast_engine_findings(
+            cindex, path, vpath, compile_args_for(path, compdb, root))
     else:
-        triples += text_engine_findings(path, raw, code, vpath,
-                                        status_functions)
+        triples += text_engine_findings(code, vpath, status_functions)
 
     findings: list[Finding] = []
     for lineno, rule, message in triples:
@@ -762,6 +878,8 @@ def analyze_file(
                                 "`// SUBSIM-NOLINT(rule): <why>`"))
                 continue
         findings.append(Finding(path, lineno, rule, message))
+    # A NEXTLINE marker shielding a line with several findings would report
+    # nolint-needs-reason once per finding; dedupe, preserving order.
     return list(dict.fromkeys(findings))
 
 
@@ -790,6 +908,22 @@ def load_compdb(path: pathlib.Path | None):
         return None
 
 
+def analyze_files(files: list[pathlib.Path], root: pathlib.Path,
+                  engine: str, compdb_path: pathlib.Path | None):
+    """Returns (engine_name, findings) for `files`. Status declarations are
+    always gathered from src/ too: a name declared `void` in an unscanned
+    header must still read as ambiguous, or every call to it is flagged."""
+    engine, cindex = pick_engine(engine)
+    compdb = load_compdb(compdb_path) if engine == "ast" else None
+    status_functions = collect_status_functions(
+        files + gather_files([root / "src"]))
+    findings: list[Finding] = []
+    for f in files:
+        findings.extend(
+            analyze_file(f, status_functions, engine, cindex, compdb, root))
+    return engine, findings
+
+
 def run_analyze(paths: list[pathlib.Path], root: pathlib.Path,
                 engine: str, compdb_path: pathlib.Path | None) -> int:
     files = gather_files(paths)
@@ -797,13 +931,7 @@ def run_analyze(paths: list[pathlib.Path], root: pathlib.Path,
         print(f"subsim_analyze: no C++ sources under {paths}",
               file=sys.stderr)
         return 2
-    engine, cindex = pick_engine(engine)
-    compdb = load_compdb(compdb_path) if engine == "ast" else None
-    status_functions = collect_status_functions(files)
-    findings: list[Finding] = []
-    for f in files:
-        findings.extend(
-            analyze_file(f, status_functions, engine, cindex, compdb, root))
+    engine, findings = analyze_files(files, root, engine, compdb_path)
     for finding in findings:
         print(finding.render(root))
     if findings:
@@ -827,9 +955,6 @@ def run_self_test(fixtures: pathlib.Path, root: pathlib.Path,
         print(f"subsim_analyze: no fixtures under {fixtures}",
               file=sys.stderr)
         return 2
-    engine, cindex = pick_engine(engine)
-    compdb = load_compdb(compdb_path) if engine == "ast" else None
-    status_functions = collect_status_functions(files)
 
     expected: set[tuple[str, int, str]] = set()
     for f in files:
@@ -849,11 +974,8 @@ def run_self_test(fixtures: pathlib.Path, root: pathlib.Path,
                         return 2
                     expected.add((f.as_posix(), lineno, rule))
 
-    actual: set[tuple[str, int, str]] = set()
-    for f in files:
-        for finding in analyze_file(f, status_functions, engine, cindex,
-                                    compdb, root):
-            actual.add((finding.path.as_posix(), finding.line, finding.rule))
+    engine, findings = analyze_files(files, root, engine, compdb_path)
+    actual = {(f.path.as_posix(), f.line, f.rule) for f in findings}
 
     missing = expected - actual
     unexpected = actual - expected
@@ -878,7 +1000,7 @@ def run_self_test(fixtures: pathlib.Path, root: pathlib.Path,
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="subsim_analyze.py",
-        description="subsim semantic concurrency & determinism analyzer")
+        description="subsim repo-specific invariant checker")
     parser.add_argument("paths", nargs="*", type=pathlib.Path,
                         help="files or directories to analyze")
     parser.add_argument("--engine", choices=("auto", "ast", "text"),
@@ -890,7 +1012,7 @@ def main(argv: list[str]) -> int:
                         help="compile_commands.json for the ast engine "
                              "(default: build/compile_commands.json)")
     parser.add_argument("--self-test", action="store_true",
-                        help="verify against tools/lint_fixtures/analyze/")
+                        help="verify against tools/lint_fixtures/")
     args = parser.parse_args(argv)
 
     repo_root = pathlib.Path(__file__).resolve().parent.parent
@@ -900,9 +1022,8 @@ def main(argv: list[str]) -> int:
         compdb = candidate if candidate.is_file() else None
 
     if args.self_test:
-        return run_self_test(
-            repo_root / "tools" / "lint_fixtures" / "analyze", repo_root,
-            args.engine, compdb)
+        return run_self_test(repo_root / "tools" / "lint_fixtures",
+                             repo_root, args.engine, compdb)
     if not args.paths:
         parser.print_usage(sys.stderr)
         return 2
