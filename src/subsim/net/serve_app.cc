@@ -12,22 +12,6 @@ namespace subsim {
 
 namespace {
 
-std::string JsonEscapeMinimal(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 HttpResponse JsonResponse(int status_code, std::string body) {
   HttpResponse response;
   response.status_code = status_code;
@@ -38,7 +22,7 @@ HttpResponse JsonResponse(int status_code, std::string body) {
 
 HttpResponse JsonError(int status_code, std::string_view message) {
   return JsonResponse(status_code, "{\"ok\":false,\"error\":\"" +
-                                       JsonEscapeMinimal(message) + "\"}\n");
+                                       JsonEscape(message) + "\"}\n");
 }
 
 int HttpStatusFor(const Status& status) {
@@ -143,7 +127,7 @@ HttpResponse ServeApp::HandleUpdateGraph(const HttpRequest& request) {
                      outcome.status().ToString());
   }
   std::string body = "{\"ok\":true";
-  body += ",\"graph\":\"" + JsonEscapeMinimal(parsed->graph) + "\"";
+  body += ",\"graph\":\"" + JsonEscape(parsed->graph) + "\"";
   body += ",\"version\":" + std::to_string(outcome->version);
   body += ",\"previous_version\":" +
           std::to_string(outcome->previous_version);
@@ -180,7 +164,7 @@ HttpResponse ServeApp::HandleRemoveGraph(const HttpRequest& request) {
                      dropped.status().ToString());
   }
   return JsonResponse(200, "{\"ok\":true,\"graph\":\"" +
-                               JsonEscapeMinimal(name) +
+                               JsonEscape(name) +
                                "\",\"cache_entries_dropped\":" +
                                std::to_string(*dropped) + "}\n");
 }

@@ -1,31 +1,13 @@
 #include "subsim/obs/obs_json.h"
 
-#include <cstdio>
+#include "subsim/util/string_util.h"
 
 namespace subsim {
 
 namespace {
 
-/// Metric and span names are chosen by this codebase (dotted identifiers),
-/// so only quote/backslash escaping is required to keep the output valid.
 std::string JsonName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size() + 2);
-  out += '"';
-  for (const char c : name) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string JsonDouble(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
+  return '"' + JsonEscape(name) + '"';
 }
 
 void AppendCounterMap(const std::map<std::string, std::uint64_t>& counters,

@@ -37,7 +37,8 @@ std::string ObsJson(const MetricsSnapshot& snapshot,
                     const PhaseTracer* tracer = nullptr);
 
 /// Like ObsJson but without the enclosing braces, for splicing into a
-/// larger JSON object (the serve REPL `stats` response does this).
+/// larger JSON object (`QueryEngine::StatsJson`, served at `/metricsz`,
+/// does this).
 std::string ObsJsonFields(const MetricsSnapshot& snapshot,
                           const PhaseTracer* tracer = nullptr);
 

@@ -1,52 +1,8 @@
 #include "subsim/serve/query.h"
 
-#include <cstdio>
-
 #include "subsim/util/string_util.h"
 
 namespace subsim {
-
-namespace {
-
-/// JSON string escaping for the small character set that can appear in
-/// graph/algo names and status messages.
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonDouble(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-}  // namespace
 
 ImOptions SelectSeedsQuery::ToImOptions() const {
   ImOptions options;

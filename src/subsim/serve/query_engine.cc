@@ -243,10 +243,6 @@ QueryResponse QueryEngine::Execute(const SelectSeedsQuery& query,
       ctx.deadline.is_set() ? ctx.deadline : DeadlineFromQuery(query));
 }
 
-std::size_t QueryEngine::InvalidateGraph(const std::string& name) {
-  return cache_.EraseGraph(name);
-}
-
 Result<QueryEngine::GraphUpdateOutcome> QueryEngine::ApplyGraphUpdates(
     const std::string& name, const UpdateBatch& batch) {
   // One update at a time so each repair pass starts from the cache state
@@ -320,7 +316,7 @@ Result<std::size_t> QueryEngine::RemoveGraph(const std::string& name) {
   return cache_.EraseGraph(name);
 }
 
-std::string QueryEngine::StatsJson() const {
+std::string QueryEngine::CacheStatsJson() const {
   std::string out = "{";
   out += "\"cache_entries\":" + std::to_string(cache_.num_entries());
   out += ",\"cache_hits\":" + std::to_string(cache_.hits());
@@ -328,7 +324,13 @@ std::string QueryEngine::StatsJson() const {
   out += ",\"cache_lost_races\":" + std::to_string(cache_.lost_races());
   out += ",\"cache_evictions\":" + std::to_string(cache_.evictions());
   out += ",\"cache_bytes\":" + std::to_string(cache_.ApproxMemoryBytes());
-  out += ",";
+  out += "}";
+  return out;
+}
+
+std::string QueryEngine::StatsJson() const {
+  std::string out = CacheStatsJson();
+  out.back() = ',';  // reopen the object for the observability fields
   out += ObsJsonFields(metrics_.Snapshot(), &tracer_);
   out += "}";
   return out;

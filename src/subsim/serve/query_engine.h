@@ -128,12 +128,6 @@ class QueryEngine {
   /// `kNotFound` when the registry has no such name.
   Result<std::size_t> RemoveGraph(const std::string& name);
 
-  /// Drops cache entries keyed to a graph name — call after re-loading the
-  /// name in the registry. Returns the number of entries dropped.
-  /// (With versioned keys this is a memory-hygiene aid, not a correctness
-  /// requirement: old-version entries can never serve a new snapshot.)
-  std::size_t InvalidateGraph(const std::string& name);
-
   RrSketchCache& cache() { return cache_; }
   const RrSketchCache& cache() const { return cache_; }
   GraphRegistry& registry() { return *registry_; }
@@ -144,9 +138,14 @@ class QueryEngine {
   const MetricsRegistry& metrics() const { return metrics_; }
   const PhaseTracer& tracer() const { return tracer_; }
 
-  /// One JSON object combining cache-level stats (`cache_entries`, ...)
-  /// with the observability fields (docs/observability.md) — what the
-  /// serve REPL's `stats` command prints.
+  /// The cache-level stats as one JSON object: `cache_entries`,
+  /// `cache_hits`, `cache_misses`, `cache_lost_races`, `cache_evictions`,
+  /// `cache_bytes` — what `subsim_cli batch` prints when it finishes.
+  std::string CacheStatsJson() const;
+
+  /// `CacheStatsJson`'s fields plus the observability fields
+  /// (docs/observability.md) in one JSON object — what `GET /metricsz`
+  /// serves.
   std::string StatsJson() const;
 
  private:

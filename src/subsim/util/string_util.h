@@ -31,6 +31,15 @@ bool ParseUint64(std::string_view text, std::uint64_t* out);
 /// Parses a double. Returns false on malformed input.
 bool ParseDouble(std::string_view text, double* out);
 
+/// Escapes `text` for the inside of a JSON string literal: quote and
+/// backslash are backslash-escaped, newline and tab become `\n` / `\t`,
+/// and other control bytes become `\u00XX`. Every JSON document the
+/// library writes (query responses, HTTP bodies, metrics) goes through it.
+std::string JsonEscape(std::string_view text);
+
+/// Renders a JSON number with six significant digits (`%.6g`).
+std::string JsonDouble(double value);
+
 }  // namespace subsim
 
 #endif  // SUBSIM_UTIL_STRING_UTIL_H_

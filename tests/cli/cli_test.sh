@@ -6,7 +6,8 @@ set -u
 
 CLI="$1"
 WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+SERVE_PID=""
+trap '[ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 FAILURES=0
 
 check() {
@@ -139,6 +140,22 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
+# A metrics file that cannot be written is an error, not a silent success.
+if [ -w /dev/full ]; then
+  check "run fails when --metrics-json cannot be written" 1 \
+    "$CLI" run --in="$WORK/wc.txt" --algo=opim-c --k=2 --eps=0.3 \
+    --threads=1 --metrics-json=/dev/full
+  if grep -q "IoError" "$WORK/err.txt" && ! grep -q "metrics:" "$WORK/out.txt"
+  then
+    echo "ok: metrics write failure reported as IoError"
+  else
+    echo "FAIL: metrics write failure not reported"
+    FAILURES=$((FAILURES + 1))
+  fi
+else
+  echo "skip: /dev/full not writable; metrics write-failure check not run"
+fi
+
 check "calibrate uniform p" 0 \
   "$CLI" calibrate --in="$WORK/raw.txt" --model=uniform --target=50
 expect_in_output "calibrate reports p" "p = "
@@ -152,7 +169,7 @@ check "weight uniform with p" 0 \
 check "run imm on er graph" 0 \
   "$CLI" run --in="$WORK/er_u.txt" --algo=imm --k=3 --eps=0.25
 
-# --- serving: batch + serve subcommands ---
+# --- serving: batch (the offline path) ---
 cat > "$WORK/queries.txt" <<'EOF'
 # three queries, the third repeats the first so it must hit the cache
 graph=wc algo=opim-c k=3 eps=0.3 seed=7
@@ -179,14 +196,100 @@ check "batch reports parse errors per line" 0 \
   sh -c "echo 'graph=wc k=oops' | '$CLI' batch --graph=wc='$WORK/wc.txt'"
 expect_in_output "bad query line yields error json" '"ok":false'
 
-check "serve answers a REPL session" 0 \
-  sh -c "printf 'graphs\ngraph=wc k=2 eps=0.3 seed=4\nstats\nquit\n' \
-    | '$CLI' serve --graph=wc='$WORK/wc.txt'"
-expect_in_output "serve lists graphs" '"graphs":\["wc"\]'
-expect_in_output "serve answers query" '"seeds":\[[0-9]'
-expect_in_output "serve reports cache stats" '"cache_entries"'
-expect_in_output "serve stats folds in metrics" '"schema_version":1'
-expect_in_output "serve stats counts queries" '"serve.queries":1'
+# --- serving: the HTTP front end and the update client ---
+# `serve` announces its ephemeral port on stdout; curl drives the routes
+# and `subsim_cli update` posts edge batches. SIGTERM must drain and exit 0.
+"$CLI" serve --graph=wc="$WORK/wc.txt" --port=0 --http-workers=2 \
+  > "$WORK/serve_out.txt" 2> "$WORK/serve_err.txt" &
+SERVE_PID=$!
+PORT=""
+tries=0
+while [ "$tries" -lt 300 ]; do
+  PORT=$(sed -n 's/.*"listening":true,"port":\([0-9]*\).*/\1/p' \
+    "$WORK/serve_out.txt")
+  if [ -n "$PORT" ] || ! kill -0 "$SERVE_PID" 2>/dev/null; then
+    break
+  fi
+  sleep 0.1
+  tries=$((tries + 1))
+done
+if [ -n "$PORT" ]; then
+  echo "ok: serve announces its port ($PORT)"
+else
+  echo "FAIL: serve did not announce a port"
+  sed 's/^/    /' "$WORK/serve_err.txt" | head -3
+  FAILURES=$((FAILURES + 1))
+  PORT=1
+fi
+URL="http://127.0.0.1:$PORT"
+
+if command -v curl > /dev/null 2>&1; then
+  check "serve answers /healthz" 0 curl -sf "$URL/healthz"
+  expect_in_output "healthz counts the graph" '"graphs":1'
+  check "serve answers /v1/select_seeds" 0 \
+    curl -sf -X POST --data-binary 'graph=wc k=2 eps=0.3 seed=4' \
+    "$URL/v1/select_seeds"
+  expect_in_output "select_seeds returns seeds" '"seeds":\[[0-9]'
+  check "serve answers /metricsz" 0 curl -sf "$URL/metricsz"
+  for key in serve.shed serve.coalesced slo.queue_us_p99 slo.exec_us_p99 \
+      http.requests; do
+    expect_in_output "metricsz has $key" "\"$key\""
+  done
+  expect_in_output "metricsz counts the query" '"serve.queries":1'
+  expect_in_output "metricsz carries cache stats" '"cache_entries":1'
+  expect_in_output "metricsz folds in metrics" '"schema_version":1'
+else
+  echo "skip: curl not found; /healthz, /v1/select_seeds, /metricsz and" \
+       "/v1/remove_graph checks not run"
+fi
+
+# `update` against the live server: a good batch publishes version 2, a
+# stale expect_version is refused (409), and a malformed batch fails in
+# the local parse (error on stderr, no response body on stdout).
+EDGE=$(awk '!/^[#%]/ { print $1, $2; exit }' "$WORK/wc.txt")
+printf 'graph=wc\nweight %s 0.5\n' "$EDGE" > "$WORK/update_good.txt"
+printf 'graph=wc expect_version=1\nweight %s 0.25\n' "$EDGE" \
+  > "$WORK/update_skew.txt"
+printf 'graph=wc\nfrobnicate 0 1\n' > "$WORK/update_bad.txt"
+check "update applies a batch" 0 \
+  "$CLI" update --port="$PORT" --in="$WORK/update_good.txt"
+expect_in_output "update publishes version 2" '"version":2'
+check "update with expect_version skew fails" 1 \
+  "$CLI" update --port="$PORT" --in="$WORK/update_skew.txt"
+expect_in_output "skewed update reports the error" '"ok":false'
+check "update rejects a malformed batch" 1 \
+  "$CLI" update --port="$PORT" --in="$WORK/update_bad.txt"
+if grep -q "line 2: unknown op" "$WORK/err.txt" && [ ! -s "$WORK/out.txt" ]
+then
+  echo "ok: malformed batch fails in the local parse"
+else
+  echo "FAIL: malformed batch did not fail in the local parse"
+  sed 's/^/    /' "$WORK/err.txt" "$WORK/out.txt" | head -5
+  FAILURES=$((FAILURES + 1))
+fi
+
+if command -v curl > /dev/null 2>&1; then
+  check "serve answers /v1/remove_graph" 0 \
+    curl -sf -X POST --data-binary 'graph=wc' "$URL/v1/remove_graph"
+  expect_in_output "remove_graph drops the repaired entry" \
+    '"cache_entries_dropped":1'
+  check "healthz after removal" 0 curl -sf "$URL/healthz"
+  expect_in_output "healthz counts no graphs" '"graphs":0'
+fi
+
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+serve_exit=$?
+SERVE_PID=""
+if [ "$serve_exit" -eq 0 ] && grep -q "shutting down" "$WORK/serve_err.txt"
+then
+  echo "ok: serve drains and exits 0 on SIGTERM"
+else
+  echo "FAIL: serve exited $serve_exit on SIGTERM"
+  sed 's/^/    /' "$WORK/serve_err.txt" | head -3
+  FAILURES=$((FAILURES + 1))
+fi
+check "serve requires at least one graph" 1 "$CLI" serve --port=0
 
 check "batch requires at least one graph" 1 \
   sh -c "echo 'graph=wc k=2' | '$CLI' batch"

@@ -150,6 +150,15 @@ TEST_F(ServeAppServerTest, BadInputsGetFourHundreds) {
       client.Post("/v1/select_seeds", "graph=missing k=3");
   ASSERT_TRUE(unknown_graph.ok());
   EXPECT_EQ(unknown_graph->status_code, 404);
+
+  // Error text echoes the client's bytes; quotes and control bytes must
+  // come back escaped so the body stays valid JSON.
+  const auto hostile_body =
+      client.Post("/v1/remove_graph", std::string("a\"b\x01", 4));
+  ASSERT_TRUE(hostile_body.ok());
+  EXPECT_EQ(hostile_body->status_code, 400);
+  EXPECT_NE(hostile_body->body.find("got 'a\\\"b\\u0001'"), std::string::npos)
+      << hostile_body->body;
 }
 
 TEST_F(ServeAppServerTest, ExpiredDeadlineIsShedBeforeExecution) {

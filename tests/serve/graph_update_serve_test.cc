@@ -71,7 +71,7 @@ class GraphUpdateServeTest : public ::testing::Test {
 
 TEST_F(GraphUpdateServeTest, StaleSketchRegressionOnReRegister) {
   // The headline bug: warm a sketch, swap the graph under the same name
-  // WITHOUT calling InvalidateGraph, and query again. Before versioned
+  // WITHOUT erasing its cache entries, and query again. Before versioned
   // keys the second query would hit the stale sketch and return seeds
   // sampled on the old topology; now the version bump makes the old entry
   // unreachable, so the answer must equal a fresh engine's.
@@ -81,7 +81,7 @@ TEST_F(GraphUpdateServeTest, StaleSketchRegressionOnReRegister) {
   ASSERT_EQ(engine.cache().num_entries(), 1u);
 
   ASSERT_TRUE(registry_.Register("g", ServeGraph(99)).ok());
-  // Deliberately no InvalidateGraph("g") here.
+  // Deliberately no cache().EraseGraph("g") here.
 
   const QueryResponse after_swap = engine.Execute(query);
   ASSERT_TRUE(after_swap.status.ok()) << after_swap.status.ToString();

@@ -85,5 +85,21 @@ TEST(ParseDoubleTest, RejectsMalformed) {
   EXPECT_FALSE(ParseDouble("1.5zz", &v));
 }
 
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(JsonEscape("serve.queries"), "serve.queries");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("x\ny\tz"), "x\\ny\\tz");
+  EXPECT_EQ(JsonEscape(std::string_view("\r\x01\x1f", 3)),
+            "\\u000d\\u0001\\u001f");
+  // Bytes >= 0x80 (UTF-8 continuation and lead bytes) pass through.
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9"), "caf\xc3\xa9");
+}
+
+TEST(JsonDoubleTest, SixSignificantDigits) {
+  EXPECT_EQ(JsonDouble(0.5), "0.5");
+  EXPECT_EQ(JsonDouble(1234567.0), "1.23457e+06");
+  EXPECT_EQ(JsonDouble(0.0), "0");
+}
+
 }  // namespace
 }  // namespace subsim

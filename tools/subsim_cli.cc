@@ -16,25 +16,23 @@
 //   calibrate --in=FILE --model=wc-variant|uniform --target=AVG [--seed=S]
 //   batch     --graph=NAME=FILE [--graph=...] [--in=QUERIES|-]
 //             [--workers=N] [--threads=N] [--cache-mb=M]
-//   serve     [--graph=NAME=FILE ...] [--workers=N] [--threads=N]
-//             [--cache-mb=M] [--port=P [--bind=ADDR] [--http-workers=N]
-//             [--max-pending=N]]
+//   serve     --graph=NAME=FILE [--graph=...] [--threads=N] [--cache-mb=M]
+//             [--port=P] [--bind=ADDR] [--http-workers=N] [--max-pending=N]
 //   update    --port=P [--host=ADDR] --in=BATCH|-
 //
 // Files are whitespace-separated edge lists ("src dst [weight]"); lines
 // starting with '#' or '%' are comments. `weight` writes the third column.
 //
-// `batch` executes one query per input line concurrently on a worker pool
-// (see src/subsim/serve/query.h for the line grammar) and prints one JSON
-// result line per query, in input order. `serve` without --port is a
-// long-lived REPL over stdin/stdout speaking the same query lines plus
-// `load NAME FILE`, `update FILE`, `unload NAME`, `graphs`, `stats`, and
-// `quit`; with --port it runs the HTTP/1.1 front end instead
-// (POST /v1/select_seeds, POST /v1/update_graph, POST /v1/remove_graph,
-// GET /healthz, GET /metricsz — docs/serving.md), printing one
-// {"listening":...,"port":N} line to stdout so scripts can discover an
-// ephemeral --port=0. Both share RR sketches between queries through the
-// serving cache.
+// `batch` is the offline path: it executes one query per input line
+// concurrently on a worker pool (see src/subsim/serve/query.h for the line
+// grammar) and prints one JSON result line per query, in input order.
+// `serve` is the HTTP/1.1 front end (POST /v1/select_seeds,
+// POST /v1/update_graph, POST /v1/remove_graph, GET /healthz,
+// GET /metricsz — docs/serving.md); queries run on its --http-workers.
+// It prints one {"listening":true,"port":N} line to stdout so scripts can
+// discover the ephemeral port of the default --port=0, and drains
+// in-flight requests on SIGINT/SIGTERM. Both share RR sketches between
+// queries through the serving cache.
 //
 // `update` posts an edge-update batch file (header `graph=NAME
 // [expect_version=V]`, then `insert SRC DST W` / `delete SRC DST` /
@@ -334,8 +332,12 @@ int CmdRun(const Flags& flags) {
     if (out == nullptr) {
       return Fail(Status::IoError("cannot open " + metrics_path));
     }
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
+    // Buffered writes fail late (a full disk surfaces at fclose), so both
+    // results count.
+    const bool wrote = std::fputs(json.c_str(), out) >= 0;
+    if (std::fclose(out) != 0 || !wrote) {
+      return Fail(Status::IoError("cannot write " + metrics_path));
+    }
     std::printf("metrics: %s\n", metrics_path.c_str());
   }
 
@@ -440,33 +442,21 @@ Status LoadGraphFlags(const Flags& flags, GraphRegistry* registry) {
   return Status::Ok();
 }
 
+/// The engine options `batch` and `serve` share; each sets `num_workers`
+/// itself.
 Result<QueryEngineOptions> EngineOptionsFromFlags(const Flags& flags) {
   QueryEngineOptions options;
-  const auto workers = flags.GetUint("workers", 0);
   // Generation threads per query; results are identical for any value
   // (generation is thread-count invariant), so the default stays at 1 to
-  // leave cores to the query-level worker pool.
+  // leave cores to the query-level workers.
   const auto threads = flags.GetUint("threads", 1);
   const auto cache_mb = flags.GetUint("cache-mb", 512);
-  if (!workers.ok() || !threads.ok() || !cache_mb.ok()) {
-    return !workers.ok() ? workers.status()
-                         : !threads.ok() ? threads.status()
-                                         : cache_mb.status();
+  if (!threads.ok() || !cache_mb.ok()) {
+    return !threads.ok() ? threads.status() : cache_mb.status();
   }
-  options.num_workers = static_cast<unsigned>(*workers);
   options.num_threads = static_cast<unsigned>(*threads);
   options.cache.max_bytes = *cache_mb << 20;
   return options;
-}
-
-std::string CacheStatsJson(const RrSketchCache& cache) {
-  return "{\"cache_entries\":" + std::to_string(cache.num_entries()) +
-         ",\"cache_hits\":" + std::to_string(cache.hits()) +
-         ",\"cache_misses\":" + std::to_string(cache.misses()) +
-         ",\"cache_lost_races\":" + std::to_string(cache.lost_races()) +
-         ",\"cache_evictions\":" + std::to_string(cache.evictions()) +
-         ",\"cache_bytes\":" + std::to_string(cache.ApproxMemoryBytes()) +
-         "}";
 }
 
 /// Reads a whole file ("-" = stdin) into `out`.
@@ -488,21 +478,6 @@ Status ReadWholeFile(const std::string& path, std::string* out) {
     std::fclose(stream);
   }
   return Status::Ok();
-}
-
-/// Formats a `GraphUpdateOutcome` the same way the HTTP route does, so the
-/// REPL `update` command and `POST /v1/update_graph` read alike.
-std::string UpdateOutcomeJson(const std::string& graph,
-                              const QueryEngine::GraphUpdateOutcome& o) {
-  return "{\"ok\":true,\"graph\":\"" + graph +
-         "\",\"version\":" + std::to_string(o.version) +
-         ",\"previous_version\":" + std::to_string(o.previous_version) +
-         ",\"num_edges\":" + std::to_string(o.num_edges) +
-         ",\"entries_repaired\":" + std::to_string(o.entries_repaired) +
-         ",\"entries_dropped\":" + std::to_string(o.entries_dropped) +
-         ",\"sets_repaired\":" + std::to_string(o.sets_repaired) +
-         ",\"sets_kept\":" + std::to_string(o.sets_kept) +
-         ",\"repair_ms\":" + std::to_string(o.repair_seconds * 1000.0) + "}";
 }
 
 /// `update`: post a batch file to a running HTTP server.
@@ -547,10 +522,13 @@ int CmdBatch(const Flags& flags) {
     return Fail(Status::InvalidArgument(
         "batch requires at least one --graph=NAME=FILE"));
   }
-  const auto engine_options = EngineOptionsFromFlags(flags);
-  if (!engine_options.ok()) {
-    return Fail(engine_options.status());
+  auto engine_options = EngineOptionsFromFlags(flags);
+  const auto workers = flags.GetUint("workers", 0);
+  if (!engine_options.ok() || !workers.ok()) {
+    return Fail(!engine_options.ok() ? engine_options.status()
+                                     : workers.status());
   }
+  engine_options->num_workers = static_cast<unsigned>(*workers);
   QueryEngine engine(&registry, *engine_options);
 
   const std::string in = flags.Get("in", "-");
@@ -591,38 +569,53 @@ int CmdBatch(const Flags& flags) {
     std::printf("%s\n", FormatQueryResponseJson(response).c_str());
   }
   std::fprintf(stderr, "batch: %zu queries  %s\n", futures.size(),
-               CacheStatsJson(engine.cache()).c_str());
+               engine.CacheStatsJson().c_str());
   return 0;
 }
 
-/// Set by the SIGINT/SIGTERM handler; the HTTP serve loop polls it.
+/// Set by the SIGINT/SIGTERM handler; the serve loop polls it.
 std::atomic<bool> g_serve_stop{false};
 
 extern "C" void ServeSignalHandler(int) { g_serve_stop.store(true); }
 
-/// `serve --port=P`: the HTTP/1.1 front end. Blocks until SIGINT/SIGTERM,
-/// then stops the server (draining in-flight requests) before the engine
-/// and registry unwind.
-int CmdServeHttp(const Flags& flags, QueryEngine* engine) {
+/// `serve`: the HTTP/1.1 front end. Blocks until SIGINT/SIGTERM, then
+/// stops the server (draining in-flight requests) before the engine and
+/// registry unwind.
+int CmdServe(const Flags& flags) {
+  GraphRegistry registry;
+  if (const Status status = LoadGraphFlags(flags, &registry); !status.ok()) {
+    return Fail(status);
+  }
+  if (registry.Names().empty()) {
+    return Fail(Status::InvalidArgument(
+        "serve requires at least one --graph=NAME=FILE"));
+  }
+  auto engine_options = EngineOptionsFromFlags(flags);
   const auto port = flags.GetUint("port", 0);
   const auto http_workers = flags.GetUint("http-workers", 0);
   const auto max_pending = flags.GetUint("max-pending", 128);
-  if (!port.ok() || !http_workers.ok() || !max_pending.ok()) {
-    return Fail(!port.ok() ? port.status()
-                           : !http_workers.ok() ? http_workers.status()
-                                                : max_pending.status());
+  if (!engine_options.ok() || !port.ok() || !http_workers.ok() ||
+      !max_pending.ok()) {
+    return Fail(!engine_options.ok() ? engine_options.status()
+                : !port.ok()         ? port.status()
+                : !http_workers.ok() ? http_workers.status()
+                                     : max_pending.status());
   }
   if (*port > 65535) {
     return Fail(Status::InvalidArgument("--port must be <= 65535"));
   }
+  // Handlers call `QueryEngine::Execute` on the HTTP workers, so the
+  // engine's own pool never gets a job; keep it at one idle thread.
+  engine_options->num_workers = 1;
+  QueryEngine engine(&registry, *engine_options);
 
-  ServeApp app(engine);
+  ServeApp app(&engine);
   HttpServer::Options options;
   options.bind_address = flags.Get("bind", "127.0.0.1");
   options.port = static_cast<std::uint16_t>(*port);
   options.num_workers = static_cast<unsigned>(*http_workers);
   options.max_pending = static_cast<std::size_t>(*max_pending);
-  options.metrics = &engine->metrics();
+  options.metrics = &engine.metrics();
   HttpServer server(
       [&app](const HttpRequest& request, const HttpRequestContext& context) {
         return app.Handle(request, context);
@@ -649,143 +642,15 @@ int CmdServeHttp(const Flags& flags, QueryEngine* engine) {
   return 0;
 }
 
-int CmdServe(const Flags& flags) {
-  GraphRegistry registry;
-  if (const Status status = LoadGraphFlags(flags, &registry); !status.ok()) {
-    return Fail(status);
-  }
-  const auto engine_options = EngineOptionsFromFlags(flags);
-  if (!engine_options.ok()) {
-    return Fail(engine_options.status());
-  }
-  QueryEngine engine(&registry, *engine_options);
-
-  if (flags.Has("port")) {
-    return CmdServeHttp(flags, &engine);
-  }
-
-  std::fprintf(stderr,
-               "subsim serve: query lines (graph=NAME k=K ...), "
-               "load NAME FILE, update FILE, unload NAME, graphs, stats, "
-               "quit\n");
-  std::string line;
-  while (ReadLine(stdin, &line)) {
-    const std::string_view text = StripWhitespace(line);
-    if (text.empty() || text.front() == '#') {
-      continue;
-    }
-    if (text == "quit" || text == "exit") {
-      break;
-    }
-    if (text == "graphs") {
-      std::string out = "{\"graphs\":[";
-      bool first = true;
-      for (const std::string& name : registry.Names()) {
-        if (!first) {
-          out += ",";
-        }
-        first = false;
-        out += "\"" + name + "\"";
-      }
-      out += "]}";
-      std::printf("%s\n", out.c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    if (text == "stats") {
-      // Cache stats plus the engine's metrics snapshot, one JSON object
-      // (docs/observability.md documents the schema).
-      std::printf("%s\n", engine.StatsJson().c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    if (StartsWith(text, "load ")) {
-      const auto tokens = SplitAndTrim(text, " \t");
-      Status status = tokens.size() == 3
-                          ? registry.LoadFromFile(std::string(tokens[1]),
-                                                  std::string(tokens[2]))
-                          : Status::InvalidArgument("usage: load NAME FILE");
-      if (status.ok()) {
-        // Sets sampled on a replaced snapshot must not serve new queries.
-        const std::size_t dropped =
-            engine.InvalidateGraph(std::string(tokens[1]));
-        std::printf("{\"ok\":true,\"loaded\":\"%s\","
-                    "\"cache_entries_dropped\":%zu}\n",
-                    std::string(tokens[1]).c_str(), dropped);
-      } else {
-        std::printf("{\"ok\":false,\"error\":\"%s\"}\n",
-                    status.ToString().c_str());
-      }
-      std::fflush(stdout);
-      continue;
-    }
-    if (StartsWith(text, "update ")) {
-      // `update FILE`: apply an edge-update batch in process — new
-      // snapshot version, warm sketches incrementally repaired.
-      const auto tokens = SplitAndTrim(text, " \t");
-      std::string body;
-      Status status = tokens.size() == 2
-                          ? ReadWholeFile(std::string(tokens[1]), &body)
-                          : Status::InvalidArgument("usage: update FILE");
-      if (status.ok()) {
-        const auto parsed = ParseGraphUpdateRequest(body);
-        if (!parsed.ok()) {
-          status = parsed.status();
-        } else {
-          const auto outcome =
-              engine.ApplyGraphUpdates(parsed->graph, parsed->batch);
-          if (!outcome.ok()) {
-            status = outcome.status();
-          } else {
-            std::printf("%s\n",
-                        UpdateOutcomeJson(parsed->graph, *outcome).c_str());
-          }
-        }
-      }
-      if (!status.ok()) {
-        std::printf("{\"ok\":false,\"error\":\"%s\"}\n",
-                    status.ToString().c_str());
-      }
-      std::fflush(stdout);
-      continue;
-    }
-    if (StartsWith(text, "unload ")) {
-      const auto tokens = SplitAndTrim(text, " \t");
-      if (tokens.size() != 2) {
-        std::printf("{\"ok\":false,\"error\":\"usage: unload NAME\"}\n");
-      } else {
-        const auto dropped = engine.RemoveGraph(std::string(tokens[1]));
-        if (dropped.ok()) {
-          std::printf("{\"ok\":true,\"unloaded\":\"%s\","
-                      "\"cache_entries_dropped\":%zu}\n",
-                      std::string(tokens[1]).c_str(), *dropped);
-        } else {
-          std::printf("{\"ok\":false,\"error\":\"%s\"}\n",
-                      dropped.status().ToString().c_str());
-        }
-      }
-      std::fflush(stdout);
-      continue;
-    }
-    Result<SelectSeedsQuery> query = ParseSelectSeedsQuery(text);
-    QueryResponse response;
-    if (!query.ok()) {
-      response.status = query.status();
-    } else {
-      response = engine.Submit(std::move(*query)).get();
-    }
-    std::printf("%s\n", FormatQueryResponseJson(response).c_str());
-    std::fflush(stdout);
-  }
-  return 0;
-}
-
 int Usage() {
   std::fprintf(
       stderr,
       "usage: subsim_cli "
       "<generate|weight|stats|run|calibrate|batch|serve|update> [--flags]\n"
-      "       see the header comment of tools/subsim_cli.cc for details\n");
+      "  batch   run a file of query lines on a worker pool\n"
+      "  serve   HTTP front end; prints {\"listening\":true,\"port\":N}\n"
+      "  update  post an edge-update batch to a running serve\n"
+      "  see the header comment of tools/subsim_cli.cc for every flag\n");
   return 2;
 }
 
