@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: RNG draws,
-// geometric skips, alias-table sampling, subset sampling, and RR-set
-// generation (single-set and whole-fill, scalar vs batched kernel).
+// geometric skips, alias-table sampling, subset sampling, RR-set
+// generation (single-set and whole-fill, scalar vs batched kernel), and the
+// exact greedy max-coverage pass over a fixed RR store.
 // Useful for catching regressions in the primitives the figure-level
 // numbers are built from.
 //
@@ -15,8 +16,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "subsim/benchsup/datasets.h"
+#include "subsim/coverage/max_coverage.h"
 #include "subsim/graph/generators.h"
 #include "subsim/graph/graph_builder.h"
 #include "subsim/graph/weight_models.h"
@@ -196,6 +200,70 @@ BENCHMARK_CAPTURE(BM_Fill, lt_scalar, GeneratorKind::kLt, FillKernel::kScalar)
 BENCHMARK_CAPTURE(BM_Fill, lt_batched, GeneratorKind::kLt,
                   FillKernel::kBatched)
     ->UseManualTime();
+
+// Exact greedy (`RunCoverageGreedy`, one OPIM-C round's selection) over a
+// fixed store, so the coverage layer has a number outside the trajectory
+// benchmark. Two regimes: ~3-node vanilla WC sets on a 1M-node graph, where
+// most nodes appear in no set and per-node set-up dominates; and SUBSIM
+// sets on the 100K-node `pokec-s` stand-in, where the index is
+// cache-resident and the lazy heap does the work. The graph is dropped once
+// the store is filled.
+const RrCollection* BuildGreedyStore(Result<EdgeList> list,
+                                     GeneratorKind kind, std::size_t count) {
+  SUBSIM_CHECK(list.ok(), "greedy store graph: %s",
+               list.status().ToString().c_str());
+  const Status weights =
+      AssignWeights(WeightModel::kWeightedCascade, {}, &list.value());
+  SUBSIM_CHECK(weights.ok(), "greedy store weights: %s",
+               weights.ToString().c_str());
+  const Graph graph = BuildGraph(std::move(list).value()).value();
+  auto* store = new RrCollection(graph.num_nodes());
+  RngStream stream = MakeRngStream(13, 1);
+  const Status status = FillCollection(
+      {.kind = kind, .graph = &graph, .rng = &stream, .count = count,
+       .num_threads = 1, .sentinels = {}, .obs = {},
+       .kernel = FillKernel::kAuto},
+      store);
+  SUBSIM_CHECK(status.ok(), "greedy store fill: %s",
+               status.ToString().c_str());
+  return store;
+}
+
+const RrCollection& SparseGreedyStore() {
+  static const RrCollection* const kStore =
+      BuildGreedyStore(GenerateBarabasiAlbert(1000000, 10, false, 5),
+                       GeneratorKind::kVanillaIc, 20000);
+  return *kStore;
+}
+
+const RrCollection& CacheResidentGreedyStore() {
+  static const RrCollection* const kStore = BuildGreedyStore(
+      MakeDataset(FindDataset("pokec-s").value(), 1.0, 7),
+      GeneratorKind::kSubsimIc, 100000);
+  return *kStore;
+}
+
+void BM_CoverageGreedy(benchmark::State& state,
+                       const RrCollection& (*store)()) {
+  const RrCollection& sets = store();
+  CoverageGreedyOptions options;
+  options.k = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    const CoverageGreedyResult result = RunCoverageGreedy(sets, options);
+    benchmark::DoNotOptimize(result.seeds.data());
+  }
+  state.counters["sets"] = static_cast<double>(sets.num_sets());
+  state.counters["avg_set_size"] = sets.average_size();
+}
+BENCHMARK_CAPTURE(BM_CoverageGreedy, vanilla_1m_nodes, &SparseGreedyStore)
+    ->Arg(50)
+    ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CoverageGreedy, subsim_100k_nodes,
+                  &CacheResidentGreedyStore)
+    ->Arg(50)
+    ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // --smoke: CI guard. Byte-identity plus a "batched must not be slower"

@@ -8,7 +8,8 @@
 //      p99 latency bar on the warm steady state.
 //   2. open-loop: requests dispatched on a fixed arrival schedule
 //      regardless of completions (the arrival pattern that actually
-//      exposes queueing). Same p99 bar, measured including queue time.
+//      exposes queueing). Same p99 bar, each request timed from its due
+//      time, so queueing and thread-start lag both count.
 //   3. coalescing: K identical cold queries launched together must
 //      generate ~one cold run's worth of RR sets, not K of them.
 //   4. overload + degradation: a deliberately tiny server (1 worker, 1
@@ -92,10 +93,12 @@ std::string QueryLine(std::uint32_t k, std::uint64_t seed, double eps) {
          " generator=subsim";
 }
 
-/// One timed POST; returns latency in milliseconds, records failures.
+/// One POST timed from `start` to its answer; returns the latency in
+/// milliseconds and records failures. The open loop passes each request's
+/// due time, so lag in starting its thread counts against the server rather
+/// than vanishing from the tail (coordinated omission).
 double TimedPost(subsim::HttpClient* client, const std::string& body,
-                 std::atomic<int>* errors) {
-  const auto start = Clock::now();
+                 Clock::time_point start, std::atomic<int>* errors) {
   const auto response = client->Post("/v1/select_seeds", body);
   const double ms =
       std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -177,7 +180,8 @@ int main(int argc, char** argv) {
           const std::uint32_t k = 2 + 2 * static_cast<std::uint32_t>(
                                           (c + i) % 5);  // warm mix
           per_client[c].push_back(
-              TimedPost(&client, QueryLine(k, 1, 0.3), &errors));
+              TimedPost(&client, QueryLine(k, 1, 0.3), Clock::now(),
+                        &errors));
         }
       });
     }
@@ -209,11 +213,12 @@ int main(int argc, char** argv) {
                       std::chrono::duration<double, std::milli>(
                           static_cast<double>(i) * kOpenLoopIntervalMs));
       std::this_thread::sleep_until(due);
-      inflight.emplace_back([&, i] {
+      inflight.emplace_back([&, i, due] {
         subsim::HttpClient client("127.0.0.1", port);
         const std::uint32_t k =
             2 + 2 * static_cast<std::uint32_t>(i % 5);
-        latencies[i] = TimedPost(&client, QueryLine(k, 1, 0.3), &errors);
+        latencies[i] =
+            TimedPost(&client, QueryLine(k, 1, 0.3), due, &errors);
       });
     }
     for (std::thread& t : inflight) {

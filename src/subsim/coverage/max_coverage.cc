@@ -1,7 +1,10 @@
 #include "subsim/coverage/max_coverage.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
+#include <utility>
+#include <vector>
 
 #include "subsim/coverage/hll_sketch.h"
 #include "subsim/obs/metrics.h"
@@ -54,9 +57,15 @@ struct GreedyState {
   const CoverageGreedyOptions* options;
   std::vector<std::uint8_t> covered;
   std::vector<std::uint8_t> selected;
-  std::vector<std::uint64_t> initial_cov;
+  std::vector<std::uint64_t> initial_cov;  // approx loop only
   std::uint32_t k = 0;
 };
+
+/// The heap key's second component: Algorithm 6's out-degree, or 0.
+NodeId TieBreakDegree(const CoverageGreedyOptions& options, NodeId v) {
+  return options.tie_break_by_out_degree ? options.graph->OutDegree(v)
+                                         : NodeId{0};
+}
 
 /// Exact marginal of `v`: currently-uncovered sets containing it.
 std::uint64_t ExactMarginal(const GreedyState& state, NodeId v) {
@@ -85,39 +94,62 @@ void SelectSeed(GreedyState* state, NodeId v, std::uint64_t exact_gain,
   result->coverage_prefix.push_back(total);
 }
 
-void RunExactLoop(GreedyState* state, CoverageGreedyResult* result) {
+/// Exact lazy greedy. `candidates` holds every selectable node with positive
+/// singleton coverage; nodes outside it have marginal 0 for the whole pass.
+void RunExactLoop(GreedyState* state, std::vector<HeapEntry> candidates,
+                  CoverageGreedyResult* result) {
   const NodeId n = state->collection->num_graph_nodes();
   const CoverageGreedyOptions& options = *state->options;
-  auto out_degree = [&](NodeId v) -> NodeId {
-    return options.tie_break_by_out_degree ? options.graph->OutDegree(v)
-                                           : NodeId{0};
-  };
 
-  std::priority_queue<HeapEntry> heap;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!state->selected[v]) {
-      heap.push(HeapEntry{state->initial_cov[v], out_degree(v), v});
-    }
-  }
-
+  std::priority_queue<HeapEntry> heap(std::less<HeapEntry>(),
+                                      std::move(candidates));
   while (result->seeds.size() < state->k && !heap.empty()) {
     HeapEntry top = heap.top();
     heap.pop();
-    if (state->selected[top.node]) {
-      continue;
-    }
     // Refresh the marginal: count currently-uncovered sets containing it.
     const std::uint64_t fresh = ExactMarginal(*state, top.node);
     if (fresh != top.marginal) {
       SUBSIM_DCHECK(fresh < top.marginal, "marginal grew — index corrupt");
-      top.marginal = fresh;
-      heap.push(top);
+      // A node whose marginal reached 0 stays at 0: it joins the tail below.
+      if (fresh > 0) {
+        top.marginal = fresh;
+        heap.push(top);
+      }
       continue;
     }
     // The key is fresh and was the heap maximum, so it dominates every
     // remaining stale key, hence every fresh key: an exact argmax under
     // (marginal, out-degree, id).
     SelectSeed(state, top.node, top.marginal, result);
+  }
+
+  // Every positive marginal is spent: each unselected node now gains 0, so
+  // the rest of the order is (out-degree, id) descending, the order a heap
+  // of zero keys would pop them in. Gains are 0 and the prefix stays flat.
+  const std::size_t need = state->k - result->seeds.size();
+  if (need == 0) {
+    return;
+  }
+  std::vector<HeapEntry> tail;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!state->selected[v]) {
+      tail.push_back(HeapEntry{0, TieBreakDegree(options, v), v});
+    }
+  }
+  const auto pops_first = [](const HeapEntry& a, const HeapEntry& b) {
+    return b < a;
+  };
+  if (tail.size() > need) {
+    std::nth_element(tail.begin(), tail.begin() + need, tail.end(),
+                     pops_first);
+    tail.resize(need);
+  }
+  std::sort(tail.begin(), tail.end(), pops_first);
+  const std::uint64_t total = result->total_coverage();
+  for (const HeapEntry& entry : tail) {
+    result->seeds.push_back(entry.node);
+    result->gains.push_back(0);
+    result->coverage_prefix.push_back(total);
   }
 }
 
@@ -141,10 +173,6 @@ void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
   const NodeId n = state->collection->num_graph_nodes();
   const RrCollectionView& collection = *state->collection;
   const CoverageGreedyOptions& options = *state->options;
-  auto out_degree = [&](NodeId v) -> NodeId {
-    return options.tie_break_by_out_degree ? options.graph->OutDegree(v)
-                                           : NodeId{0};
-  };
 
   const std::uint32_t precision =
       std::clamp<std::uint32_t>(options.hll_precision, 4, 16);
@@ -181,7 +209,7 @@ void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
   for (NodeId v = 0; v < n; ++v) {
     if (!state->selected[v]) {
       heap.push(ApproxHeapEntry{static_cast<double>(state->initial_cov[v]),
-                                out_degree(v), v});
+                                TieBreakDegree(options, v), v});
     }
   }
 
@@ -270,45 +298,62 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
   }
   result.considered_sets = considered;
 
-  // Initial singleton coverages; also feeds the exact i = 0 term of Λ^u.
-  state.initial_cov.assign(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    state.initial_cov[v] = ExactMarginal(state, v);
-  }
-  {
-    const std::uint32_t top_count =
-        options.singleton_top_count > 0 ? options.singleton_top_count
-                                        : options.k;
-    std::vector<std::uint64_t> top(state.initial_cov);
-    if (top.size() > top_count) {
-      std::nth_element(top.begin(), top.begin() + top_count, top.end(),
-                       std::greater<>());
-      top.resize(top_count);
-    }
-    result.top_k_singleton_sum = 0;
-    for (std::uint64_t c : top) {
-      result.top_k_singleton_sum += c;
-    }
-  }
-
   state.selected.assign(n, 0);
   for (NodeId v : options.excluded_nodes) {
     SUBSIM_CHECK(v < n, "excluded node out of range");
     state.selected[v] = 1;
   }
 
+  // Positive singleton coverages Λ({v}), excluded nodes included: they feed
+  // the exact i = 0 term of Λ^u. With nothing pre-covered Λ({v}) is the
+  // length of v's index row, so this pass reads n row lengths and probes no
+  // covered bitmap; only HIST phase 2's exclusions pay for ExactMarginal.
+  std::vector<HeapEntry> candidates;
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint64_t cov = considered == num_sets
+                                  ? collection.SetsContaining(v).size()
+                                  : ExactMarginal(state, v);
+    if (cov > 0) {
+      candidates.push_back(HeapEntry{cov, TieBreakDegree(options, v), v});
+    }
+  }
+  {
+    const std::uint32_t top_count =
+        options.singleton_top_count > 0 ? options.singleton_top_count
+                                        : options.k;
+    const auto by_marginal = [](const HeapEntry& a, const HeapEntry& b) {
+      return a.marginal > b.marginal;
+    };
+    auto top_end = candidates.end();
+    if (candidates.size() > top_count) {
+      top_end = candidates.begin() + top_count;
+      std::nth_element(candidates.begin(), top_end, candidates.end(),
+                       by_marginal);
+    }
+    result.top_k_singleton_sum = 0;
+    for (auto it = candidates.begin(); it != top_end; ++it) {
+      result.top_k_singleton_sum += it->marginal;
+    }
+  }
+  std::erase_if(candidates,
+                [&](const HeapEntry& e) { return state.selected[e.node]; });
+
   result.seeds.reserve(k);
   result.gains.reserve(k);
   result.coverage_prefix.reserve(k);
 
   if (options.approx_coverage) {
+    state.initial_cov.assign(n, 0);
+    for (const HeapEntry& entry : candidates) {
+      state.initial_cov[entry.node] = entry.marginal;
+    }
     RunApproxLoop(&state, &result);
   } else {
-    RunExactLoop(&state, &result);
+    RunExactLoop(&state, std::move(candidates), &result);
   }
 
-  // If the graph has fewer nodes than k we may exit early; that is fine —
-  // callers treat seeds.size() as the effective k.
+  // With fewer selectable nodes than k the pass returns them all; callers
+  // treat seeds.size() as the effective k.
   return result;
 }
 

@@ -90,6 +90,14 @@ struct CoverageGreedyResult {
 /// order — so the selected sequence is identical to the textbook greedy,
 /// including the out-degree tie-break, at a fraction of the cost.
 ///
+/// Exact mode costs O(n) index-row length reads plus work proportional to
+/// the index rows of nodes with positive coverage: singleton coverage is a
+/// row's length when no set is pre-covered, only those nodes enter the heap
+/// (one heapify), and once every positive marginal is spent the remaining
+/// zero-gain seeds are taken in (out-degree, id) order in one selection
+/// pass. When `exclude_sentinel_hit_sets` drops any set, initial marginals
+/// probe the covered bitmap for every index entry instead.
+///
 /// Takes a prefix view so cache-backed runs (`serve/`) can evaluate exactly
 /// the sets a cold run would have had; a plain `RrCollection` converts
 /// implicitly to its full-length view.
