@@ -10,7 +10,7 @@
 //      regardless of completions (the arrival pattern that actually
 //      exposes queueing). Same p99 bar, each request timed from its due
 //      time, so queueing and thread-start lag both count.
-//   3. coalescing: K identical cold queries launched together must
+//   3. shared fill: K identical cold queries launched together must
 //      generate ~one cold run's worth of RR sets, not K of them.
 //   4. overload + degradation: a deliberately tiny server (1 worker, 1
 //      queue slot) under a burst must shed with 429 + Retry-After within
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   const int kRequestsPerClient = smoke ? 6 : 25;
   const int kOpenLoopRequests = smoke ? 12 : 60;
   const double kOpenLoopIntervalMs = smoke ? 20.0 : 10.0;
-  const int kCoalesceFanout = smoke ? 4 : 8;
+  const int kSharedFillFanout = smoke ? 4 : 8;
   const int kBurst = 8;
   // Generous on purpose: the bar catches order-of-magnitude regressions
   // (a lost TCP_NODELAY, an accidental cold run per request), not CI
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     Check(p99 <= kP99BarMs, "open-loop: p99 under the bar");
   }
 
-  // --- Phase 3: coalescing sublinearity ------------------------------
+  // --- Phase 3: shared fill ------------------------------------------
   {
     subsim::HttpClient client("127.0.0.1", port);
     const auto before_solo = client.Get("/metricsz");
@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
 
     // Fan out the SAME cold query (another fresh seed) concurrently.
     std::vector<std::thread> fan;
-    for (int i = 0; i < kCoalesceFanout; ++i) {
+    for (int i = 0; i < kSharedFillFanout; ++i) {
       fan.emplace_back([&] {
         subsim::HttpClient c("127.0.0.1", port);
         (void)c.Post("/v1/select_seeds", fan_query);
@@ -271,17 +271,15 @@ int main(int argc, char** argv) {
     const double fan_sets =
         ScrapeNumber(after_fan->body, "rr.sets_generated") -
         ScrapeNumber(after_solo->body, "rr.sets_generated");
-    const double coalesced =
-        ScrapeNumber(after_fan->body, "serve.coalesced");
     std::printf(
-        "coalescing:  solo=%.0f sets, one-run bill=%.0f, "
-        "%dx concurrent=%.0f sets, coalesced=%.0f\n",
-        solo_sets, reference_sets, kCoalesceFanout, fan_sets, coalesced);
-    Check(solo_sets > 0, "coalescing: solo cold query generated sets");
+        "shared fill: solo=%.0f sets, one-run bill=%.0f, "
+        "%dx concurrent=%.0f sets\n",
+        solo_sets, reference_sets, kSharedFillFanout, fan_sets);
+    Check(solo_sets > 0, "shared fill: solo cold query generated sets");
     // The sublinearity bar: the whole fan-out pays ONE run's sampling
     // bill (identical queries share one fill, they don't multiply it).
     Check(reference_sets > 0 && fan_sets <= 1.25 * reference_sets,
-          "coalescing: concurrent identical queries share the fill");
+          "shared fill: concurrent identical queries share the fill");
   }
 
   // --- Phase 4: overload shedding + deadline degradation -------------

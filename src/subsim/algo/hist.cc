@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "subsim/algo/theta.h"
@@ -26,29 +27,47 @@ struct PhaseStats {
   }
 };
 
-/// Adds the growth of `collection` across one fill to the
-/// `hist.{truncated,untruncated}_{sets,nodes}` counters (plus
-/// `hist.sentinel_hit_sets` for truncated fills), so the truncation
-/// savings the paper claims for Algorithm 5 are observable: the metrics
-/// regression test asserts truncated mean size < untruncated mean size.
-/// Call with the pre-fill watermarks.
-void MeterHistFill(MetricsRegistry* metrics, bool truncated,
-                   const RrCollection& collection, std::uint64_t sets_before,
-                   std::uint64_t nodes_before, std::uint64_t hits_before) {
-  if (metrics == nullptr) {
-    return;
+/// Every HIST fill: one run's graph, generator, threads, kernel and sinks,
+/// varying only in stream, count and sentinels. `Fill` also adds the
+/// collection's growth to the `hist.{truncated,untruncated}_{sets,nodes}`
+/// counters (plus `hist.sentinel_hit_sets` for truncated fills), so the
+/// truncation savings the paper claims for Algorithm 5 are observable: the
+/// metrics regression test asserts truncated mean size < untruncated mean
+/// size.
+struct HistFiller {
+  const Graph& graph;
+  const ImOptions& options;
+
+  Status Fill(RngStream& rng, std::uint64_t count,
+              std::span<const NodeId> sentinels, bool truncated,
+              RrCollection* collection) const {
+    const std::uint64_t sets_before = collection->num_sets();
+    const std::uint64_t nodes_before = collection->total_nodes();
+    const std::uint64_t hits_before = collection->num_hit_sentinel();
+    SUBSIM_RETURN_IF_ERROR(FillCollection(
+        {.kind = options.generator, .graph = &graph, .rng = &rng,
+         .count = count, .num_threads = options.num_threads,
+         .sentinels = sentinels, .obs = options.obs,
+         .kernel = options.fill_kernel},
+        collection));
+    MetricsRegistry* const metrics = options.obs.metrics;
+    if (metrics == nullptr) {
+      return Status::Ok();
+    }
+    metrics
+        ->Counter(truncated ? "hist.truncated_sets" : "hist.untruncated_sets")
+        .Add(collection->num_sets() - sets_before);
+    metrics
+        ->Counter(truncated ? "hist.truncated_nodes"
+                            : "hist.untruncated_nodes")
+        .Add(collection->total_nodes() - nodes_before);
+    if (truncated) {
+      metrics->Counter("hist.sentinel_hit_sets")
+          .Add(collection->num_hit_sentinel() - hits_before);
+    }
+    return Status::Ok();
   }
-  metrics
-      ->Counter(truncated ? "hist.truncated_sets" : "hist.untruncated_sets")
-      .Add(collection.num_sets() - sets_before);
-  metrics
-      ->Counter(truncated ? "hist.truncated_nodes" : "hist.untruncated_nodes")
-      .Add(collection.total_nodes() - nodes_before);
-  if (truncated) {
-    metrics->Counter("hist.sentinel_hit_sets")
-        .Add(collection.num_hit_sentinel() - hits_before);
-  }
-}
+};
 
 /// Output of Algorithm 7.
 struct SentinelPhase {
@@ -72,16 +91,12 @@ Result<SentinelPhase> RunSentinelSet(const Graph& graph,
 
   MetricsRegistry* const metrics = options.obs.metrics;
   PhaseScope phase_span(options.obs.tracer, "hist.sentinel_phase");
+  const HistFiller filler{graph, options};
 
   SentinelPhase phase;
   RrCollection r1(n, options.rr_encoding);
-  SUBSIM_RETURN_IF_ERROR(FillCollection(
-      {.kind = options.generator, .graph = &graph, .rng = &rng1,
-       .count = theta0, .num_threads = options.num_threads,
-       .sentinels = {}, .obs = options.obs,
-       .kernel = options.fill_kernel},
-      &r1));
-  MeterHistFill(metrics, /*truncated=*/false, r1, 0, 0, 0);
+  SUBSIM_RETURN_IF_ERROR(
+      filler.Fill(rng1, theta0, {}, /*truncated=*/false, &r1));
 
   CoverageGreedyOptions greedy_options;
   greedy_options.k = k;
@@ -123,13 +138,8 @@ Result<SentinelPhase> RunSentinelSet(const Graph& graph,
       // rng2 cursor persists across iterations even though r2 is rebuilt,
       // so every iteration verifies on fresh samples.
       RrCollection r2(n, options.rr_encoding);
-      SUBSIM_RETURN_IF_ERROR(FillCollection(
-          {.kind = options.generator, .graph = &graph, .rng = &rng2,
-           .count = r1.num_sets(), .num_threads = options.num_threads,
-           .sentinels = candidate, .obs = options.obs,
-           .kernel = options.fill_kernel},
-          &r2));
-      MeterHistFill(metrics, /*truncated=*/true, r2, 0, 0, 0);
+      SUBSIM_RETURN_IF_ERROR(filler.Fill(rng2, r1.num_sets(), candidate,
+                                         /*truncated=*/true, &r2));
       std::uint64_t cov = ComputeCoverage(r2, candidate);
       double lower = OpimLowerBound(cov, r2.num_sets(), n, delta_l);
       if (upper > 0.0 && lower / upper > target) {
@@ -140,17 +150,8 @@ Result<SentinelPhase> RunSentinelSet(const Graph& graph,
       }
 
       // Lines 13-15: tighten the lower bound once with |R2| = 4 |R1|.
-      const std::uint64_t r2_sets = r2.num_sets();
-      const std::uint64_t r2_nodes = r2.total_nodes();
-      const std::uint64_t r2_hits = r2.num_hit_sentinel();
-      SUBSIM_RETURN_IF_ERROR(FillCollection(
-          {.kind = options.generator, .graph = &graph, .rng = &rng2,
-           .count = 3 * r1.num_sets(), .num_threads = options.num_threads,
-           .sentinels = candidate, .obs = options.obs,
-           .kernel = options.fill_kernel},
-          &r2));
-      MeterHistFill(metrics, /*truncated=*/true, r2, r2_sets, r2_nodes,
-                    r2_hits);
+      SUBSIM_RETURN_IF_ERROR(filler.Fill(rng2, 3 * r1.num_sets(), candidate,
+                                         /*truncated=*/true, &r2));
       cov = ComputeCoverage(r2, candidate);
       lower = OpimLowerBound(cov, r2.num_sets(), n, delta_l);
       phase.stats.Absorb(r2);
@@ -164,15 +165,8 @@ Result<SentinelPhase> RunSentinelSet(const Graph& graph,
 
     // Line 16: double R1 and retry.
     if (i < i_max) {
-      const std::uint64_t r1_sets = r1.num_sets();
-      const std::uint64_t r1_nodes = r1.total_nodes();
-      SUBSIM_RETURN_IF_ERROR(FillCollection(
-          {.kind = options.generator, .graph = &graph, .rng = &rng1,
-           .count = r1.num_sets(), .num_threads = options.num_threads,
-           .sentinels = {}, .obs = options.obs,
-           .kernel = options.fill_kernel},
-          &r1));
-      MeterHistFill(metrics, /*truncated=*/false, r1, r1_sets, r1_nodes, 0);
+      SUBSIM_RETURN_IF_ERROR(
+          filler.Fill(rng1, r1.num_sets(), {}, /*truncated=*/false, &r1));
     }
   }
 
@@ -260,20 +254,11 @@ Result<ImResult> Hist::Run(const Graph& graph,
 
   RrCollection r1(n, options.rr_encoding);
   RrCollection r2(n, options.rr_encoding);
-  SUBSIM_RETURN_IF_ERROR(FillCollection(
-      {.kind = options.generator, .graph = &graph, .rng = &rng3,
-       .count = theta0, .num_threads = options.num_threads,
-       .sentinels = sentinels, .obs = options.obs,
-       .kernel = options.fill_kernel},
-      &r1));
-  MeterHistFill(metrics, phase2_truncated, r1, 0, 0, 0);
-  SUBSIM_RETURN_IF_ERROR(FillCollection(
-      {.kind = options.generator, .graph = &graph, .rng = &rng4,
-       .count = theta0, .num_threads = options.num_threads,
-       .sentinels = sentinels, .obs = options.obs,
-       .kernel = options.fill_kernel},
-      &r2));
-  MeterHistFill(metrics, phase2_truncated, r2, 0, 0, 0);
+  const HistFiller filler{graph, options};
+  SUBSIM_RETURN_IF_ERROR(
+      filler.Fill(rng3, theta0, sentinels, phase2_truncated, &r1));
+  SUBSIM_RETURN_IF_ERROR(
+      filler.Fill(rng4, theta0, sentinels, phase2_truncated, &r2));
 
   CoverageGreedyOptions greedy_options;
   greedy_options.k = k - b;
@@ -325,26 +310,10 @@ Result<ImResult> Hist::Run(const Graph& graph,
     if (result.approx_ratio > target_ratio || i == i_max) {
       break;
     }
-    const std::uint64_t r1_marks[3] = {r1.num_sets(), r1.total_nodes(),
-                                       r1.num_hit_sentinel()};
-    SUBSIM_RETURN_IF_ERROR(FillCollection(
-        {.kind = options.generator, .graph = &graph, .rng = &rng3,
-         .count = r1.num_sets(), .num_threads = options.num_threads,
-         .sentinels = sentinels, .obs = options.obs,
-         .kernel = options.fill_kernel},
-        &r1));
-    MeterHistFill(metrics, phase2_truncated, r1, r1_marks[0], r1_marks[1],
-                  r1_marks[2]);
-    const std::uint64_t r2_marks[3] = {r2.num_sets(), r2.total_nodes(),
-                                       r2.num_hit_sentinel()};
-    SUBSIM_RETURN_IF_ERROR(FillCollection(
-        {.kind = options.generator, .graph = &graph, .rng = &rng4,
-         .count = r2.num_sets(), .num_threads = options.num_threads,
-         .sentinels = sentinels, .obs = options.obs,
-         .kernel = options.fill_kernel},
-        &r2));
-    MeterHistFill(metrics, phase2_truncated, r2, r2_marks[0], r2_marks[1],
-                  r2_marks[2]);
+    SUBSIM_RETURN_IF_ERROR(
+        filler.Fill(rng3, r1.num_sets(), sentinels, phase2_truncated, &r1));
+    SUBSIM_RETURN_IF_ERROR(
+        filler.Fill(rng4, r2.num_sets(), sentinels, phase2_truncated, &r2));
   }
 
   result.phase2_rr_sets = r1.num_sets() + r2.num_sets();

@@ -121,6 +121,12 @@ struct ImResult {
   /// requested epsilon on a full-budget run; larger on a degraded one.
   double achieved_epsilon = 0.0;
 
+  /// OPIM-C and IMM only: how many of the `num_rr_sets` evaluated this run
+  /// appended to its `SampleStore`; the rest were already committed by
+  /// earlier or concurrent runs on the same store. Equals `num_rr_sets` on
+  /// a cold `Run`.
+  std::uint64_t rr_sets_generated = 0;
+
   /// HIST only: sentinel-set size b and per-phase RR counts.
   std::uint32_t sentinel_size = 0;
   std::uint64_t phase1_rr_sets = 0;
@@ -150,11 +156,14 @@ class ImAlgorithm {
   /// sentinel-truncated sets must never be served to another query.
   virtual bool SupportsSampleReuse() const { return false; }
 
-  /// Creates a store whose rng stream lineage matches this algorithm's
-  /// cold run over `graph`, suitable for `RunWithStore`. Only the
-  /// generator kind, rng seed, and num_threads fields of `options` shape
-  /// the store — k/epsilon/delta may differ between the queries it serves.
-  virtual Result<std::unique_ptr<SampleStore>> MakeSampleStore(
+  /// Creates a store whose rng stream lineage matches a reuse-capable
+  /// algorithm's cold run over `graph`, suitable for `RunWithStore`: store
+  /// streams 0 and 1 are logical streams 1 and 2 of `options.rng_seed`
+  /// (OPIM-C's R1/R2; IMM uses stream 0 only). Only the generator, rng
+  /// seed, thread count, fill kernel and encoding of `options` shape the
+  /// store — k/epsilon/delta may differ between the queries it serves.
+  /// Fails with `kFailedPrecondition` unless `SupportsSampleReuse()`.
+  Result<std::unique_ptr<SampleStore>> MakeSampleStore(
       const Graph& graph, const ImOptions& options) const;
 
   /// Runs against a pre-seeded store created by `MakeSampleStore` over the

@@ -9,22 +9,6 @@
 
 namespace subsim {
 
-Result<std::unique_ptr<SampleStore>> Imm::MakeSampleStore(
-    const Graph& graph, const ImOptions& options) const {
-  // Stream 0 carries the single IMM collection (logical stream 1, matching
-  // the cold run); stream 1 (logical stream 2) exists for the store's fixed
-  // shape and stays empty.
-  SampleStore::Options store_options;
-  store_options.num_threads = options.num_threads;
-  store_options.obs = options.obs;
-  store_options.kernel = options.fill_kernel;
-  store_options.encoding = options.rr_encoding;
-  return SampleStore::Create(graph, options.generator,
-                             {MakeRngStream(options.rng_seed, 1),
-                              MakeRngStream(options.rng_seed, 2)},
-                             store_options);
-}
-
 Result<ImResult> Imm::Run(const Graph& graph,
                           const ImOptions& options) const {
   SUBSIM_RETURN_IF_ERROR(ValidateImOptions(graph, options));
@@ -65,6 +49,7 @@ Result<ImResult> Imm::RunWithStore(const Graph& graph,
   // each point; the store may be longer (warmed by other queries), so every
   // evaluation happens on a prefix view of exactly this size.
   std::uint64_t cold_sets = 0;
+  std::uint64_t generated = 0;
 
   // ---- Phase 1: estimate a lower bound LB of OPT. ----
   PhaseScope estimate_span(options.obs.tracer, "imm.estimate_opt");
@@ -82,7 +67,7 @@ Result<ImResult> Imm::RunWithStore(const Graph& graph,
     const std::uint64_t theta_i =
         static_cast<std::uint64_t>(std::ceil(lambda_prime / x));
     cold_sets = std::max(cold_sets, theta_i);
-    SUBSIM_RETURN_IF_ERROR(store->EnsureSets(0, cold_sets));
+    SUBSIM_RETURN_IF_ERROR(store->EnsureSets(0, cold_sets, &generated));
     const SampleStore::ReadGuard read = store->Read();
     const RrCollectionView view = read.View(0, cold_sets);
     const CoverageGreedyResult greedy =
@@ -133,7 +118,7 @@ Result<ImResult> Imm::RunWithStore(const Graph& graph,
   }
   if (!deadline_hit) {
     cold_sets = std::max(cold_sets, theta);
-    SUBSIM_RETURN_IF_ERROR(store->EnsureSets(0, cold_sets));
+    SUBSIM_RETURN_IF_ERROR(store->EnsureSets(0, cold_sets, &generated));
   }
   // On deadline: select over the phase-1 prefix already committed — the
   // same sets a cold run would have drawn first, so the degraded result is
@@ -149,6 +134,7 @@ Result<ImResult> Imm::RunWithStore(const Graph& graph,
                             static_cast<double>(greedy.total_coverage()) /
                             static_cast<double>(view.num_sets());
   result.num_rr_sets = view.num_sets();
+  result.rr_sets_generated = generated;
   result.total_rr_nodes = view.total_nodes();
   result.deadline_hit = deadline_hit;
   // Invert the phase-2 sample-size formula at the evaluated set count:

@@ -28,8 +28,6 @@ class Imm final : public ImAlgorithm {
   Result<ImResult> Run(const Graph& graph,
                        const ImOptions& options) const override;
   bool SupportsSampleReuse() const override { return true; }
-  Result<std::unique_ptr<SampleStore>> MakeSampleStore(
-      const Graph& graph, const ImOptions& options) const override;
   Result<ImResult> RunWithStore(const Graph& graph, const ImOptions& options,
                                 SampleStore* store) const override;
   const char* name() const override { return "imm"; }

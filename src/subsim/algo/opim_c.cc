@@ -11,21 +11,6 @@
 
 namespace subsim {
 
-Result<std::unique_ptr<SampleStore>> OpimC::MakeSampleStore(
-    const Graph& graph, const ImOptions& options) const {
-  // Same stream lineage as the original cold run: R1 and R2 are fed by
-  // independent logical streams 1 and 2 of the master seed.
-  SampleStore::Options store_options;
-  store_options.num_threads = options.num_threads;
-  store_options.obs = options.obs;
-  store_options.kernel = options.fill_kernel;
-  store_options.encoding = options.rr_encoding;
-  return SampleStore::Create(graph, options.generator,
-                             {MakeRngStream(options.rng_seed, 1),
-                              MakeRngStream(options.rng_seed, 2)},
-                             store_options);
-}
-
 Result<ImResult> OpimC::Run(const Graph& graph,
                             const ImOptions& options) const {
   SUBSIM_RETURN_IF_ERROR(ValidateImOptions(graph, options));
@@ -66,8 +51,10 @@ Result<ImResult> OpimC::RunWithStore(const Graph& graph,
   for (std::uint32_t i = 1; i <= i_max; ++i) {
     PhaseScope round_span(options.obs.tracer, "opim_c.round");
     const std::uint64_t target = theta0 << (i - 1);
-    SUBSIM_RETURN_IF_ERROR(store->EnsureSets(0, target));
-    SUBSIM_RETURN_IF_ERROR(store->EnsureSets(1, target));
+    SUBSIM_RETURN_IF_ERROR(
+        store->EnsureSets(0, target, &result.rr_sets_generated));
+    SUBSIM_RETURN_IF_ERROR(
+        store->EnsureSets(1, target, &result.rr_sets_generated));
 
     // Evaluate on prefixes of exactly `target` sets — with a warm store the
     // streams may be longer, and using more would diverge from a cold run.

@@ -137,8 +137,7 @@ HttpResponse ServeApp::HandleUpdateGraph(const HttpRequest& request) {
   body += ",\"entries_dropped\":" + std::to_string(outcome->entries_dropped);
   body += ",\"sets_repaired\":" + std::to_string(outcome->sets_repaired);
   body += ",\"sets_kept\":" + std::to_string(outcome->sets_kept);
-  body += ",\"repair_ms\":" +
-          std::to_string(outcome->repair_seconds * 1000.0);
+  body += ",\"repair_ms\":" + JsonDouble(outcome->repair_seconds * 1000.0);
   body += "}\n";
   return JsonResponse(200, std::move(body));
 }

@@ -123,7 +123,8 @@ Result<std::unique_ptr<SampleStore>> SampleStore::CreateRepaired(
   return repaired;
 }
 
-Status SampleStore::EnsureSets(std::size_t stream, std::uint64_t count) {
+Status SampleStore::EnsureSets(std::size_t stream, std::uint64_t count,
+                               std::uint64_t* appended) {
   SUBSIM_CHECK(stream < kNumStreams, "stream out of range");
   if (committed_[stream].load(std::memory_order_acquire) >= count) {
     return Status::Ok();
@@ -161,6 +162,9 @@ Status SampleStore::EnsureSets(std::size_t stream, std::uint64_t count) {
                 "sentinel-truncated set in a shared sample store");
   committed_[stream].store(s.collection.num_sets(),
                            std::memory_order_release);
+  if (appended != nullptr) {
+    *appended += need;
+  }
   return Status::Ok();
 }
 

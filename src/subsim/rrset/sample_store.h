@@ -118,9 +118,12 @@ class SampleStore {
 
   /// Grows stream `stream` to at least `count` sets; no-op when the stream
   /// is already that long. Takes the writer lock only when growth is
-  /// needed (double-checked against the committed watermark).
-  Status EnsureSets(std::size_t stream, std::uint64_t count)
-      SUBSIM_EXCLUDES(mu_);
+  /// needed (double-checked against the committed watermark), so each
+  /// stream index is generated exactly once however many callers race.
+  /// `appended` (optional) is incremented by the sets this call generated
+  /// — zero when a concurrent caller already filled the range.
+  Status EnsureSets(std::size_t stream, std::uint64_t count,
+                    std::uint64_t* appended = nullptr) SUBSIM_EXCLUDES(mu_);
 
   /// Committed set count of a stream. Lock-free (acquire load).
   std::uint64_t num_sets(std::size_t stream) const {

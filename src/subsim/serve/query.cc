@@ -150,9 +150,6 @@ std::string FormatQueryResponseJson(const QueryResponse& response) {
   out += stats.cache_hit ? "true" : "false";
   out += ",\"rr_sets_reused\":" + std::to_string(stats.rr_sets_reused);
   out += ",\"rr_sets_generated\":" + std::to_string(stats.rr_sets_generated);
-  if (stats.coalesced) {
-    out += ",\"coalesced\":true";
-  }
   out += ",\"queue_ms\":" + JsonDouble(stats.queue_seconds * 1000.0);
   out += ",\"exec_ms\":" + JsonDouble(stats.exec_seconds * 1000.0);
   out += "}";

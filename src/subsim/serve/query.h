@@ -65,20 +65,16 @@ struct QueryStats {
   bool cache_eligible = false;
   /// Whether a cached store pre-existed this query.
   bool cache_hit = false;
-  /// RR sets generated while this query ran vs reused from the cache.
-  /// Under concurrent same-key queries the split is approximate (sets one
-  /// query generates may be counted by the peer that triggered them), but
-  /// the sum matches the sets the query evaluated.
+  /// The sets this query evaluated, split into those its own run appended
+  /// to the store and those already committed (by earlier or concurrent
+  /// queries). Exact under concurrency: the two always sum to the
+  /// evaluated count, and concurrent same-key queries' `rr_sets_generated`
+  /// sum to what the store grew by.
   std::uint64_t rr_sets_reused = 0;
   std::uint64_t rr_sets_generated = 0;
   /// Seconds spent queued behind other work, then executing.
   double queue_seconds = 0.0;
   double exec_seconds = 0.0;
-  /// True when this query waited for an in-flight compatible query (same
-  /// `SketchKey`, k no larger) to finish filling the shared store instead
-  /// of competing for the store's writer lock. Pure scheduling detail:
-  /// coalesced responses are byte-identical to un-coalesced ones.
-  bool coalesced = false;
 };
 
 /// Everything a query returns: the outcome status, the IM result when ok,

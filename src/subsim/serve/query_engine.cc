@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -102,78 +101,11 @@ struct QueryEngine::Impl {
     }
   }
 
-  // ---- Coalescer ----------------------------------------------------
-  //
-  // One in-flight record per SketchKey currently executing against the
-  // shared store. A new cache-eligible query whose k is dominated by the
-  // in-flight maximum subscribes: it waits (bounded by its own deadline)
-  // for the current fill to finish, then evaluates on the warmed store.
-  // A query with a larger k joins as a co-leader instead — it is the one
-  // extending the fill, so blocking it would help nobody. `coalesce_mu`
-  // is a leaf lock: nothing else is acquired while it is held, and the
-  // leader it waits on is by construction already past its own Enter call
-  // and executing, so the wait cannot cycle.
-
-  struct InFlight {
-    std::uint32_t max_k = 0;
-    int count = 0;
-  };
-
-  /// Returns true when the query waited behind a compatible leader.
-  bool EnterFill(const std::string& key, std::uint32_t k,
-                 const Deadline& deadline) SUBSIM_EXCLUDES(coalesce_mu) {
-    const MutexLock lock(coalesce_mu);
-    bool waited = false;
-    for (;;) {
-      const auto it = inflight.find(key);
-      if (it == inflight.end()) {
-        inflight.emplace(key, InFlight{k, 1});
-        return waited;
-      }
-      if (k > it->second.max_k) {
-        it->second.max_k = k;
-        ++it->second.count;
-        return waited;
-      }
-      if (deadline.is_set()) {
-        const double remaining = deadline.RemainingSeconds();
-        if (remaining <= 0.0) {
-          // Budget gone: stop waiting and run now (the run itself will
-          // degrade at its first round boundary).
-          ++it->second.count;
-          return waited;
-        }
-        waited = true;
-        // Timeout or notify, the loop re-checks the table either way.
-        (void)coalesce_cv.WaitFor(
-            coalesce_mu, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::duration<double>(remaining)));
-      } else {
-        waited = true;
-        coalesce_cv.Wait(coalesce_mu);
-      }
-    }
-  }
-
-  void LeaveFill(const std::string& key) SUBSIM_EXCLUDES(coalesce_mu) {
-    {
-      const MutexLock lock(coalesce_mu);
-      const auto it = inflight.find(key);
-      if (it != inflight.end() && --it->second.count == 0) {
-        inflight.erase(it);
-      }
-    }
-    coalesce_cv.NotifyAll();
-  }
-
   QueryEngine* engine;
   Mutex mu;
   CondVar cv;
   std::deque<Job> queue SUBSIM_GUARDED_BY(mu);
   bool stopping SUBSIM_GUARDED_BY(mu) = false;
-  Mutex coalesce_mu;
-  CondVar coalesce_cv;
-  std::map<std::string, InFlight> inflight SUBSIM_GUARDED_BY(coalesce_mu);
   std::atomic<std::uint64_t> next_id{1};
   std::vector<std::thread> workers;
 };
@@ -190,7 +122,6 @@ QueryEngine::QueryEngine(GraphRegistry* registry,
   metrics_.Counter("serve.queries");
   metrics_.Counter("serve.errors");
   metrics_.Counter("serve.shed");
-  metrics_.Counter("serve.coalesced");
   metrics_.Counter("serve.deadline_hits");
   metrics_.Histogram("serve.queue_us");
   metrics_.Histogram("serve.exec_us");
@@ -428,33 +359,21 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   }
   response.stats.cache_hit = lookup->hit;
 
-  // Coalesce with any in-flight fill of the same key that dominates this
-  // query's k; by the time EnterFill returns the store holds (at least)
-  // the prefix this query needs, so evaluation is read-mostly.
-  const std::string fill_key = key.ToString();
-  if (impl_->EnterFill(fill_key, query.k, deadline)) {
-    response.stats.coalesced = true;
-    metrics_.Counter("serve.coalesced").Increment();
-  }
-
   // Run against the entry's pinned snapshot (it may predate a registry
-  // re-load; its sets were sampled on exactly that snapshot).
+  // re-load; its sets were sampled on exactly that snapshot). Concurrent
+  // same-key queries need no coordination here: the store appends each
+  // stream index exactly once, and `rr_sets_generated` counts only the
+  // appends this run made.
   const std::shared_ptr<RrSketchCache::Entry> entry = lookup->entry;
-  const std::uint64_t generated_before = entry->store->total_generated();
   Result<ImResult> result =
       (*algorithm)->RunWithStore(*entry->graph, options, entry->store.get());
-  impl_->LeaveFill(fill_key);
   if (!result.ok()) {
     return finish(result.status());
   }
-  const std::uint64_t generated =
-      entry->store->total_generated() - generated_before;
   response.result = std::move(*result);
-  response.stats.rr_sets_generated = generated;
+  response.stats.rr_sets_generated = response.result.rr_sets_generated;
   response.stats.rr_sets_reused =
-      response.result.num_rr_sets > generated
-          ? response.result.num_rr_sets - generated
-          : 0;
+      response.result.num_rr_sets - response.result.rr_sets_generated;
   cache_.EnforceBudget();
   return finish(Status::Ok());
 }

@@ -44,12 +44,11 @@ struct QueryEngineOptions {
 /// workers down; a `Submit` that races the destructor never loses its
 /// promise — it resolves immediately with `StatusCode::kUnavailable`.
 ///
-/// Concurrent compatible queries coalesce: while a query with SketchKey K
-/// is filling the shared store, an arriving query with the same K and a k
-/// no larger subscribes to that fill (waits for the leader, then evaluates
-/// on the warmed store) instead of competing round-by-round for the
-/// store's writer lock. Responses are identical either way; the wait is
-/// bounded by the follower's own deadline.
+/// Concurrent same-key queries share one store with no engine-level
+/// coordination: `SampleStore::EnsureSets` appends each stream index
+/// exactly once under the store's writer lock, so N concurrent cold
+/// queries together generate what one cold run would, and each response's
+/// `rr_sets_generated` counts exactly the sets its own run appended.
 class QueryEngine {
  public:
   /// Per-call execution context for `Execute` — lets a network front end

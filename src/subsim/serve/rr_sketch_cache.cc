@@ -5,12 +5,6 @@
 
 namespace subsim {
 
-std::string SketchKey::ToString() const {
-  return graph + "@v" + std::to_string(graph_version) + "/" + algo + "/" +
-         GeneratorKindName(generator) + "/seed=" + std::to_string(rng_seed) +
-         "/" + RrEncodingName(encoding);
-}
-
 void RrSketchCache::AddSlotLocked(const SketchKey& key,
                                   std::shared_ptr<Entry> entry) {
   Slot slot;
@@ -40,9 +34,11 @@ Result<RrSketchCache::Lookup> RrSketchCache::GetOrCreate(
   }
   // Build outside the lock: store construction touches the graph (e.g. LT
   // validation) and must not block concurrent lookups of other keys. Two
-  // racing misses on the same key both build; the second insert below wins
-  // and the loser's store is discarded — wasteful but correct, and rare
-  // (misses on one key are normally serialized by the engine's dispatch).
+  // racing misses on the same key both build; the first insert below wins
+  // and the loser's store is discarded. Nothing serializes such misses, but
+  // the race is cheap: the factory builds an empty store (sets are sampled
+  // later, by `EnsureSets` on the winning entry), so the loser wastes a
+  // construction, never a fill.
   Result<std::unique_ptr<SampleStore>> store = factory(*graph);
   if (!store.ok()) {
     return store.status();

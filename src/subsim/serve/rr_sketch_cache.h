@@ -64,8 +64,6 @@ struct SketchKey {
            std::tie(b.graph, b.graph_version, b.algo, b.generator,
                     b.rng_seed, b.encoding);
   }
-
-  std::string ToString() const;
 };
 
 /// Thread-safe cache of extendable RR-set collections (`SampleStore`s),

@@ -231,8 +231,7 @@ if command -v curl > /dev/null 2>&1; then
     "$URL/v1/select_seeds"
   expect_in_output "select_seeds returns seeds" '"seeds":\[[0-9]'
   check "serve answers /metricsz" 0 curl -sf "$URL/metricsz"
-  for key in serve.shed serve.coalesced slo.queue_us_p99 slo.exec_us_p99 \
-      http.requests; do
+  for key in serve.shed slo.queue_us_p99 slo.exec_us_p99 http.requests; do
     expect_in_output "metricsz has $key" "\"$key\""
   done
   expect_in_output "metricsz counts the query" '"serve.queries":1'

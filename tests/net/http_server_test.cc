@@ -123,10 +123,10 @@ TEST_F(ServeAppServerTest, MetricszCarriesGoldenKeysBeforeTraffic) {
   // query (eager registration in QueryEngine / ServeApp / HttpServer).
   for (const char* key :
        {"\"serve.queries\"", "\"serve.shed\"", "\"serve.errors\"",
-        "\"serve.coalesced\"", "\"serve.deadline_hits\"",
-        "\"serve.queue_us\"", "\"serve.exec_us\"", "\"slo.queue_us_p50\"",
-        "\"slo.queue_us_p99\"", "\"slo.exec_us_p50\"",
-        "\"slo.exec_us_p99\"", "\"http.accepted\"", "\"http.requests\""}) {
+        "\"serve.deadline_hits\"", "\"serve.queue_us\"",
+        "\"serve.exec_us\"", "\"slo.queue_us_p50\"", "\"slo.queue_us_p99\"",
+        "\"slo.exec_us_p50\"", "\"slo.exec_us_p99\"", "\"http.accepted\"",
+        "\"http.requests\""}) {
     EXPECT_NE(response->body.find(key), std::string::npos) << key;
   }
 }

@@ -139,11 +139,17 @@ TEST(SampleStoreTest, EnsureSetsIsMonotoneAndIdempotent) {
   Result<std::unique_ptr<SampleStore>> store = SampleStore::Create(
       graph, GeneratorKind::kSubsimIc, MakeStreams(3));
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->EnsureSets(0, 100).ok());
+  std::uint64_t appended = 0;
+  ASSERT_TRUE((*store)->EnsureSets(0, 100, &appended).ok());
+  EXPECT_EQ(appended, 100u);
   // Shrinking requests are no-ops; repeated requests generate nothing new.
-  ASSERT_TRUE((*store)->EnsureSets(0, 10).ok());
-  ASSERT_TRUE((*store)->EnsureSets(0, 100).ok());
-  EXPECT_EQ((*store)->num_sets(0), 100u);
+  ASSERT_TRUE((*store)->EnsureSets(0, 10, &appended).ok());
+  ASSERT_TRUE((*store)->EnsureSets(0, 100, &appended).ok());
+  EXPECT_EQ(appended, 100u);
+  // Growth adds only the sets this call appended.
+  ASSERT_TRUE((*store)->EnsureSets(0, 130, &appended).ok());
+  EXPECT_EQ(appended, 130u);
+  EXPECT_EQ((*store)->num_sets(0), 130u);
 }
 
 TEST(SampleStoreTest, ReportsGraphAndGeneratorIdentity) {

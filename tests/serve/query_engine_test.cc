@@ -319,41 +319,63 @@ TEST_F(QueryEngineTest, DestructionRacesInFlightQueries) {
   EXPECT_GE(answered, 0);
 }
 
-TEST_F(QueryEngineTest, ConcurrentIdenticalQueriesCoalesce) {
-  // Same SketchKey + same k from many threads: one leader fills, the
-  // others subscribe to the fill instead of re-running it. Total sets
-  // generated must equal one cold run's worth (sublinear in callers), and
-  // every caller gets identical seeds.
-  QueryEngineOptions options;
-  options.num_workers = 8;
-  QueryEngine engine(&registry_, options);
+TEST_F(QueryEngineTest, ConcurrentSameKeyQueriesShareOneFill) {
+  // Same SketchKey from many threads, with one k for all and with a
+  // different k each. The store appends every stream index exactly once,
+  // so each response's split is exact: generated + reused = evaluated, and
+  // the per-query generated counts sum to what the shared store grew by.
+  // With one k that is exactly one cold run's bill, and every caller gets
+  // identical seeds.
+  const Result<GraphSnapshot> snapshot = registry_.GetSnapshot("g");
+  ASSERT_TRUE(snapshot.ok());
+  for (const bool same_k : {true, false}) {
+    SCOPED_TRACE(same_k ? "same k" : "k = 5 * (i + 1)");
+    QueryEngineOptions options;
+    options.num_workers = 8;
+    QueryEngine engine(&registry_, options);
 
-  SelectSeedsQuery query = BaseQuery("g");
-  query.epsilon = 0.12;  // slow enough that callers overlap
+    SelectSeedsQuery query = BaseQuery("g");
+    query.epsilon = 0.12;  // slow enough that callers overlap
 
-  std::vector<std::future<QueryResponse>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(engine.Submit(query));
-  }
-  std::vector<QueryResponse> responses;
-  for (auto& future : futures) {
-    responses.push_back(future.get());
-  }
+    std::vector<std::future<QueryResponse>> futures;
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      if (!same_k) {
+        query.k = 5 * (i + 1);
+      }
+      futures.push_back(engine.Submit(query));
+    }
+    std::vector<QueryResponse> responses;
+    for (auto& future : futures) {
+      responses.push_back(future.get());
+    }
 
-  std::uint64_t generated = 0;
-  for (const QueryResponse& response : responses) {
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(response.result.seeds, responses.front().result.seeds);
-    generated += response.stats.rr_sets_generated;
+    std::uint64_t generated = 0;
+    for (const QueryResponse& response : responses) {
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(response.stats.rr_sets_generated +
+                    response.stats.rr_sets_reused,
+                response.result.num_rr_sets);
+      if (same_k) {
+        EXPECT_EQ(response.result.seeds, responses.front().result.seeds);
+      }
+      generated += response.stats.rr_sets_generated;
+    }
+    const auto entries =
+        engine.cache().EntriesForGraph("g", snapshot->version);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(generated, entries.front().second->store->total_generated());
+
+    if (same_k) {
+      // Nobody duplicates the fill: the group generated exactly what one
+      // cold run needs.
+      const QueryResponse cold_reference = [&] {
+        QueryEngine fresh(&registry_);
+        return fresh.Execute(query);
+      }();
+      ASSERT_TRUE(cold_reference.status.ok());
+      EXPECT_EQ(generated, cold_reference.stats.rr_sets_generated);
+    }
   }
-  // Coalescing bar: the group generated exactly what one cold run needs
-  // (followers reuse the leader's sets; nobody duplicates the fill).
-  const QueryResponse cold_reference = [&] {
-    QueryEngine fresh(&registry_);
-    return fresh.Execute(query);
-  }();
-  ASSERT_TRUE(cold_reference.status.ok());
-  EXPECT_EQ(generated, cold_reference.stats.rr_sets_generated);
 }
 
 TEST_F(QueryEngineTest, ExpiredDeadlineIsShedBeforeExecution) {

@@ -299,7 +299,6 @@ TEST(RrSketchCacheTest, VersionedKeysAreDistinctEntries) {
   SketchKey v2 = v1;
   v2.graph_version = 2;
   EXPECT_FALSE(v1 == v2);
-  EXPECT_NE(v1.ToString(), v2.ToString());
 
   ASSERT_TRUE(cache.GetOrCreate(v1, graph, SequentialFactory(7)).ok());
   const auto other = cache.GetOrCreate(v2, graph, SequentialFactory(7));
@@ -440,7 +439,6 @@ TEST(RrSketchCacheTest, MixedEncodingEntriesChargeEncodedBytes) {
   SketchKey delta_key = KeyFor("g", 1);
   delta_key.encoding = RrEncoding::kDeltaVarint;
   EXPECT_FALSE(raw_key == delta_key);
-  EXPECT_NE(raw_key.ToString(), delta_key.ToString());
 
   RrSketchCache::Options roomy;
   roomy.max_bytes = 512ull << 20;
@@ -495,7 +493,6 @@ TEST(SketchKeyTest, OrderingAndEquality) {
   b.rng_seed = 2;
   EXPECT_FALSE(a == b);
   EXPECT_TRUE(a < b || b < a);
-  EXPECT_NE(a.ToString(), b.ToString());
 }
 
 }  // namespace
