@@ -8,6 +8,7 @@
 // invalidated. Bump the constants only with a deliberate stream-breaking
 // change (and say so in the commit message).
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,19 +21,49 @@
 namespace subsim {
 namespace {
 
-Graph WcGraph() {
+/// The graph axis. WC pins the uniform-row fast paths; the others pin
+/// streams that read per-edge in-weights (skewed rows).
+enum class GoldenGraph {
+  kWc,                // every in-row uniform
+  kTrivalency,        // skewed rows, unsorted: SUBSIM's bucket strategy
+  kTrivalencySorted,  // same edges, weight-sorted: sorted index-free
+  kExponential,       // skewed rows summing to 1: LT alias tables
+};
+
+Graph BuildGoldenGraph(GoldenGraph which) {
   Result<EdgeList> list = GenerateBarabasiAlbert(1200, 4, true, 7);
   EXPECT_TRUE(list.ok());
-  EXPECT_TRUE(
-      AssignWeights(WeightModel::kWeightedCascade, {}, &list.value()).ok());
-  Result<Graph> graph = BuildGraph(std::move(list).value());
+  WeightModel model = WeightModel::kWeightedCascade;
+  GraphBuildOptions options;
+  switch (which) {
+    case GoldenGraph::kWc:
+      break;
+    case GoldenGraph::kTrivalencySorted:
+      options.sort_in_edges_by_weight = true;
+      [[fallthrough]];
+    case GoldenGraph::kTrivalency:
+      model = WeightModel::kTrivalency;
+      break;
+    case GoldenGraph::kExponential:
+      model = WeightModel::kExponential;
+      break;
+  }
+  WeightModelParams params;
+  params.seed = 11;
+  EXPECT_TRUE(AssignWeights(model, params, &list.value()).ok());
+  Result<Graph> graph = BuildGraph(std::move(list).value(), options);
   EXPECT_TRUE(graph.ok());
   return std::move(graph).value();
 }
 
-const Graph& SharedGraph() {
-  static const Graph* const kGraph = new Graph(WcGraph());
-  return *kGraph;
+const Graph& SharedGraph(GoldenGraph which) {
+  static const Graph* const kGraphs[] = {
+      new Graph(BuildGoldenGraph(GoldenGraph::kWc)),
+      new Graph(BuildGoldenGraph(GoldenGraph::kTrivalency)),
+      new Graph(BuildGoldenGraph(GoldenGraph::kTrivalencySorted)),
+      new Graph(BuildGoldenGraph(GoldenGraph::kExponential)),
+  };
+  return *kGraphs[static_cast<int>(which)];
 }
 
 /// FNV-1a over the fill's ordered stream: for each set, its size then its
@@ -54,8 +85,9 @@ std::uint64_t StreamChecksum(const RrCollection& collection) {
   return hash;
 }
 
-std::uint64_t FillChecksum(GeneratorKind kind, FillKernel kernel) {
-  const Graph& graph = SharedGraph();
+std::uint64_t FillChecksum(GoldenGraph which, GeneratorKind kind,
+                           FillKernel kernel) {
+  const Graph& graph = SharedGraph(which);
   RrCollection collection(graph.num_nodes());
   RngStream rng = MakeRngStream(91, 1);
   FillRequest request;
@@ -69,39 +101,74 @@ std::uint64_t FillChecksum(GeneratorKind kind, FillKernel kernel) {
 }
 
 struct GoldenCase {
+  GoldenGraph graph;
   GeneratorKind kind;
   std::uint64_t checksum;
 };
 
+const char* KindName(GeneratorKind kind) {
+  switch (kind) {
+    case GeneratorKind::kVanillaIc:
+      return "vanilla_ic";
+    case GeneratorKind::kSubsimIc:
+      return "subsim_ic";
+    case GeneratorKind::kLt:
+      return "lt";
+  }
+  return "unknown";
+}
+
+std::string CaseName(const ::testing::TestParamInfo<GoldenCase>& info) {
+  switch (info.param.graph) {
+    case GoldenGraph::kWc:
+      return KindName(info.param.kind);
+    case GoldenGraph::kTrivalency:
+      return std::string("trivalency_") + KindName(info.param.kind);
+    case GoldenGraph::kTrivalencySorted:
+      return std::string("trivalency_sorted_") + KindName(info.param.kind);
+    case GoldenGraph::kExponential:
+      return std::string("exponential_") + KindName(info.param.kind);
+  }
+  return "unknown";
+}
+
 class RrStreamGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(RrStreamGoldenTest, ScalarStreamMatchesGolden) {
-  EXPECT_EQ(FillChecksum(GetParam().kind, FillKernel::kScalar),
+  EXPECT_EQ(FillChecksum(GetParam().graph, GetParam().kind,
+                         FillKernel::kScalar),
             GetParam().checksum);
 }
 
 TEST_P(RrStreamGoldenTest, BatchedStreamMatchesGolden) {
-  EXPECT_EQ(FillChecksum(GetParam().kind, FillKernel::kBatched),
+  EXPECT_EQ(FillChecksum(GetParam().graph, GetParam().kind,
+                         FillKernel::kBatched),
             GetParam().checksum);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllGenerators, RrStreamGoldenTest,
     ::testing::Values(
-        GoldenCase{GeneratorKind::kVanillaIc, 12126458736621571501ull},
-        GoldenCase{GeneratorKind::kSubsimIc, 13173061486508634654ull},
-        GoldenCase{GeneratorKind::kLt, 14175589049819948338ull}),
-    [](const auto& info) {
-      switch (info.param.kind) {
-        case GeneratorKind::kVanillaIc:
-          return "vanilla_ic";
-        case GeneratorKind::kSubsimIc:
-          return "subsim_ic";
-        case GeneratorKind::kLt:
-          return "lt";
-      }
-      return "unknown";
-    });
+        GoldenCase{GoldenGraph::kWc, GeneratorKind::kVanillaIc,
+                   12126458736621571501ull},
+        GoldenCase{GoldenGraph::kWc, GeneratorKind::kSubsimIc,
+                   13173061486508634654ull},
+        GoldenCase{GoldenGraph::kWc, GeneratorKind::kLt,
+                   14175589049819948338ull}),
+    CaseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    SkewedWeights, RrStreamGoldenTest,
+    ::testing::Values(
+        GoldenCase{GoldenGraph::kTrivalency, GeneratorKind::kVanillaIc,
+                   4141061750704798110ull},
+        GoldenCase{GoldenGraph::kTrivalency, GeneratorKind::kSubsimIc,
+                   15815248151580297896ull},
+        GoldenCase{GoldenGraph::kTrivalencySorted, GeneratorKind::kSubsimIc,
+                   14848219013295013618ull},
+        GoldenCase{GoldenGraph::kExponential, GeneratorKind::kLt,
+                   5603004423958823258ull}),
+    CaseName);
 
 }  // namespace
 }  // namespace subsim
