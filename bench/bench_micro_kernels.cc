@@ -153,7 +153,7 @@ BENCHMARK(BM_RrGenerateSubsim);
 
 // Whole-fill throughput, scalar vs batched kernel on the same stream —
 // the pair of numbers behind the batched kernel's speedup claim. Runs on
-// the DRAM-resident graph; expect >= 2x for vanilla WC. Manual timing
+// the DRAM-resident graph; expect ~1.4x for vanilla WC. Manual timing
 // covers the `FillCollection` call only: constructing the 8M-entry
 // inverted index inside `RrCollection` costs ~100 ms per iteration in
 // both arms and scales with the graph, not the fill, so wall-clocking it
@@ -304,8 +304,8 @@ int RunSmoke() {
     const char* label;
     GeneratorKind kind;
     /// Allowed batched/scalar time ratio on the DRAM-resident graph.
-    /// Vanilla WC is the headline case (measures ~0.5-0.65 even at smoke
-    /// scale, i.e. >= 1.5x) so it must win with margin. SUBSIM and LT
+    /// Vanilla WC is the headline case (measures ~0.65-0.85 at smoke
+    /// scale, i.e. >= 1.2x) so it must win with margin. SUBSIM and LT
     /// batched win at fill scale (~1.15x in BM_Fill), but their scalar
     /// baselines share the packed-descriptor fast paths and a 20k-set
     /// smoke leaves little cold-cache traversal to pipeline, so at this

@@ -21,9 +21,10 @@ void ForEachLtWorld(const Graph& graph, Visit&& visit) {
   while (true) {
     double prob = 1.0;
     for (NodeId v = 0; v < n && prob > 0.0; ++v) {
-      const auto weights = graph.InWeights(v);
-      if (choice[v] < weights.size()) {
-        prob *= weights[choice[v]];
+      const InRowMeta& row = graph.InMeta(v);
+      if (choice[v] < row.degree) {
+        prob *= row.uniform() ? row.uniform_weight
+                              : graph.InWeights(v)[choice[v]];
       } else {
         prob *= 1.0 - graph.InWeightSum(v);
       }

@@ -11,18 +11,17 @@
 
 namespace subsim {
 
-/// Packed per-node in-row descriptor: everything a reverse expansion needs
-/// to know about node v before touching its adjacency row — CSR position,
-/// in-degree, and the shared edge weight when the row is uniform (WC /
-/// Uniform IC). 16 bytes, four to a cache line, so the batched RR kernels
-/// pay ONE line per node for metadata that otherwise lives in three
-/// separate O(n) arrays (`in_offsets_`, `uniform_in_weights_`, and a
-/// weights-row read); on DRAM-resident graphs those scattered reads were
-/// the dominant stall source.
+/// Packed per-node in-row descriptor, and the graph's only one: CSR
+/// position, in-degree, and the shared edge weight when the row is uniform
+/// (WC / Uniform IC). 16 bytes, four to a cache line, so a reverse
+/// expansion pays ONE line per node before it touches the adjacency row;
+/// on DRAM-resident graphs scattered per-node reads were the dominant
+/// stall source.
 ///
-/// `uniform_weight` is bit-identical to `InWeights(v)[i]` for every i of a
-/// uniform row (the builder copies, never recomputes), and NaN when the
-/// row has skewed weights. `begin` is 32-bit — the builder refuses graphs
+/// `uniform_weight` is bit-identical to the input weight of every edge of
+/// a uniform row (the builder copies, never recomputes), 0 for a row with
+/// no in-edges, and NaN when the row has skewed weights — only those rows
+/// have an `InWeights` row. `begin` is 32-bit — the builder refuses graphs
 /// with 2^32 or more edges, far above the paper's largest dataset.
 struct InRowMeta {
   double uniform_weight = 0.0;
@@ -42,10 +41,21 @@ static_assert(sizeof(InRowMeta) == 16, "InRowMeta must pack 4 per line");
 ///  * in-adjacency — used by every reverse-reachable-set generator, which
 ///    traverses edges against their direction.
 ///
-/// Per-edge propagation probabilities are stored alongside both adjacency
-/// arrays (duplicated for locality). In-neighbor lists may additionally be
-/// sorted in descending weight order (see `in_sorted_by_weight()`), which
-/// the index-free general-IC sampler requires (paper Section 3.3).
+/// Which arrays exist:
+///  * every graph: out-CSR (offsets, targets, weights), in-sources, and per
+///    node `InRowMeta` plus the in-weight sum;
+///  * per-edge in-weights only when at least one in-row is skewed. Under
+///    WC, the WC variant and Uniform IC every row is uniform and its
+///    weight lives in `InRowMeta`, so the array is never allocated.
+/// Out-edge weights repeat the in-side weights on purpose: forward IC
+/// Monte Carlo reads them in out-row order. Making each out-edge read its
+/// target's `InRowMeta` instead slowed a 50-seed simulation on a 1M-node,
+/// 10M-edge undirected BA graph (uniform p = 0.05) from 97-111 ms to
+/// 155-191 ms, with identical activation counts.
+///
+/// In-neighbor lists may additionally be sorted in descending weight order
+/// (see `in_sorted_by_weight()`), which the index-free general-IC sampler
+/// requires (paper Section 3.3).
 ///
 /// Instances are created by `GraphBuilder`; the class itself is read-only,
 /// cheap to move, and deliberately has no mutation API.
@@ -73,10 +83,7 @@ class Graph {
     return static_cast<NodeId>(out_offsets_[u + 1] - out_offsets_[u]);
   }
 
-  NodeId InDegree(NodeId v) const {
-    SUBSIM_DCHECK(v < num_nodes_, "node out of range");
-    return static_cast<NodeId>(in_offsets_[v + 1] - in_offsets_[v]);
-  }
+  NodeId InDegree(NodeId v) const { return InMeta(v).degree; }
 
   /// Targets of u's out-edges.
   std::span<const NodeId> OutNeighbors(NodeId u) const {
@@ -94,16 +101,17 @@ class Graph {
 
   /// Sources of v's in-edges.
   std::span<const NodeId> InNeighbors(NodeId v) const {
-    SUBSIM_DCHECK(v < num_nodes_, "node out of range");
-    return {in_sources_.data() + in_offsets_[v],
-            in_sources_.data() + in_offsets_[v + 1]};
+    const InRowMeta& meta = InMeta(v);
+    return InSourcesAt(meta.begin, meta.degree);
   }
 
-  /// p(u, v) for each in-edge of v, aligned with `InNeighbors(v)`.
+  /// p(u, v) for each in-edge of a skewed row v, aligned with
+  /// `InNeighbors(v)`. A uniform row has no weights row: read
+  /// `InMeta(v).uniform_weight` instead.
   std::span<const double> InWeights(NodeId v) const {
-    SUBSIM_DCHECK(v < num_nodes_, "node out of range");
-    return {in_weights_.data() + in_offsets_[v],
-            in_weights_.data() + in_offsets_[v + 1]};
+    const InRowMeta& meta = InMeta(v);
+    SUBSIM_DCHECK(!meta.uniform(), "InWeights on a uniform row");
+    return InWeightsAt(meta.begin, meta.degree);
   }
 
   /// Sum of in-edge weights of v (the LT activation budget; also the
@@ -113,28 +121,8 @@ class Graph {
     return in_weight_sums_[v];
   }
 
-  /// True when all in-edges of v carry the same weight (WC / Uniform IC),
-  /// enabling the pure geometric-skip fast path of SUBSIM.
-  bool HasUniformInWeights(NodeId v) const {
-    SUBSIM_DCHECK(v < num_nodes_, "node out of range");
-    return uniform_in_weights_[v] != 0;
-  }
-
-  /// The shared in-edge weight of a uniform-weight node — bit-identical to
-  /// `InWeights(v)[i]` for every i (the builder copies it, never
-  /// recomputes), so samplers may substitute it for row reads without
-  /// perturbing any draw comparison. Zero when v has no in-edges;
-  /// meaningless (NaN) when `HasUniformInWeights(v)` is false.
-  double UniformInWeight(NodeId v) const {
-    SUBSIM_DCHECK(v < num_nodes_, "node out of range");
-    SUBSIM_DCHECK(uniform_in_weights_[v] != 0,
-                  "UniformInWeight on a skew-weighted node");
-    return in_row_meta_[v].uniform_weight;
-  }
-
-  /// The packed in-row descriptor of v (see `InRowMeta`). The batched RR
-  /// kernels read this instead of `in_offsets_` + uniformity checks so a
-  /// node's expansion metadata costs one cache line.
+  /// The packed in-row descriptor of v (see `InRowMeta`): degree, row
+  /// position, and `uniform()` / `uniform_weight` for WC-style rows.
   const InRowMeta& InMeta(NodeId v) const {
     SUBSIM_DCHECK(v < num_nodes_, "node out of range");
     return in_row_meta_[v];
@@ -154,8 +142,8 @@ class Graph {
     return {in_sources_.data() + begin, count};
   }
 
-  /// In-edge weights addressed by a row position, aligned with
-  /// `InSourcesAt(begin, count)`.
+  /// In-edge weights addressed by the row position of a skewed row,
+  /// aligned with `InSourcesAt(begin, count)`.
   std::span<const double> InWeightsAt(std::size_t begin,
                                       std::size_t count) const {
     SUBSIM_DCHECK(begin + count <= in_weights_.size(), "row out of range");
@@ -165,15 +153,6 @@ class Graph {
   /// True if the builder sorted every in-neighbor list in descending weight
   /// order (required by the index-free sorted subset sampler).
   bool in_sorted_by_weight() const { return in_sorted_by_weight_; }
-
-  /// Software-prefetch hook: pulls the in-offset entry of `v` toward the
-  /// cache. The batched RR kernel calls this when `v` is activated, several
-  /// frontier steps before `v` is dequeued and its offsets are actually
-  /// read. A no-op on compilers without a prefetch builtin.
-  void PrefetchInOffsets(NodeId v) const {
-    SUBSIM_DCHECK(v < num_nodes_, "node out of range");
-    PrefetchRead(in_offsets_.data() + v);
-  }
 
   /// Software-prefetch hook for `InWeightSum(v)` — the first thing the LT
   /// live-edge walk reads at each step.
@@ -223,13 +202,11 @@ class Graph {
   std::vector<NodeId> out_targets_;     // size m
   std::vector<double> out_weights_;     // size m
 
-  std::vector<EdgeIndex> in_offsets_;  // size n+1
-  std::vector<NodeId> in_sources_;     // size m
-  std::vector<double> in_weights_;     // size m
+  std::vector<NodeId> in_sources_;  // size m
+  std::vector<double> in_weights_;  // size m if any row is skewed, else 0
 
-  std::vector<double> in_weight_sums_;       // size n
-  std::vector<std::uint8_t> uniform_in_weights_;  // size n
-  std::vector<InRowMeta> in_row_meta_;       // size n; see InRowMeta
+  std::vector<double> in_weight_sums_;  // size n
+  std::vector<InRowMeta> in_row_meta_;  // size n; see InRowMeta
 };
 
 }  // namespace subsim

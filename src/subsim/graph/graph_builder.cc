@@ -56,6 +56,11 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) && {
                 edges.end());
   }
 
+  // InRowMeta::begin is 32-bit so four descriptors pack per cache line;
+  // the paper's largest dataset is ~1.5B edges, far below the limit.
+  SUBSIM_CHECK(edges.size() < EdgeIndex{0xffffffffu},
+               "graphs with 2^32-1 or more edges are not supported");
+
   Graph g;
   g.num_nodes_ = n;
   g.num_edges_ = edges.size();
@@ -81,78 +86,81 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) && {
     }
   }
 
-  // In-CSR via counting sort on dst.
-  g.in_offsets_.assign(n + 1, 0);
+  // In-CSR via counting sort on dst. The counting pass also decides each
+  // row's uniformity: `uniform_weight` holds the row's first weight and
+  // turns NaN at the first different one (and stays NaN, since NaN
+  // compares unequal to everything).
+  g.in_row_meta_.assign(n, InRowMeta{});
   for (const Edge& e : edges) {
-    ++g.in_offsets_[e.dst + 1];
+    InRowMeta& meta = g.in_row_meta_[e.dst];
+    if (meta.degree++ == 0) {
+      meta.uniform_weight = e.weight;
+    } else if (e.weight != meta.uniform_weight) {
+      meta.uniform_weight = std::numeric_limits<double>::quiet_NaN();
+    }
   }
+  bool any_skewed = false;
+  std::vector<std::uint32_t> cursor(n);
+  std::uint32_t begin = 0;
   for (NodeId v = 0; v < n; ++v) {
-    g.in_offsets_[v + 1] += g.in_offsets_[v];
+    InRowMeta& meta = g.in_row_meta_[v];
+    meta.begin = cursor[v] = begin;
+    begin += meta.degree;
+    any_skewed = any_skewed || !meta.uniform();
   }
+  // Per-edge in-weights exist only on graphs with a skewed row; a uniform
+  // row's weight is `InRowMeta::uniform_weight`.
   g.in_sources_.resize(edges.size());
-  g.in_weights_.resize(edges.size());
-  {
-    std::vector<EdgeIndex> cursor(g.in_offsets_.begin(),
-                                  g.in_offsets_.end() - 1);
-    for (const Edge& e : edges) {
-      const EdgeIndex at = cursor[e.dst]++;
-      g.in_sources_[at] = e.src;
+  if (any_skewed) {
+    g.in_weights_.resize(edges.size());
+  }
+  for (const Edge& e : edges) {
+    const std::uint32_t at = cursor[e.dst]++;
+    g.in_sources_[at] = e.src;
+    if (any_skewed) {
       g.in_weights_[at] = e.weight;
     }
   }
 
   if (options.sort_in_edges_by_weight) {
-    // Sort each in-list by descending weight (stable on sources for
-    // reproducibility).
+    // Sort each in-list by descending weight, ties by ascending source for
+    // reproducibility. Every weight of a uniform row ties, so its order is
+    // by source alone.
     std::vector<std::pair<double, NodeId>> scratch;
     for (NodeId v = 0; v < n; ++v) {
-      const EdgeIndex begin = g.in_offsets_[v];
-      const EdgeIndex end = g.in_offsets_[v + 1];
+      const InRowMeta& meta = g.in_row_meta_[v];
+      NodeId* sources = g.in_sources_.data() + meta.begin;
+      if (meta.uniform()) {
+        std::sort(sources, sources + meta.degree);
+        continue;
+      }
+      double* weights = g.in_weights_.data() + meta.begin;
       scratch.clear();
-      for (EdgeIndex i = begin; i < end; ++i) {
-        scratch.emplace_back(g.in_weights_[i], g.in_sources_[i]);
+      for (std::uint32_t i = 0; i < meta.degree; ++i) {
+        scratch.emplace_back(weights[i], sources[i]);
       }
       std::sort(scratch.begin(), scratch.end(), [](const auto& a,
                                                    const auto& b) {
         if (a.first != b.first) return a.first > b.first;
         return a.second < b.second;
       });
-      for (std::size_t i = 0; i < scratch.size(); ++i) {
-        g.in_weights_[begin + i] = scratch[i].first;
-        g.in_sources_[begin + i] = scratch[i].second;
+      for (std::uint32_t i = 0; i < meta.degree; ++i) {
+        weights[i] = scratch[i].first;
+        sources[i] = scratch[i].second;
       }
     }
   }
 
-  // Per-node derived data.
+  // In-weight sums, accumulated in in-row order.
   g.in_weight_sums_.assign(n, 0.0);
-  g.uniform_in_weights_.assign(n, 1);
-  g.in_row_meta_.assign(n, InRowMeta{});
-  // InRowMeta::begin is 32-bit so four descriptors pack per cache line;
-  // the paper's largest dataset is ~1.5B edges, far below the limit.
-  SUBSIM_CHECK(g.num_edges_ < EdgeIndex{0xffffffffu},
-               "graphs with 2^32-1 or more edges are not supported");
   for (NodeId v = 0; v < n; ++v) {
-    const auto weights = g.InWeights(v);
+    const InRowMeta& meta = g.in_row_meta_[v];
     double sum = 0.0;
-    bool uniform = true;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      sum += weights[i];
-      if (weights[i] != weights[0]) {
-        uniform = false;
-      }
+    for (std::uint32_t i = 0; i < meta.degree; ++i) {
+      sum += meta.uniform() ? meta.uniform_weight
+                            : g.in_weights_[meta.begin + i];
     }
     g.in_weight_sums_[v] = sum;
-    g.uniform_in_weights_[v] = uniform ? 1 : 0;
-    // The packed expansion descriptor: CSR position plus the shared
-    // weight, hoisted out of the O(m) weights array (one cache line per
-    // node instead of three on the batched kernels' hot path).
-    InRowMeta& meta = g.in_row_meta_[v];
-    meta.begin = static_cast<std::uint32_t>(g.in_offsets_[v]);
-    meta.degree = static_cast<std::uint32_t>(weights.size());
-    meta.uniform_weight =
-        uniform ? (weights.empty() ? 0.0 : weights[0])
-                : std::numeric_limits<double>::quiet_NaN();
   }
 
   return g;

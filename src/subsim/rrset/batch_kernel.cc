@@ -404,7 +404,6 @@ class VanillaBatchKernel final : public BatchKernelCrtp<VanillaBatchKernel> {
       }
       nodes.push_back(w);
       graph_.PrefetchInMeta(w);
-      graph_.PrefetchInOffsets(w);
       return sentinel_.Get(w);
     };
     if (ExpandVanillaInEdges(graph_, u, lane_rngs_[slot],
@@ -633,7 +632,6 @@ class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
     lane_candidate_[slot] = next;
     marks_.Prefetch(next);
     graph_.PrefetchInMeta(next);
-    graph_.PrefetchInOffsets(next);
     picker_.PrefetchPick(next);
     lane_pick_[slot] = 1;
     return false;

@@ -27,7 +27,7 @@ LtEdgePicker::LtEdgePicker(const Graph& graph) : graph_(graph) {
     pm.begin = row.begin;
     SUBSIM_CHECK(row.degree < (1u << 31), "in-degree overflows PickMeta");
     pm.degree = row.degree;
-    if (row.degree == 0 || graph.HasUniformInWeights(v)) {
+    if (row.degree == 0 || row.uniform()) {
       continue;  // uniform pick; no table needed
     }
     pm.has_alias = 1;

@@ -31,12 +31,11 @@ SubsimExpandCore::SubsimExpandCore(const Graph& graph,
     const auto set_plan = [&pm](NodePlan plan) {
       pm.plan = static_cast<std::uint32_t>(plan);
     };
-    const auto weights = graph.InWeights(v);
-    if (weights.empty() || graph.InWeightSum(v) <= 0.0) {
+    if (row.degree == 0 || graph.InWeightSum(v) <= 0.0) {
       set_plan(NodePlan::kNoInEdges);
       continue;
     }
-    if (weights.size() < naive_fallback_degree) {
+    if (row.degree < naive_fallback_degree) {
       if (row.uniform()) {
         set_plan(NodePlan::kSmallNaiveUniform);
         pm.param = row.uniform_weight;
@@ -59,6 +58,7 @@ SubsimExpandCore::SubsimExpandCore(const Graph& graph,
     }
     set_plan(NodePlan::kGeneral);
     if (strategy_ == GeneralIcStrategy::kBucketIndexed) {
+      const auto weights = graph.InWeights(v);
       bucket_samplers_[v] = std::make_unique<BucketSubsetSampler>(
           std::vector<double>(weights.begin(), weights.end()));
     }

@@ -15,23 +15,28 @@ namespace subsim {
 /// `u`, in in-list order. `try_activate(w)` runs for every successful flip
 /// and returns true to stop the traversal (sentinel hit), which aborts the
 /// edge loop mid-list — the remaining in-edges draw nothing. Returns true
-/// iff the traversal was stopped.
+/// iff the traversal was stopped. A uniform row's weight comes from its
+/// `InRowMeta`, bit-identical to every edge's input weight.
 template <class TryActivate>
 inline bool ExpandVanillaInEdges(const Graph& graph, NodeId u, Rng& rng,
                                  std::uint64_t* edges_examined,
                                  TryActivate&& try_activate) {
-  const auto sources = graph.InNeighbors(u);
-  const auto weights = graph.InWeights(u);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    ++*edges_examined;
-    if (!rng.Bernoulli(weights[i])) {
-      continue;
+  const InRowMeta& meta = graph.InMeta(u);
+  const auto sources = graph.InSourcesAt(meta.begin, meta.degree);
+  const auto expand = [&](auto weight_of) {
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      ++*edges_examined;
+      if (rng.Bernoulli(weight_of(i)) && try_activate(sources[i])) {
+        return true;
+      }
     }
-    if (try_activate(sources[i])) {
-      return true;
-    }
+    return false;
+  };
+  if (meta.uniform()) {
+    return expand([p = meta.uniform_weight](std::size_t) { return p; });
   }
-  return false;
+  const auto weights = graph.InWeightsAt(meta.begin, meta.degree);
+  return expand([weights](std::size_t i) { return weights[i]; });
 }
 
 /// Algorithm 2: the vanilla IC RR-set generator used by IMM, SSA and

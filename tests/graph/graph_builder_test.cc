@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "subsim/graph/generators.h"
+#include "subsim/graph/weight_models.h"
 
 namespace subsim {
 namespace {
@@ -169,30 +176,92 @@ TEST(GraphBuilderTest, UniformInWeightsDetection) {
   builder.AddEdge(1, 3, 0.25);
   Result<Graph> graph = std::move(builder).Build();
   ASSERT_TRUE(graph.ok());
-  EXPECT_TRUE(graph->HasUniformInWeights(2));
-  EXPECT_FALSE(graph->HasUniformInWeights(3));
-  EXPECT_TRUE(graph->HasUniformInWeights(0));  // no in-edges: trivially true
+  EXPECT_TRUE(graph->InMeta(2).uniform());
+  EXPECT_FALSE(graph->InMeta(3).uniform());
+  EXPECT_TRUE(graph->InMeta(0).uniform());  // no in-edges: trivially true
 }
 
-TEST(GraphBuilderTest, ToEdgeListRoundTrips) {
-  EdgeList original;
-  original.num_nodes = 5;
-  original.edges = {{0, 1, 0.1}, {1, 2, 0.2}, {2, 0, 0.3}, {4, 3, 0.4}};
-  Result<Graph> graph = BuildGraph(original);
-  ASSERT_TRUE(graph.ok());
-  EdgeList round = graph->ToEdgeList();
-  EXPECT_EQ(round.num_nodes, original.num_nodes);
-  ASSERT_EQ(round.edges.size(), original.edges.size());
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-  auto key = [](const Edge& e) {
-    return std::tuple(e.src, e.dst, e.weight);
+// Every weight model x sort on/off on a BA graph: the edge list survives a
+// round trip bit for bit, and each in-row (sources, weights read through
+// `InMeta` or `InWeights`, weight sum) matches a reference CSR built
+// straight from the edge list.
+TEST(GraphBuilderTest, ToEdgeListRoundTrips) {
+  const WeightModel kModels[] = {
+      WeightModel::kWeightedCascade, WeightModel::kUniformIc,
+      WeightModel::kWcVariant,       WeightModel::kExponential,
+      WeightModel::kWeibull,         WeightModel::kTrivalency,
+      WeightModel::kLinearThreshold,
   };
-  std::sort(original.edges.begin(), original.edges.end(),
-            [&](const Edge& a, const Edge& b) { return key(a) < key(b); });
-  std::sort(round.edges.begin(), round.edges.end(),
-            [&](const Edge& a, const Edge& b) { return key(a) < key(b); });
-  for (std::size_t i = 0; i < round.edges.size(); ++i) {
-    EXPECT_EQ(key(round.edges[i]), key(original.edges[i]));
+  for (const WeightModel model : kModels) {
+    for (const bool sort : {false, true}) {
+      SCOPED_TRACE(std::string(WeightModelName(model)) +
+                   (sort ? " sorted" : " unsorted"));
+      Result<EdgeList> generated = GenerateBarabasiAlbert(300, 3, true, 5);
+      ASSERT_TRUE(generated.ok());
+      EdgeList original = std::move(generated).value();
+      WeightModelParams params;
+      params.wc_variant_theta = 2.0;  // clamps some rows at 1
+      params.seed = 23;
+      ASSERT_TRUE(AssignWeights(model, params, &original).ok());
+      GraphBuildOptions options;
+      options.sort_in_edges_by_weight = sort;
+      Result<Graph> graph = BuildGraph(original, options);
+      ASSERT_TRUE(graph.ok());
+
+      // ToEdgeList returns the input multiset, weights bit for bit.
+      const auto key = [](const Edge& e) {
+        return std::tuple(e.src, e.dst, Bits(e.weight));
+      };
+      const auto by_key = [&](const Edge& a, const Edge& b) {
+        return key(a) < key(b);
+      };
+      EdgeList round = graph->ToEdgeList();
+      EXPECT_EQ(round.num_nodes, original.num_nodes);
+      std::vector<Edge> expected = original.edges;
+      std::sort(expected.begin(), expected.end(), by_key);
+      std::sort(round.edges.begin(), round.edges.end(), by_key);
+      ASSERT_EQ(round.edges.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(key(round.edges[i]), key(expected[i]));
+      }
+
+      // Reference CSR: in-edges in edge-list order, then (weight desc,
+      // source asc) when sorting is on.
+      std::vector<std::vector<std::pair<double, NodeId>>> rows(
+          original.num_nodes);
+      for (const Edge& e : original.edges) {
+        rows[e.dst].emplace_back(e.weight, e.src);
+      }
+      for (NodeId v = 0; v < original.num_nodes; ++v) {
+        auto& row = rows[v];
+        if (sort) {
+          std::sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
+            if (a.first != b.first) return a.first > b.first;
+            return a.second < b.second;
+          });
+        }
+        ASSERT_EQ(graph->InDegree(v), row.size());
+        const auto sources = graph->InNeighbors(v);
+        ASSERT_EQ(sources.size(), row.size());
+        const InRowMeta& meta = graph->InMeta(v);
+        const bool uniform = std::all_of(
+            row.begin(), row.end(),
+            [&](const auto& p) { return p.first == row.front().first; });
+        ASSERT_EQ(meta.uniform(), uniform) << "node " << v;
+        const auto weights =
+            uniform ? std::span<const double>{} : graph->InWeights(v);
+        double sum = 0.0;
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          EXPECT_EQ(sources[i], row[i].second) << "node " << v;
+          const double w = uniform ? meta.uniform_weight : weights[i];
+          EXPECT_EQ(Bits(w), Bits(row[i].first)) << "node " << v;
+          sum += row[i].first;
+        }
+        EXPECT_EQ(Bits(graph->InWeightSum(v)), Bits(sum)) << "node " << v;
+      }
+    }
   }
 }
 

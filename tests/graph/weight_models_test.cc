@@ -129,7 +129,7 @@ TEST(WeightModelsTest, SkewedModelsAreSkewed) {
   ASSERT_TRUE(graph.ok());
   int nonuniform = 0;
   for (NodeId v = 0; v < graph->num_nodes(); ++v) {
-    if (graph->InDegree(v) >= 2 && !graph->HasUniformInWeights(v)) {
+    if (graph->InDegree(v) >= 2 && !graph->InMeta(v).uniform()) {
       ++nonuniform;
     }
   }
