@@ -1,24 +1,32 @@
-// Ablation: standalone subset-sampler strategies across set sizes and
-// probability shapes (DESIGN.md "sampler choice" design choice).
+// Ablation: the subset-sampling kernels across set sizes and probability
+// shapes (DESIGN.md "sampler choice" design choice).
 //
-// For the same probability vector, compare nanoseconds per Sample() call:
-//   naive     — one coin per element (vanilla behaviour, O(h));
-//   geometric — skips (uniform probabilities only, O(1 + mu));
-//   bucket    — Bringmann-Panagiotou buckets + alias hops (O(1 + mu));
-//   sorted    — index-free position buckets (O(1 + mu + log h)).
+// For the same probability vector, compare nanoseconds per sample:
+//   naive     — `SampleSubsetNaive`, one coin per element (vanilla
+//               behaviour, O(h));
+//   geometric — `SampleUniformSubsetSkips` (uniform probabilities only,
+//               O(1 + mu); "n/a" on the other shapes);
+//   bucket    — `BucketSubsetSampler`: Bringmann-Panagiotou buckets + alias
+//               hops (O(1 + mu));
+//   sorted    — `SampleSortedSubset` on the descending-sorted copy:
+//               index-free position buckets (O(1 + mu + log h)).
 // The crossover structure justifies the SUBSIM generator's per-node plan
-// dispatch: naive only ever wins when h is tiny.
+// dispatch: naive only ever wins when h is tiny. `--quick` (the ctest
+// `bench_ablation_samplers_smoke`) runs the same table with fewer draws.
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iostream>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "subsim/benchsup/experiment.h"
 #include "subsim/benchsup/reporting.h"
+#include "subsim/random/geometric.h"
 #include "subsim/random/rng.h"
-#include "subsim/sampling/sampler_factory.h"
+#include "subsim/sampling/bucket_sampler.h"
+#include "subsim/sampling/inline_sampling.h"
 #include "subsim/util/timer.h"
 
 namespace {
@@ -46,14 +54,23 @@ std::vector<double> MakeProbs(const std::string& shape, std::size_t h) {
   return probs;
 }
 
-double NanosPerSample(const subsim::SubsetSampler& sampler, int iterations) {
+using Sample = std::vector<std::uint32_t>;
+
+/// The kernels' `emit` callback: appends each sampled index to `*out`.
+auto AppendTo(Sample* out) {
+  return [out](std::uint32_t i) { out->push_back(i); };
+}
+
+/// Nanoseconds per `draw(rng, &out)` call, each drawing one subset sample.
+template <class Draw>
+double NanosPerSample(const Draw& draw, int iterations) {
   subsim::Rng rng(23);
-  std::vector<std::uint32_t> out;
+  Sample out;
   subsim::WallTimer timer;
   std::size_t sink = 0;
   for (int i = 0; i < iterations; ++i) {
     out.clear();
-    sampler.Sample(rng, &out);
+    draw(rng, &out);
     sink += out.size();
   }
   const double nanos = timer.ElapsedSeconds() * 1e9 / iterations;
@@ -85,28 +102,40 @@ int main(int argc, char** argv) {
       // cell dominates the run while keeping >= 2k draws of statistics.
       const int cell_iterations =
           h >= 4096 ? std::max(2000, iterations / 20) : iterations;
-      auto measure = [&](subsim::SamplerKind kind) -> std::string {
-        std::vector<double> copy = probs;
-        if (kind == subsim::SamplerKind::kSorted) {
-          std::sort(copy.begin(), copy.end(), std::greater<>());
-        }
-        const auto sampler = subsim::MakeSubsetSampler(kind, std::move(copy));
-        if (!sampler.ok()) {
-          return "n/a";
-        }
-        return subsim::FormatDouble(
-            NanosPerSample(**sampler, cell_iterations), 0);
+      const auto measure = [&](const auto& draw) {
+        return subsim::FormatDouble(NanosPerSample(draw, cell_iterations), 0);
       };
+
+      const bool uniform =
+          std::all_of(probs.begin(), probs.end(),
+                      [&](double p) { return p == probs.front(); });
+      std::string geometric = "n/a";
+      if (uniform) {
+        const double inv_log_q = subsim::GeometricInvLogQ(probs.front());
+        geometric = measure([&](subsim::Rng& rng, Sample* out) {
+          subsim::SampleUniformSubsetSkips(h, inv_log_q, rng, AppendTo(out));
+        });
+      }
+      const subsim::BucketSubsetSampler bucket(probs);
+      std::vector<double> sorted = probs;
+      std::sort(sorted.begin(), sorted.end(), std::greater<>());
 
       double mu = 0.0;
       for (double p : probs) {
         mu += p;
       }
-      table.AddRow({shape, std::to_string(h), subsim::FormatDouble(mu, 2),
-                    measure(subsim::SamplerKind::kNaive),
-                    measure(subsim::SamplerKind::kGeometric),
-                    measure(subsim::SamplerKind::kBucket),
-                    measure(subsim::SamplerKind::kSorted)});
+      table.AddRow(
+          {shape, std::to_string(h), subsim::FormatDouble(mu, 2),
+           measure([&](subsim::Rng& rng, Sample* out) {
+             subsim::SampleSubsetNaive(probs, rng, AppendTo(out));
+           }),
+           geometric,
+           measure([&](subsim::Rng& rng, Sample* out) {
+             bucket.Sample(rng, out);
+           }),
+           measure([&](subsim::Rng& rng, Sample* out) {
+             subsim::SampleSortedSubset(sorted, rng, AppendTo(out));
+           })});
     }
   }
   table.Print(std::cout);

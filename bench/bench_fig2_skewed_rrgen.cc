@@ -60,8 +60,9 @@ int main(int argc, char** argv) {
       subsim::WeightModelParams params;
       params.seed = args->seed;
 
-      // Two builds of the same weighted graph: natural order for the
-      // bucket-indexed sampler, weight-sorted for the index-free one.
+      // Two builds of the same weighted graph: SUBSIM samples skewed rows
+      // with per-node bucket samplers on the natural order and with the
+      // index-free sorted kernel on the weight-sorted build.
       const auto graph = subsim::BuildDatasetGraph(
           dataset, args->scale, args->seed, model, params,
           /*sort_in_edges=*/false);
@@ -74,10 +75,8 @@ int main(int argc, char** argv) {
       }
 
       subsim::VanillaIcGenerator vanilla(*graph);
-      subsim::SubsimIcGenerator bucket(
-          *graph, subsim::GeneralIcStrategy::kBucketIndexed);
-      subsim::SubsimIcGenerator sorted(
-          *sorted_graph, subsim::GeneralIcStrategy::kSortedIndexFree);
+      subsim::SubsimIcGenerator bucket(*graph);
+      subsim::SubsimIcGenerator sorted(*sorted_graph);
 
       const double vanilla_s = TimeGeneration(vanilla, rr_count, args->seed);
       const double bucket_s = TimeGeneration(bucket, rr_count, args->seed);

@@ -30,7 +30,8 @@
 #include "subsim/rrset/parallel_fill.h"
 #include "subsim/rrset/subsim_ic_generator.h"
 #include "subsim/rrset/vanilla_ic_generator.h"
-#include "subsim/sampling/sampler_factory.h"
+#include "subsim/sampling/bucket_sampler.h"
+#include "subsim/sampling/inline_sampling.h"
 #include "subsim/util/check.h"
 
 namespace subsim {
@@ -75,25 +76,41 @@ void BM_AliasTableSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AliasTableSample)->Arg(16)->Arg(4096);
 
-void BM_SubsetSampler(benchmark::State& state, SamplerKind kind) {
+enum class SubsetKernel { kNaive, kGeometric, kBucket };
+
+/// One subset sample of h elements, all with probability 2/h, per
+/// iteration.
+void BM_SubsetSampler(benchmark::State& state, SubsetKernel kernel) {
   const std::size_t h = state.range(0);
-  std::vector<double> probs(h, 2.0 / static_cast<double>(h));
-  auto sampler = MakeSubsetSampler(kind, std::move(probs));
+  const std::vector<double> probs(h, 2.0 / static_cast<double>(h));
+  const double inv_log_q = GeometricInvLogQ(probs.front());
+  const BucketSubsetSampler bucket(probs);
   Rng rng(4);
   std::vector<std::uint32_t> out;
+  const auto emit = [&out](std::uint32_t i) { out.push_back(i); };
   for (auto _ : state) {
     out.clear();
-    (*sampler)->Sample(rng, &out);
+    switch (kernel) {
+      case SubsetKernel::kNaive:
+        SampleSubsetNaive(probs, rng, emit);
+        break;
+      case SubsetKernel::kGeometric:
+        SampleUniformSubsetSkips(h, inv_log_q, rng, emit);
+        break;
+      case SubsetKernel::kBucket:
+        bucket.Sample(rng, &out);
+        break;
+    }
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK_CAPTURE(BM_SubsetSampler, naive, SamplerKind::kNaive)
+BENCHMARK_CAPTURE(BM_SubsetSampler, naive, SubsetKernel::kNaive)
     ->Arg(64)
     ->Arg(4096);
-BENCHMARK_CAPTURE(BM_SubsetSampler, geometric, SamplerKind::kGeometric)
+BENCHMARK_CAPTURE(BM_SubsetSampler, geometric, SubsetKernel::kGeometric)
     ->Arg(64)
     ->Arg(4096);
-BENCHMARK_CAPTURE(BM_SubsetSampler, bucket, SamplerKind::kBucket)
+BENCHMARK_CAPTURE(BM_SubsetSampler, bucket, SubsetKernel::kBucket)
     ->Arg(64)
     ->Arg(4096);
 

@@ -95,7 +95,7 @@ int main() {
       std::fprintf(stderr, "%s\n", algorithm.status().ToString().c_str());
       return 1;
     }
-    auto snapshot = registry.Get("bench");
+    auto snapshot = registry.GetSnapshot("bench");
     if (!snapshot.ok()) {
       return 1;
     }
@@ -109,7 +109,8 @@ int main() {
     for (const std::uint32_t k : k_values) {
       const subsim::SelectSeedsQuery query = MakeQuery(algo, k);
 
-      const auto cold = (*algorithm)->Run(**snapshot, query.ToImOptions());
+      const auto cold =
+          (*algorithm)->Run(*snapshot->graph, query.ToImOptions());
       if (!cold.ok()) {
         std::fprintf(stderr, "cold %s k=%u: %s\n", algo.c_str(), k,
                      cold.status().ToString().c_str());

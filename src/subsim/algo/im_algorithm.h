@@ -139,7 +139,10 @@ struct ImResult {
   }
 };
 
-/// Interface implemented by IMM, OPIM-C, SSA, and HIST.
+/// Interface implemented by the nine algorithms `MakeImAlgorithm` builds:
+/// the RIS family (IMM, TIM+, OPIM-C, SSA, HIST), Monte Carlo CELF greedy
+/// (`celf-mc`), and the three degree heuristics (max-degree,
+/// single-discount, degree-discount).
 class ImAlgorithm {
  public:
   virtual ~ImAlgorithm() = default;

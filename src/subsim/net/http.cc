@@ -1,7 +1,6 @@
 #include "subsim/net/http.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "subsim/util/string_util.h"
 
@@ -10,19 +9,6 @@ namespace subsim {
 namespace {
 
 constexpr std::size_t kMaxHeaders = 100;
-
-bool AsciiEqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 bool IsMethodChar(char c) {
   return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z');

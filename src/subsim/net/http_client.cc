@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -16,19 +15,6 @@
 namespace subsim {
 
 namespace {
-
-bool AsciiEqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 Status SendAll(int fd, std::string_view data) {
   while (!data.empty()) {

@@ -437,8 +437,7 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
  public:
   explicit SubsimBatchKernel(const Graph& graph)
       : BatchKernelCrtp(graph),
-        core_(graph, GeneralIcStrategy::kAuto,
-              SubsimIcGenerator::kDefaultNaiveFallbackDegree) {}
+        core_(graph, SubsimIcGenerator::kDefaultNaiveFallbackDegree) {}
 
   const char* name() const override { return "subsim-ic-batch"; }
 

@@ -3,22 +3,12 @@
 namespace subsim {
 
 SubsimExpandCore::SubsimExpandCore(const Graph& graph,
-                                   GeneralIcStrategy strategy,
                                    NodeId naive_fallback_degree)
-    : graph_(graph), strategy_(strategy) {
-  if (strategy_ == GeneralIcStrategy::kAuto) {
-    strategy_ = graph.in_sorted_by_weight()
-                    ? GeneralIcStrategy::kSortedIndexFree
-                    : GeneralIcStrategy::kBucketIndexed;
-  }
-  SUBSIM_CHECK(strategy_ != GeneralIcStrategy::kSortedIndexFree ||
-                   graph.in_sorted_by_weight(),
-               "sorted index-free strategy requires a graph built with "
-               "sort_in_edges_by_weight");
-
+    : graph_(graph) {
   const NodeId n = graph.num_nodes();
+  const bool bucket_strategy = !graph.in_sorted_by_weight();
   meta_.assign(n, PlanMeta{});
-  if (strategy_ == GeneralIcStrategy::kBucketIndexed) {
+  if (bucket_strategy) {
     bucket_samplers_.resize(n);
   }
 
@@ -57,7 +47,7 @@ SubsimExpandCore::SubsimExpandCore(const Graph& graph,
       continue;
     }
     set_plan(NodePlan::kGeneral);
-    if (strategy_ == GeneralIcStrategy::kBucketIndexed) {
+    if (bucket_strategy) {
       const auto weights = graph.InWeights(v);
       bucket_samplers_[v] = std::make_unique<BucketSubsetSampler>(
           std::vector<double>(weights.begin(), weights.end()));
@@ -66,9 +56,8 @@ SubsimExpandCore::SubsimExpandCore(const Graph& graph,
 }
 
 SubsimIcGenerator::SubsimIcGenerator(const Graph& graph,
-                                     GeneralIcStrategy strategy,
                                      NodeId naive_fallback_degree)
-    : graph_(graph), core_(graph, strategy, naive_fallback_degree) {
+    : graph_(graph), core_(graph, naive_fallback_degree) {
   activated_.Resize(graph.num_nodes());
   sentinel_.Resize(graph.num_nodes());
 }

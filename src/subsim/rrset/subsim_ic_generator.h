@@ -15,21 +15,6 @@
 
 namespace subsim {
 
-/// How the SUBSIM generator samples the in-neighbors of nodes whose
-/// incoming weights are *not* all equal (general IC, paper Section 3.3).
-enum class GeneralIcStrategy {
-  /// Index-free sorted-position bucketing; requires the graph to be built
-  /// with `sort_in_edges_by_weight`. O(1 + mu + log d) per activated node,
-  /// zero preprocessing.
-  kSortedIndexFree,
-  /// Per-node `BucketSubsetSampler` built once at generator construction.
-  /// O(1 + mu) per activated node after O(m) preprocessing (Lemma 5).
-  kBucketIndexed,
-  /// Pick automatically: sorted when the graph is weight-sorted, else
-  /// bucket.
-  kAuto,
-};
-
 /// The per-node sampling plans and per-step draw primitives of Algorithm 3
 /// (+ Section 3.3), factored out of the scalar generator so the batched
 /// kernel runs the *same* code on the same precomputed plans — byte
@@ -47,6 +32,15 @@ enum class GeneralIcStrategy {
 /// take-all and bucket emission loops break on stop without further draws
 /// — exactly the scalar generator's historical behavior.
 ///
+/// Nodes whose in-weights are *not* all equal (general IC, paper Section
+/// 3.3) are sampled by a strategy the graph decides:
+///   * weight-sorted graphs (`sort_in_edges_by_weight`) use the index-free
+///     `SampleSortedSubset`: O(1 + mu + log d) per activated node, zero
+///     preprocessing;
+///   * other graphs get a per-node `BucketSubsetSampler` built at
+///     construction: O(1 + mu) per activated node after O(m)
+///     preprocessing (Lemma 5).
+///
 /// `NaivePolicy` lets a kernel substitute how the small-degree Bernoulli
 /// plan realizes its coin flips. Two hooks, both of which must consume
 /// the identical RNG stream as `SampleSubsetNaive` and emit indices in
@@ -58,13 +52,11 @@ enum class GeneralIcStrategy {
 class SubsimExpandCore {
  public:
   /// `graph` must outlive the core. Construction cost: O(n) for the
-  /// uniform fast path, plus O(m) over skew-weighted nodes when the bucket
-  /// strategy is selected. `naive_fallback_degree` = 0 disables the
+  /// uniform fast path, plus O(m) over skew-weighted nodes when the graph
+  /// is not weight-sorted. `naive_fallback_degree` = 0 disables the
   /// small-degree fallback (tests use this to force the skip kernels).
-  SubsimExpandCore(const Graph& graph, GeneralIcStrategy strategy,
-                   NodeId naive_fallback_degree);
+  SubsimExpandCore(const Graph& graph, NodeId naive_fallback_degree);
 
-  GeneralIcStrategy resolved_strategy() const { return strategy_; }
   const Graph& graph() const { return graph_; }
 
   /// Prefetches the packed per-node plan descriptor for an upcoming
@@ -137,7 +129,7 @@ class SubsimExpandCore {
         break;
     }
 
-    if (strategy_ == GeneralIcStrategy::kSortedIndexFree) {
+    if (graph_.in_sorted_by_weight()) {
       SampleSortedSubset(
           graph_.InWeightsAt(pm.begin, pm.degree), rng,
           [&](std::uint32_t i) {
@@ -150,9 +142,9 @@ class SubsimExpandCore {
 
     // Bucket strategy: the sampler emits into scratch, then we activate.
     scratch_indices_.clear();
-    bucket_samplers_[u]->SampleCounted(rng, &scratch_indices_,
-                                       &stats->geometric_skips,
-                                       &stats->rejection_accepts);
+    bucket_samplers_[u]->Sample(rng, &scratch_indices_,
+                                &stats->geometric_skips,
+                                &stats->rejection_accepts);
     for (std::uint32_t i : scratch_indices_) {
       ++stats->edges_examined;
       sink.Activate(sources[i]);
@@ -192,7 +184,7 @@ class SubsimExpandCore {
     kSmallNaiveUniform,  // short uniform in-list: per-edge coins, shared p
     kUniformSkip,        // equal weights in (0, 1): geometric skips
     kTakeAll,            // equal weights >= 1: every in-neighbor activates
-    kGeneral,            // skewed weights: strategy_ decides
+    kGeneral,            // skewed weights: sorted or bucket, per graph
   };
 
   /// Packed per-node plan descriptor: plan tag, CSR position, and the
@@ -211,9 +203,8 @@ class SubsimExpandCore {
   static_assert(sizeof(PlanMeta) == 16, "PlanMeta must pack 4 per line");
 
   const Graph& graph_;
-  GeneralIcStrategy strategy_;
   std::vector<PlanMeta> meta_;
-  /// Bucket samplers for kGeneral nodes (empty unless bucket strategy).
+  /// Bucket samplers for kGeneral nodes (empty on weight-sorted graphs).
   std::vector<std::unique_ptr<BucketSubsetSampler>> bucket_samplers_;
   std::vector<std::uint32_t> scratch_indices_;
 };
@@ -223,9 +214,10 @@ class SubsimExpandCore {
 /// For a dequeued node whose in-edges share one probability p (WC, Uniform
 /// IC, and WC-variant below the min{} clamp), in-neighbors are selected by
 /// geometric skips — expected cost O(1 + d_in * p) instead of the vanilla
-/// O(d_in). Nodes with skewed in-weights fall back to the configured
-/// general-IC subset-sampling strategy. Per-node `1/log(1-p)` constants are
-/// precomputed so the hot loop performs one log() per geometric draw.
+/// O(d_in). Nodes with skewed in-weights use the general-IC strategy the
+/// graph's in-edge order selects (see `SubsimExpandCore`). Per-node
+/// `1/log(1-p)` constants are precomputed so the hot loop performs one
+/// log() per geometric draw.
 class SubsimIcGenerator final : public RrGenerator {
  public:
   /// Below this in-degree a node is expanded by plain per-edge coin flips:
@@ -237,7 +229,6 @@ class SubsimIcGenerator final : public RrGenerator {
   /// `graph` must outlive the generator (see `SubsimExpandCore`).
   explicit SubsimIcGenerator(
       const Graph& graph,
-      GeneralIcStrategy strategy = GeneralIcStrategy::kAuto,
       NodeId naive_fallback_degree = kDefaultNaiveFallbackDegree);
 
   bool Generate(Rng& rng, std::vector<NodeId>* out) override;
@@ -245,10 +236,6 @@ class SubsimIcGenerator final : public RrGenerator {
   const RrGenStats& stats() const override { return stats_; }
   void ResetStats() override { stats_ = RrGenStats{}; }
   const char* name() const override { return "subsim-ic"; }
-
-  GeneralIcStrategy resolved_strategy() const {
-    return core_.resolved_strategy();
-  }
 
  private:
   /// Scalar activation sink: visited bitmap + explicit BFS queue.

@@ -42,8 +42,6 @@ int BucketExponent(double p) {
 }  // namespace
 
 BucketSubsetSampler::BucketSubsetSampler(std::vector<double> probs) {
-  num_elements_ = probs.size();
-
   // Group elements by bucket exponent; std::map keeps exponents sorted so
   // bucket order matches decreasing probability caps.
   std::map<int, Bucket> by_exp;
@@ -53,7 +51,6 @@ BucketSubsetSampler::BucketSubsetSampler(std::vector<double> probs) {
     if (p <= 0.0) {
       continue;
     }
-    mu_ += p;
     const int k = BucketExponent(p);
     Bucket& bucket = by_exp[k];
     bucket.elements.push_back(static_cast<std::uint32_t>(i));
@@ -162,14 +159,9 @@ void BucketSubsetSampler::SampleWithinBucket(
   }
 }
 
-void BucketSubsetSampler::Sample(Rng& rng,
-                                 std::vector<std::uint32_t>* out) const {
-  SampleCounted(rng, out, nullptr, nullptr);
-}
-
-void BucketSubsetSampler::SampleCounted(
-    Rng& rng, std::vector<std::uint32_t>* out, std::uint64_t* geometric_draws,
-    std::uint64_t* rejection_accepts) const {
+void BucketSubsetSampler::Sample(Rng& rng, std::vector<std::uint32_t>* out,
+                                 std::uint64_t* geometric_draws,
+                                 std::uint64_t* rejection_accepts) const {
   if (buckets_.empty()) {
     return;
   }

@@ -1,10 +1,11 @@
 #ifndef SUBSIM_SAMPLING_BUCKET_SAMPLER_H_
 #define SUBSIM_SAMPLING_BUCKET_SAMPLER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "subsim/random/alias_table.h"
-#include "subsim/sampling/subset_sampler.h"
+#include "subsim/random/rng.h"
 
 namespace subsim {
 
@@ -23,23 +24,20 @@ namespace subsim {
 /// entered next" (the paper's T[i][j] table). Within an entered bucket, the
 /// first hit is drawn from the geometric distribution conditioned on
 /// landing inside the bucket.
-class BucketSubsetSampler final : public SubsetSampler {
+class BucketSubsetSampler {
  public:
+  /// `probs` are inclusion probabilities in [0, 1] (checked).
   explicit BucketSubsetSampler(std::vector<double> probs);
 
-  void Sample(Rng& rng, std::vector<std::uint32_t>* out) const override;
-
-  /// Like `Sample`, additionally accumulating the number of geometric
-  /// draws and accepted rejection trials into the non-null counters. The
-  /// RNG stream is identical to `Sample`'s (the singleton and cap==1
-  /// shortcuts take no geometric draws, so they count nothing).
-  void SampleCounted(Rng& rng, std::vector<std::uint32_t>* out,
-                     std::uint64_t* geometric_draws,
-                     std::uint64_t* rejection_accepts) const;
-
-  std::size_t size() const override { return num_elements_; }
-  double expected_count() const override { return mu_; }
-  const char* name() const override { return "bucket"; }
+  /// Appends the sampled element indices to `*out` (not cleared), grouped
+  /// by probability bucket rather than sorted. `geometric_draws` and
+  /// `rejection_accepts`, when non-null, accumulate the geometric draws and
+  /// accepted rejection trials; counting never changes the RNG stream (the
+  /// singleton and cap == 1 shortcuts take no geometric draws, so they
+  /// count nothing).
+  void Sample(Rng& rng, std::vector<std::uint32_t>* out,
+              std::uint64_t* geometric_draws = nullptr,
+              std::uint64_t* rejection_accepts = nullptr) const;
 
   /// Number of non-empty probability buckets (exposed for tests).
   std::size_t num_buckets() const { return buckets_.size(); }
@@ -65,8 +63,6 @@ class BucketSubsetSampler final : public SubsetSampler {
                           std::uint64_t* geometric_draws,
                           std::uint64_t* rejection_accepts) const;
 
-  std::size_t num_elements_ = 0;
-  double mu_ = 0.0;
   std::vector<Bucket> buckets_;
   /// next_hop_[i] samples which bucket (> i-1) is entered next when the
   /// current bucket is i-1 (next_hop_[0] is the initial table). Outcome

@@ -9,9 +9,20 @@
 
 namespace subsim {
 
-/// Allocation-free subset-sampling kernels used directly on the RR-set
-/// generation hot path. The class-based `SubsetSampler` hierarchy wraps
-/// these same routines for standalone use and testing.
+/// Independent subset sampling (paper Section 3.1): given h elements with
+/// inclusion probabilities p_0..p_{h-1}, draw a random subset where element
+/// i appears independently with probability p_i. These allocation-free
+/// kernels, plus the stateful `BucketSubsetSampler` (bucket_sampler.h), are
+/// the library's only subset-sampling API; the RR-set generators call them
+/// directly on the hot path. With mu = sum of the probabilities:
+///  * `SampleUniformSubsetSkips` — equal probabilities, O(1 + mu)
+///                                  (Lemma 3);
+///  * `SampleSubsetNaive`        — one coin per element, O(h) (the vanilla
+///                                  baseline);
+///  * `SampleSortedSubset`       — non-increasing probabilities, index-free,
+///                                  O(1 + mu + log h) (Section 3.3);
+///  * `BucketSubsetSampler`      — arbitrary probabilities, O(h) build,
+///                                  O(1 + mu) per sample (Lemma 5).
 ///
 /// Each kernel invokes `emit(i)` for every sampled index i (in increasing
 /// order). `Emit` may return void.
@@ -41,14 +52,6 @@ void SampleUniformSubsetSkips(std::uint64_t h, double inv_log_q, Rng& rng,
   }
   if (geometric_draws != nullptr) {
     *geometric_draws += draws;
-  }
-}
-
-/// Degenerate p == 1 case: every element is sampled.
-template <typename Emit>
-void SampleAllElements(std::uint64_t h, Emit&& emit) {
-  for (std::uint64_t i = 0; i < h; ++i) {
-    emit(static_cast<std::uint32_t>(i));
   }
 }
 

@@ -82,16 +82,6 @@ bool GraphRegistry::Erase(const std::string& name) {
   return graphs_.erase(name) > 0;
 }
 
-Result<std::shared_ptr<const Graph>> GraphRegistry::Get(
-    const std::string& name) const {
-  const MutexLock lock(mu_);
-  const auto it = graphs_.find(name);
-  if (it == graphs_.end()) {
-    return Status::NotFound("no graph registered as '" + name + "'");
-  }
-  return it->second.graph;
-}
-
 Result<GraphSnapshot> GraphRegistry::GetSnapshot(
     const std::string& name) const {
   const MutexLock lock(mu_);

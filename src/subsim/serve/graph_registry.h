@@ -63,7 +63,7 @@ class GraphRegistry {
   /// Applies an edge-update batch to the current snapshot of `name` and
   /// publishes the result as a new version. Updates to the registry are
   /// serialized (`update_mu_`), but the expensive graph rebuild runs
-  /// outside the lookup lock, so concurrent `Get`/`GetSnapshot` calls never
+  /// outside the lookup lock, so concurrent `GetSnapshot` calls never
   /// block on an in-flight update. Fails with `kNotFound` for an unknown
   /// name, `kFailedPrecondition` when `batch.expect_version` is non-zero
   /// and does not match the current version (optimistic concurrency), and
@@ -75,11 +75,6 @@ class GraphRegistry {
   /// Removes `name`. Snapshots already handed out stay alive through their
   /// holders' shared_ptrs. Returns true when the name was present.
   bool Erase(const std::string& name) SUBSIM_EXCLUDES(mu_);
-
-  /// Snapshot lookup (graph only; legacy shape). NotFound when no graph
-  /// has this name.
-  Result<std::shared_ptr<const Graph>> Get(const std::string& name) const
-      SUBSIM_EXCLUDES(mu_);
 
   /// Versioned snapshot lookup. NotFound when no graph has this name.
   Result<GraphSnapshot> GetSnapshot(const std::string& name) const

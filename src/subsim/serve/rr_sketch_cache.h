@@ -113,8 +113,12 @@ class RrSketchCache {
   RrSketchCache& operator=(const RrSketchCache&) = delete;
 
   /// Returns the entry for `key`, creating it via `factory` on a miss.
-  /// Concurrent lookups of the same key serialize on the cache lock, so the
-  /// factory runs at most once per residency.
+  /// The factory runs outside the cache lock, so concurrent misses on the
+  /// same key each build a store; the first insert wins, every other
+  /// caller gets the winner's entry (`hit` = true) and is counted in
+  /// `lost_races`, not in `hits`. The losers waste only a construction:
+  /// factories build empty stores, and sets are sampled later on the
+  /// winning entry.
   Result<Lookup> GetOrCreate(const SketchKey& key,
                              std::shared_ptr<const Graph> graph,
                              const StoreFactory& factory)

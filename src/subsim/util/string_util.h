@@ -18,6 +18,10 @@ std::string_view StripWhitespace(std::string_view text);
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+/// True if `a` and `b` are equal up to ASCII letter case (HTTP header
+/// names and tokens such as `keep-alive`).
+bool AsciiEqualsIgnoreCase(std::string_view a, std::string_view b);
+
 /// Renders n with metric suffixes, e.g. 1500000 -> "1.5M", 2100 -> "2.1K".
 std::string HumanCount(std::uint64_t n);
 

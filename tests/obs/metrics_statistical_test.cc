@@ -90,8 +90,7 @@ TEST(MetricsStatisticalTest, SetSizeHistogramMatchesVanillaEmpirical) {
 
   // SUBSIM fill with metrics attached: sizes land in `rr.set_size`.
   MetricsRegistry registry;
-  SubsimIcGenerator subsim(graph, GeneralIcStrategy::kAuto,
-                           /*naive_fallback_degree=*/0);
+  SubsimIcGenerator subsim(graph, /*naive_fallback_degree=*/0);
   RrCollection collection(kNodes);
   Rng subsim_rng(21);
   subsim.Fill(subsim_rng, kSets, &collection,
@@ -128,8 +127,7 @@ TEST(MetricsStatisticalTest, GeometricSkipCountMatchesExpectation) {
   const Graph graph = WcErdosRenyiGraph();
 
   MetricsRegistry registry;
-  SubsimIcGenerator subsim(graph, GeneralIcStrategy::kAuto,
-                           /*naive_fallback_degree=*/0);
+  SubsimIcGenerator subsim(graph, /*naive_fallback_degree=*/0);
   RrCollection collection(kNodes);
   Rng rng(31);
   subsim.Fill(rng, kSets, &collection, ObsContext{&registry, nullptr});
@@ -257,13 +255,13 @@ TEST(MetricsStatisticalTest, BatchedCountersExactlyEqualScalarSameSeed) {
 TEST(MetricsStatisticalTest, AttachingMetricsDoesNotPerturbRngStream) {
   const Graph graph = WcErdosRenyiGraph();
 
-  SubsimIcGenerator plain(graph, GeneralIcStrategy::kAuto, 0);
+  SubsimIcGenerator plain(graph, 0);
   RrCollection plain_sets(kNodes);
   Rng plain_rng(41);
   plain.Fill(plain_rng, 500, &plain_sets);
 
   MetricsRegistry registry;
-  SubsimIcGenerator instrumented(graph, GeneralIcStrategy::kAuto, 0);
+  SubsimIcGenerator instrumented(graph, 0);
   RrCollection obs_sets(kNodes);
   Rng obs_rng(41);
   instrumented.Fill(obs_rng, 500, &obs_sets,

@@ -96,9 +96,9 @@ TEST(RrDistributionTest, VanillaMatchesExactInfluence) {
 }
 
 TEST(RrDistributionTest, SubsimBucketMatchesExactInfluence) {
+  // Unsorted build: skewed rows use the per-node bucket samplers.
   const Graph graph = SmallSkewedGraph(false);
-  SubsimIcGenerator generator(graph, GeneralIcStrategy::kBucketIndexed,
-                              /*naive_fallback_degree=*/0);
+  SubsimIcGenerator generator(graph, /*naive_fallback_degree=*/0);
   const auto freq =
       MembershipFrequencies(generator, graph.num_nodes(), kTrials, 2);
   ExpectFrequenciesMatch(freq, ExactMembershipProbabilities(graph), kTrials,
@@ -106,9 +106,9 @@ TEST(RrDistributionTest, SubsimBucketMatchesExactInfluence) {
 }
 
 TEST(RrDistributionTest, SubsimSortedMatchesExactInfluence) {
+  // Weight-sorted build: skewed rows use the index-free sorted kernel.
   const Graph graph = SmallSkewedGraph(true);
-  SubsimIcGenerator generator(graph, GeneralIcStrategy::kSortedIndexFree,
-                              /*naive_fallback_degree=*/0);
+  SubsimIcGenerator generator(graph, /*naive_fallback_degree=*/0);
   const auto freq =
       MembershipFrequencies(generator, graph.num_nodes(), kTrials, 3);
   ExpectFrequenciesMatch(freq, ExactMembershipProbabilities(graph), kTrials,
@@ -128,8 +128,7 @@ TEST(RrDistributionTest, UniformWcFastPathMatchesExactInfluence) {
   Result<Graph> graph = BuildGraph(std::move(list));
   ASSERT_TRUE(graph.ok());
 
-  SubsimIcGenerator subsim(*graph, GeneralIcStrategy::kAuto,
-                           /*naive_fallback_degree=*/0);
+  SubsimIcGenerator subsim(*graph, /*naive_fallback_degree=*/0);
   const auto freq =
       MembershipFrequencies(subsim, graph->num_nodes(), kTrials, 4);
   ExpectFrequenciesMatch(freq, ExactMembershipProbabilities(*graph), kTrials,
@@ -149,8 +148,7 @@ TEST(RrDistributionTest, VanillaAndSubsimAgreeOnLargerGraph) {
   ASSERT_TRUE(graph.ok());
 
   VanillaIcGenerator vanilla(*graph);
-  SubsimIcGenerator subsim(*graph, GeneralIcStrategy::kBucketIndexed,
-                           /*naive_fallback_degree=*/0);
+  SubsimIcGenerator subsim(*graph, /*naive_fallback_degree=*/0);
   const int trials = 200000;
   const auto freq_vanilla =
       MembershipFrequencies(vanilla, graph->num_nodes(), trials, 6);

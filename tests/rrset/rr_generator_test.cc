@@ -230,8 +230,7 @@ TEST(GeneratorStatsTest, EdgesExaminedTracksWork) {
   VanillaIcGenerator vanilla(graph);
   // Disable the small-degree fallback: this test measures the skip
   // kernels' examination savings on a low-degree graph.
-  SubsimIcGenerator subsim(graph, GeneralIcStrategy::kAuto,
-                           /*naive_fallback_degree=*/0);
+  SubsimIcGenerator subsim(graph, /*naive_fallback_degree=*/0);
   Rng rng1(12);
   Rng rng2(12);
   std::vector<NodeId> out;
@@ -268,42 +267,6 @@ TEST(GeneratorFactoryTest, FillAppendsToCollection) {
   EXPECT_EQ(collection.num_sets(), 100u);
   (*generator)->Fill(rng, 50, &collection);
   EXPECT_EQ(collection.num_sets(), 150u);
-}
-
-TEST(SubsimIcGeneratorTest, GeneralStrategySortedRequiresSortedGraph) {
-  const Graph graph = TestWcGraph();  // not weight-sorted
-  EXPECT_DEATH(
-      SubsimIcGenerator(graph, GeneralIcStrategy::kSortedIndexFree),
-      "sort_in_edges_by_weight");
-}
-
-TEST(SubsimIcGeneratorTest, AutoResolvesPerGraph) {
-  Result<EdgeList> list = GenerateErdosRenyi(100, 600, 21);
-  ASSERT_TRUE(list.ok());
-  WeightModelParams params;
-  params.seed = 3;
-  {
-    EdgeList copy = *list;
-    ASSERT_TRUE(
-        AssignWeights(WeightModel::kExponential, params, &copy).ok());
-    GraphBuildOptions options;
-    options.sort_in_edges_by_weight = true;
-    Result<Graph> sorted_graph = BuildGraph(std::move(copy), options);
-    ASSERT_TRUE(sorted_graph.ok());
-    SubsimIcGenerator generator(*sorted_graph);
-    EXPECT_EQ(generator.resolved_strategy(),
-              GeneralIcStrategy::kSortedIndexFree);
-  }
-  {
-    EdgeList copy = *list;
-    ASSERT_TRUE(
-        AssignWeights(WeightModel::kExponential, params, &copy).ok());
-    Result<Graph> unsorted_graph = BuildGraph(std::move(copy));
-    ASSERT_TRUE(unsorted_graph.ok());
-    SubsimIcGenerator generator(*unsorted_graph);
-    EXPECT_EQ(generator.resolved_strategy(),
-              GeneralIcStrategy::kBucketIndexed);
-  }
 }
 
 }  // namespace

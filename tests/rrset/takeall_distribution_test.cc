@@ -37,7 +37,8 @@ std::vector<double> Frequencies(RrGenerator& generator, NodeId n, int trials,
 
 TEST(TakeAllDistributionTest, WeightOneEdgesMatchExactInfluence) {
   // Mixed graph: node 2's in-edges are clamped to 1 (kTakeAll), node 4's
-  // are fractional-uniform (kUniformSkip), node 5's are skewed (kGeneral).
+  // are fractional-uniform (kUniformSkip), node 5's are skewed (kGeneral,
+  // bucket-sampled on this unsorted build).
   EdgeList list;
   list.num_nodes = 6;
   list.edges = {{0, 2, 1.0}, {1, 2, 1.0}, {2, 4, 0.4}, {3, 4, 0.4},
@@ -46,8 +47,7 @@ TEST(TakeAllDistributionTest, WeightOneEdgesMatchExactInfluence) {
   ASSERT_TRUE(graph.ok());
 
   constexpr int kTrials = 200000;
-  SubsimIcGenerator subsim(*graph, GeneralIcStrategy::kBucketIndexed,
-                           /*naive_fallback_degree=*/0);
+  SubsimIcGenerator subsim(*graph, /*naive_fallback_degree=*/0);
   const auto freq = Frequencies(subsim, 6, kTrials, 1);
 
   for (NodeId u = 0; u < 6; ++u) {
@@ -84,8 +84,7 @@ TEST(TakeAllDistributionTest, WcVariantClampAgreesAcrossGenerators) {
 
   constexpr int kTrials = 200000;
   VanillaIcGenerator vanilla(*graph);
-  SubsimIcGenerator subsim(*graph, GeneralIcStrategy::kAuto,
-                           /*naive_fallback_degree=*/0);
+  SubsimIcGenerator subsim(*graph, /*naive_fallback_degree=*/0);
   const auto freq_vanilla =
       Frequencies(vanilla, graph->num_nodes(), kTrials, 2);
   const auto freq_subsim =
@@ -109,10 +108,8 @@ TEST(TakeAllDistributionTest, FallbackThresholdDoesNotChangeDistribution) {
   ASSERT_TRUE(graph.ok());
 
   constexpr int kTrials = 200000;
-  SubsimIcGenerator with_fallback(*graph, GeneralIcStrategy::kAuto,
-                                  /*naive_fallback_degree=*/16);
-  SubsimIcGenerator without_fallback(*graph, GeneralIcStrategy::kAuto,
-                                     /*naive_fallback_degree=*/0);
+  SubsimIcGenerator with_fallback(*graph, /*naive_fallback_degree=*/16);
+  SubsimIcGenerator without_fallback(*graph, /*naive_fallback_degree=*/0);
   const auto freq_a = Frequencies(with_fallback, 8, kTrials, 4);
   const auto freq_b = Frequencies(without_fallback, 8, kTrials, 5);
   for (NodeId v = 0; v < 8; ++v) {

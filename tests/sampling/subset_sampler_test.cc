@@ -1,75 +1,49 @@
-#include "subsim/sampling/subset_sampler.h"
+#include "subsim/sampling/inline_sampling.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <vector>
 
+#include "subsim/random/geometric.h"
 #include "subsim/sampling/bucket_sampler.h"
-#include "subsim/sampling/geometric_sampler.h"
-#include "subsim/sampling/inline_sampling.h"
-#include "subsim/sampling/naive_sampler.h"
-#include "subsim/sampling/sampler_factory.h"
-#include "subsim/sampling/sorted_sampler.h"
 
 namespace subsim {
 namespace {
 
+/// The kernels' `emit` callback: appends each sampled index to `*out`.
+auto AppendTo(std::vector<std::uint32_t>* out) {
+  return [out](std::uint32_t i) { out->push_back(i); };
+}
+
 TEST(NaiveSamplerTest, ZeroProbabilityNeverSampled) {
-  NaiveSubsetSampler sampler({0.0, 1.0, 0.0});
+  const std::vector<double> probs = {0.0, 1.0, 0.0};
   Rng rng(1);
   std::vector<std::uint32_t> out;
   for (int i = 0; i < 100; ++i) {
     out.clear();
-    sampler.Sample(rng, &out);
+    SampleSubsetNaive(probs, rng, AppendTo(&out));
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 1u);
   }
 }
 
-TEST(NaiveSamplerTest, ExpectedCountIsSum) {
-  NaiveSubsetSampler sampler({0.25, 0.5, 0.75});
-  EXPECT_DOUBLE_EQ(sampler.expected_count(), 1.5);
-  EXPECT_EQ(sampler.size(), 3u);
-  EXPECT_STREQ(sampler.name(), "naive");
-}
-
-TEST(GeometricSamplerTest, ProbabilityOneSamplesEverything) {
-  GeometricSubsetSampler sampler(10, 1.0);
-  Rng rng(2);
-  std::vector<std::uint32_t> out;
-  sampler.Sample(rng, &out);
-  ASSERT_EQ(out.size(), 10u);
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(out[i], i);
-  }
-}
-
-TEST(GeometricSamplerTest, ProbabilityZeroSamplesNothing) {
-  GeometricSubsetSampler sampler(10, 0.0);
-  Rng rng(3);
-  std::vector<std::uint32_t> out;
-  for (int i = 0; i < 100; ++i) {
-    sampler.Sample(rng, &out);
-  }
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(GeometricSamplerTest, EmptySetYieldsNothing) {
-  GeometricSubsetSampler sampler(0, 0.5);
   Rng rng(4);
   std::vector<std::uint32_t> out;
-  sampler.Sample(rng, &out);
+  SampleUniformSubsetSkips(0, GeometricInvLogQ(0.5), rng, AppendTo(&out));
   EXPECT_TRUE(out.empty());
 }
 
 TEST(GeometricSamplerTest, IndicesInRangeAndStrictlyIncreasing) {
-  GeometricSubsetSampler sampler(50, 0.3);
+  const double inv_log_q = GeometricInvLogQ(0.3);
   Rng rng(5);
   std::vector<std::uint32_t> out;
   for (int trial = 0; trial < 200; ++trial) {
     out.clear();
-    sampler.Sample(rng, &out);
+    SampleUniformSubsetSkips(50, inv_log_q, rng, AppendTo(&out));
     for (std::size_t i = 0; i < out.size(); ++i) {
       EXPECT_LT(out[i], 50u);
       if (i > 0) {
@@ -81,8 +55,6 @@ TEST(GeometricSamplerTest, IndicesInRangeAndStrictlyIncreasing) {
 
 TEST(BucketSamplerTest, HandlesMixedMagnitudes) {
   BucketSubsetSampler sampler({0.9, 0.5, 0.1, 0.01, 0.001, 1e-6});
-  EXPECT_EQ(sampler.size(), 6u);
-  EXPECT_NEAR(sampler.expected_count(), 1.511001, 1e-6);
   EXPECT_GE(sampler.num_buckets(), 4u);
   Rng rng(6);
   std::vector<std::uint32_t> out;
@@ -119,18 +91,34 @@ TEST(BucketSamplerTest, CertainElementsAlwaysSampled) {
   }
 }
 
-TEST(SortedSamplerTest, RequiresNonIncreasing) {
-  // Construction with increasing probabilities must die (checked).
-  EXPECT_DEATH(SortedSubsetSampler({0.1, 0.9}), "non-increasing");
+TEST(BucketSamplerTest, CountingLeavesStreamUnchanged) {
+  const BucketSubsetSampler sampler(
+      {0.02, 0.9, 0.001, 0.45, 0.25, 0.13, 0.7, 0.08, 0.3, 0.6});
+  Rng plain_rng(12);
+  Rng counted_rng(12);
+  std::vector<std::uint32_t> plain;
+  std::vector<std::uint32_t> counted;
+  std::uint64_t geometric_draws = 0;
+  std::uint64_t rejection_accepts = 0;
+  for (int i = 0; i < 1000; ++i) {
+    sampler.Sample(plain_rng, &plain);
+    sampler.Sample(counted_rng, &counted, &geometric_draws,
+                   &rejection_accepts);
+  }
+  EXPECT_EQ(plain, counted);
+  EXPECT_EQ(plain_rng.NextU64(), counted_rng.NextU64());
+  EXPECT_GT(geometric_draws, 0u);
+  EXPECT_GT(rejection_accepts, 0u);
+  EXPECT_LE(rejection_accepts, counted.size());
 }
 
 TEST(SortedSamplerTest, SamplesValidIndices) {
-  SortedSubsetSampler sampler({0.9, 0.4, 0.4, 0.2, 0.05, 0.01});
+  const std::vector<double> probs = {0.9, 0.4, 0.4, 0.2, 0.05, 0.01};
   Rng rng(9);
   std::vector<std::uint32_t> out;
   for (int i = 0; i < 500; ++i) {
     out.clear();
-    sampler.Sample(rng, &out);
+    SampleSortedSubset(probs, rng, AppendTo(&out));
     std::set<std::uint32_t> unique(out.begin(), out.end());
     EXPECT_EQ(unique.size(), out.size());
     for (std::uint32_t v : out) {
@@ -140,72 +128,76 @@ TEST(SortedSamplerTest, SamplesValidIndices) {
 }
 
 TEST(SortedSamplerTest, LeadingOnesAlwaysIncluded) {
-  SortedSubsetSampler sampler({1.0, 1.0, 0.5});
+  const std::vector<double> probs = {1.0, 1.0, 0.5};
   Rng rng(10);
   std::vector<std::uint32_t> out;
   for (int i = 0; i < 50; ++i) {
     out.clear();
-    sampler.Sample(rng, &out);
+    SampleSortedSubset(probs, rng, AppendTo(&out));
     ASSERT_GE(out.size(), 2u);
     EXPECT_EQ(out[0], 0u);
     EXPECT_EQ(out[1], 1u);
   }
 }
 
-TEST(SamplerFactoryTest, AutoPicksGeometricForUniform) {
-  const auto sampler =
-      MakeSubsetSampler(SamplerKind::kAuto, {0.5, 0.5, 0.5});
-  ASSERT_TRUE(sampler.ok());
-  EXPECT_STREQ((*sampler)->name(), "geometric");
-}
-
-TEST(SamplerFactoryTest, AutoPicksSortedForDescending) {
-  const auto sampler =
-      MakeSubsetSampler(SamplerKind::kAuto, {0.5, 0.4, 0.3});
-  ASSERT_TRUE(sampler.ok());
-  EXPECT_STREQ((*sampler)->name(), "sorted");
-}
-
-TEST(SamplerFactoryTest, AutoPicksBucketForUnsorted) {
-  const auto sampler =
-      MakeSubsetSampler(SamplerKind::kAuto, {0.3, 0.4, 0.2});
-  ASSERT_TRUE(sampler.ok());
-  EXPECT_STREQ((*sampler)->name(), "bucket");
-}
-
-TEST(SamplerFactoryTest, GeometricRejectsNonUniform) {
-  EXPECT_FALSE(
-      MakeSubsetSampler(SamplerKind::kGeometric, {0.5, 0.1}).ok());
-}
-
-TEST(SamplerFactoryTest, SortedRejectsIncreasing) {
-  EXPECT_FALSE(MakeSubsetSampler(SamplerKind::kSorted, {0.1, 0.9}).ok());
-}
-
-TEST(SamplerFactoryTest, ParseRoundTrip) {
-  for (SamplerKind kind :
-       {SamplerKind::kNaive, SamplerKind::kGeometric, SamplerKind::kBucket,
-        SamplerKind::kSorted, SamplerKind::kAuto}) {
-    const auto parsed = ParseSamplerKind(SamplerKindName(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(ParseSamplerKind("nope").ok());
-}
-
 TEST(InlineSamplingTest, UniformSkipsCoverFullRangeAtHighP) {
   Rng rng(11);
   std::vector<std::uint32_t> out;
-  SampleUniformSubsetSkips(100, GeometricInvLogQ(0.99), rng,
-                           [&](std::uint32_t i) { out.push_back(i); });
+  SampleUniformSubsetSkips(100, GeometricInvLogQ(0.99), rng, AppendTo(&out));
   EXPECT_GT(out.size(), 90u);
   EXPECT_LT(out.back(), 100u);
 }
 
-TEST(InlineSamplingTest, SampleAllElements) {
-  std::vector<std::uint32_t> out;
-  SampleAllElements(5, [&](std::uint32_t i) { out.push_back(i); });
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+// The draw-count contract `rr.geometric_skips` accounting relies on, per
+// call: every emitted index consumed one geometric draw, plus the final
+// draw that overshot the list.
+TEST(InlineSamplingTest, UniformSkipsDrawExactlyEmitsPlusOne) {
+  for (const std::uint64_t h : {0ull, 1ull, 7ull, 64ull, 1000ull}) {
+    for (const double p : {0.001, 0.05, 0.3, 0.9}) {
+      const double inv_log_q = GeometricInvLogQ(p);
+      for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        std::uint64_t emits = 0;
+        std::uint64_t draws = 0;
+        SampleUniformSubsetSkips(
+            h, inv_log_q, rng, [&emits](std::uint32_t) { ++emits; }, &draws);
+        ASSERT_EQ(draws, emits + 1)
+            << "h=" << h << " p=" << p << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// On a row with every p < 1 the sorted kernel emits exactly the trials
+// its rejection step accepts (the p >= 1 bucket path flips plain coins,
+// which are not rejection trials).
+TEST(InlineSamplingTest, SortedAcceptsExactlyWhatItEmits) {
+  std::vector<double> long_row(300);
+  Rng row_rng(3);
+  for (double& p : long_row) {
+    p = 0.99 * row_rng.NextDouble();
+  }
+  std::sort(long_row.begin(), long_row.end(), std::greater<>());
+  const std::vector<std::vector<double>> rows = {
+      {0.5},
+      {0.95, 0.6, 0.6, 0.3, 0.25, 0.2, 0.12, 0.05, 0.02, 0.01},
+      {0.4, 0.4, 0.1, 0.0, 0.0},
+      std::vector<double>(64, 0.02),
+      long_row,
+  };
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+      Rng rng(seed);
+      std::uint64_t emits = 0;
+      std::uint64_t draws = 0;
+      std::uint64_t accepts = 0;
+      SampleSortedSubset(
+          rows[r], rng, [&emits](std::uint32_t) { ++emits; }, &draws,
+          &accepts);
+      ASSERT_EQ(accepts, emits) << "row " << r << " seed=" << seed;
+      ASSERT_GE(draws, accepts) << "row " << r << " seed=" << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -30,13 +30,13 @@ Graph TinyGraph(std::uint64_t seed) {
 TEST(GraphRegistryTest, RegisterAndGet) {
   GraphRegistry registry;
   EXPECT_FALSE(registry.Contains("g"));
-  EXPECT_FALSE(registry.Get("g").ok());
+  EXPECT_FALSE(registry.GetSnapshot("g").ok());
 
   ASSERT_TRUE(registry.Register("g", TinyGraph(1)).ok());
   EXPECT_TRUE(registry.Contains("g"));
-  Result<std::shared_ptr<const Graph>> graph = registry.Get("g");
-  ASSERT_TRUE(graph.ok());
-  EXPECT_EQ((*graph)->num_nodes(), 100u);
+  Result<GraphSnapshot> snapshot = registry.GetSnapshot("g");
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->graph->num_nodes(), 100u);
   EXPECT_EQ(registry.Names(), std::vector<std::string>{"g"});
 }
 
@@ -49,17 +49,17 @@ TEST(GraphRegistryTest, RejectsEmptyName) {
 TEST(GraphRegistryTest, ReplacementKeepsOldSnapshotsAlive) {
   GraphRegistry registry;
   ASSERT_TRUE(registry.Register("g", TinyGraph(1)).ok());
-  Result<std::shared_ptr<const Graph>> old_snapshot = registry.Get("g");
+  Result<GraphSnapshot> old_snapshot = registry.GetSnapshot("g");
   ASSERT_TRUE(old_snapshot.ok());
-  const std::size_t old_edges = (*old_snapshot)->num_edges();
+  const std::size_t old_edges = old_snapshot->graph->num_edges();
 
   // Re-register under the same name: in-flight holders keep the old graph,
   // new lookups see the new one.
   ASSERT_TRUE(registry.Register("g", TinyGraph(2)).ok());
-  Result<std::shared_ptr<const Graph>> new_snapshot = registry.Get("g");
+  Result<GraphSnapshot> new_snapshot = registry.GetSnapshot("g");
   ASSERT_TRUE(new_snapshot.ok());
-  EXPECT_NE(old_snapshot->get(), new_snapshot->get());
-  EXPECT_EQ((*old_snapshot)->num_edges(), old_edges);
+  EXPECT_NE(old_snapshot->graph.get(), new_snapshot->graph.get());
+  EXPECT_EQ(old_snapshot->graph->num_edges(), old_edges);
 }
 
 TEST(GraphRegistryTest, VersionsAreMonotonicAndNeverReused) {
@@ -162,9 +162,9 @@ TEST(GraphRegistryTest, LoadFromFileRoundTrips) {
 
   GraphRegistry registry;
   ASSERT_TRUE(registry.LoadFromFile("disk", path).ok());
-  Result<std::shared_ptr<const Graph>> graph = registry.Get("disk");
-  ASSERT_TRUE(graph.ok());
-  EXPECT_EQ((*graph)->num_nodes(), 60u);
+  Result<GraphSnapshot> snapshot = registry.GetSnapshot("disk");
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->graph->num_nodes(), 60u);
   std::remove(path.c_str());
 
   EXPECT_FALSE(registry.LoadFromFile("missing", path + ".gone").ok());

@@ -82,11 +82,12 @@ TEST_F(QueryEngineTest, EngineResultMatchesDirectAlgorithmRun) {
   const QueryResponse served = engine.Execute(query);
   ASSERT_TRUE(served.status.ok()) << served.status.ToString();
 
-  Result<std::shared_ptr<const Graph>> graph = registry_.Get("g");
-  ASSERT_TRUE(graph.ok());
+  Result<GraphSnapshot> snapshot = registry_.GetSnapshot("g");
+  ASSERT_TRUE(snapshot.ok());
   Result<std::unique_ptr<ImAlgorithm>> algo = MakeImAlgorithm(query.algo);
   ASSERT_TRUE(algo.ok());
-  Result<ImResult> direct = (*algo)->Run(**graph, query.ToImOptions());
+  Result<ImResult> direct =
+      (*algo)->Run(*snapshot->graph, query.ToImOptions());
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   EXPECT_EQ(served.result.seeds, direct->seeds);
@@ -395,8 +396,9 @@ TEST_F(QueryEngineTest, DeadlineDegradedRunIsAPrefixOfTheFullRun) {
   // set and still returns seeds bit-identical to a cold full run.
   const auto algorithm = MakeImAlgorithm("opim-c");
   ASSERT_TRUE(algorithm.ok());
-  const Result<std::shared_ptr<const Graph>> graph = registry_.Get("g");
-  ASSERT_TRUE(graph.ok());
+  const Result<GraphSnapshot> snapshot = registry_.GetSnapshot("g");
+  ASSERT_TRUE(snapshot.ok());
+  const Graph& graph = *snapshot->graph;
 
   ImOptions options;
   options.k = 5;
@@ -405,12 +407,12 @@ TEST_F(QueryEngineTest, DeadlineDegradedRunIsAPrefixOfTheFullRun) {
   options.generator = GeneratorKind::kSubsimIc;
 
   // Degraded run into a fresh store: stops at the first round boundary.
-  auto shared_store = (*algorithm)->MakeSampleStore(**graph, options);
+  auto shared_store = (*algorithm)->MakeSampleStore(graph, options);
   ASSERT_TRUE(shared_store.ok());
   ImOptions degraded_options = options;
   degraded_options.deadline = Deadline::AlreadyExpired();
   const Result<ImResult> degraded = (*algorithm)->RunWithStore(
-      **graph, degraded_options, shared_store->get());
+      graph, degraded_options, shared_store->get());
   ASSERT_TRUE(degraded.ok());
   ASSERT_TRUE(degraded->deadline_hit);
   const std::uint64_t prefix_sets = (*shared_store)->total_generated();
@@ -418,13 +420,13 @@ TEST_F(QueryEngineTest, DeadlineDegradedRunIsAPrefixOfTheFullRun) {
 
   // Full run over the SAME store: extends the prefix, never resamples it.
   const Result<ImResult> warm =
-      (*algorithm)->RunWithStore(**graph, options, shared_store->get());
+      (*algorithm)->RunWithStore(graph, options, shared_store->get());
   ASSERT_TRUE(warm.ok());
   EXPECT_FALSE(warm->deadline_hit);
   EXPECT_GE((*shared_store)->total_generated(), prefix_sets);
 
   // And matches a cold full-budget run bit for bit.
-  const Result<ImResult> cold = (*algorithm)->Run(**graph, options);
+  const Result<ImResult> cold = (*algorithm)->Run(graph, options);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(warm->seeds, cold->seeds);
   EXPECT_EQ(warm->num_rr_sets, cold->num_rr_sets);

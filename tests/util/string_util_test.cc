@@ -38,6 +38,15 @@ TEST(StartsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("abc", ""));
 }
 
+TEST(AsciiEqualsIgnoreCaseTest, FoldsAsciiCaseOnly) {
+  EXPECT_TRUE(AsciiEqualsIgnoreCase("Content-Length", "content-LENGTH"));
+  EXPECT_TRUE(AsciiEqualsIgnoreCase("", ""));
+  EXPECT_FALSE(AsciiEqualsIgnoreCase("close", "closed"));
+  EXPECT_FALSE(AsciiEqualsIgnoreCase("keep-alive", "keep_alive"));
+  // Only letters fold: '@' (0x40) and '`' (0x60) differ by the case bit.
+  EXPECT_FALSE(AsciiEqualsIgnoreCase("@", "`"));
+}
+
 TEST(HumanCountTest, PicksUnits) {
   EXPECT_EQ(HumanCount(999), "999");
   EXPECT_EQ(HumanCount(1500), "1.5K");
