@@ -67,6 +67,7 @@ Result<ImResult> TimPlus::Run(const Graph& graph,
       break;
     }
   }
+  collection.IndexNewSets();
   kpt_star = std::max(kpt_star, static_cast<double>(k));
   // The probe loop above bypasses Fill, so flush its stats delta here.
   FlushRrGenStatsDelta(probe_before, (*generator)->stats(),

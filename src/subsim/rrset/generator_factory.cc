@@ -19,6 +19,7 @@ void RrGenerator::Fill(Rng& rng, std::size_t count, RrCollection* collection,
     collection->Add(scratch, hit);
     set_size.Observe(scratch.size());
   }
+  collection->IndexNewSets();
   FlushRrGenStatsDelta(before, stats(), obs.metrics);
 }
 

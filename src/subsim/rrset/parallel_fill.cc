@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,6 +77,13 @@ Status FillCollection(const FillRequest& request, RrCollection* collection) {
   SUBSIM_CHECK(request.graph != nullptr, "FillRequest.graph must be set");
   SUBSIM_CHECK(request.rng != nullptr, "FillRequest.rng must be set");
   SUBSIM_CHECK(collection != nullptr, "FillCollection needs a collection");
+  if (request.count > kMaxRrSets - collection->num_sets()) {
+    return Status::OutOfRange(
+        "fill of " + std::to_string(request.count) + " RR sets onto " +
+        std::to_string(collection->num_sets()) +
+        " would exceed the per-collection limit of " +
+        std::to_string(kMaxRrSets));
+  }
 
   const FillKernel kernel = ResolveFillKernel(request.kernel);
 
@@ -244,7 +252,8 @@ Status FillCollection(const FillRequest& request, RrCollection* collection) {
 
   // Index-order merge: chunk c holds sets [c*kChunkSize, ...), so walking
   // the chunk table front to back appends the stream in index order no
-  // matter which worker produced each chunk.
+  // matter which worker produced each chunk. The inverted index is then
+  // extended once for the whole fill.
   for (const ChunkRef& ref : chunks) {
     const WorkerBuffer& buffer = buffers[ref.worker];
     std::size_t offset = ref.node_begin;
@@ -257,6 +266,7 @@ Status FillCollection(const FillRequest& request, RrCollection* collection) {
       offset += size;
     }
   }
+  collection->IndexNewSets();
   for (const WorkerBuffer& buffer : buffers) {
     FlushRrGenStatsDelta(RrGenStats(), buffer.stats, request.obs.metrics);
   }

@@ -2,6 +2,7 @@
 #define SUBSIM_RRSET_RR_COLLECTION_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -95,6 +96,10 @@ class RrSetView {
   RrEncoding encoding_ = RrEncoding::kRaw;
 };
 
+/// Most sets one collection can hold: ids are `RrId`s, so the last id must
+/// still fit one. `FillCollection` rejects a fill that would pass it.
+inline constexpr std::size_t kMaxRrSets = std::numeric_limits<RrId>::max();
+
 /// A growable pool of reverse-reachable sets with an inverted index.
 ///
 /// Storage is a single arena (offsets + node or byte array, selected by the
@@ -102,16 +107,18 @@ class RrSetView {
 /// amortized allocation and iteration is cache-friendly. Set contents are
 /// read exclusively through `View(id)` (`RrSetView`); the encoding never
 /// leaks past it. The inverted index (node -> ids of RR sets containing it)
-/// is maintained on insert regardless of encoding; it is what makes the
-/// greedy max-coverage pass O(total RR size) — and why the selected seeds
-/// are identical across encodings.
+/// is one CSR over all nodes, built in bulk: a writer `Add`s a batch of
+/// sets, then `IndexNewSets()` merges the whole batch with one counting
+/// sort. The index is built the same way regardless of encoding; it is what
+/// makes the greedy max-coverage pass O(total RR size) — and why the
+/// selected seeds are identical across encodings.
 ///
 /// Collections also record, per set, whether its generation was truncated
 /// by a sentinel hit (Algorithm 5). Such sets are covered by the sentinel
 /// set by construction; `IM-Sentinel` (Algorithm 8 line 5) excludes them
 /// from the residual greedy.
 ///
-/// Growth is strictly append-only (ids are stable, index lists stay sorted
+/// Growth is strictly append-only (ids are stable, index rows stay sorted
 /// ascending), which is what makes the prefix-snapshot API (`Prefix`)
 /// meaningful: the first N sets never change once added, so a consumer can
 /// keep evaluating a fixed prefix while the collection keeps growing —
@@ -120,14 +127,28 @@ class RrCollection {
  public:
   explicit RrCollection(NodeId num_nodes,
                         RrEncoding encoding = RrEncoding::kRaw)
-      : encoding_(encoding), index_(num_nodes) {}
+      : encoding_(encoding),
+        num_nodes_(num_nodes),
+        index_offsets_(static_cast<std::size_t>(num_nodes) + 1 +
+                           (static_cast<std::size_t>(num_nodes) + 1) / 2,
+                       0) {}
 
-  /// Appends one RR set. `nodes` are the members (root included, each node
-  /// at most once); `hit_sentinel` marks sentinel-truncated generation.
-  /// kRaw stores `nodes` verbatim; kDeltaVarint stores them sorted
-  /// ascending (membership-preserving, so coverage is unaffected).
-  /// Returns the new set's id.
+  /// Appends one RR set to the arena and the sentinel flags. `nodes` are
+  /// the members (root included, each node at most once); `hit_sentinel`
+  /// marks sentinel-truncated generation. kRaw stores `nodes` verbatim;
+  /// kDeltaVarint stores them sorted ascending (membership-preserving, so
+  /// coverage is unaffected). Returns the new set's id. The set is not in
+  /// the inverted index until the writer's next `IndexNewSets()`.
   RrId Add(std::span<const NodeId> nodes, bool hit_sentinel);
+
+  /// Merges every set added since the last call into the inverted index,
+  /// in place: count the new memberships per node, shift each old row right
+  /// by the new memberships of all lower nodes, then scatter the new ids in
+  /// ascending order. O(n + moved + new memberships) with no allocation
+  /// beyond the ids' growth; rows stay ascending because every new id
+  /// exceeds every indexed one. Each writer calls it once per batch, before
+  /// anything reads `SetsContaining`.
+  void IndexNewSets();
 
   RrEncoding encoding() const { return encoding_; }
 
@@ -181,15 +202,16 @@ class RrCollection {
   }
 
   /// Ids of the RR sets that contain `v`, sorted ascending (sets are
-  /// appended with increasing ids).
+  /// appended with increasing ids). Requires an index covering every set.
   std::span<const RrId> SetsContaining(NodeId v) const {
-    SUBSIM_DCHECK(v < index_.size(), "node out of range");
-    return index_[v];
+    SUBSIM_DCHECK(v < num_graph_nodes(), "node out of range");
+    SUBSIM_DCHECK(indexed_sets_ == num_sets(),
+                  "RR sets added but not indexed (IndexNewSets)");
+    return std::span<const RrId>(index_ids_).subspan(
+        index_offsets_[v], index_offsets_[v + 1] - index_offsets_[v]);
   }
 
-  NodeId num_graph_nodes() const {
-    return static_cast<NodeId>(index_.size());
-  }
+  NodeId num_graph_nodes() const { return num_nodes_; }
 
   /// Snapshot of the first `num_sets` sets (see `RrCollectionView`).
   RrCollectionView Prefix(std::size_t num_sets) const;
@@ -203,9 +225,11 @@ class RrCollection {
   }
 
   /// Approximate heap footprint in bytes (encoded arena, offsets, flags,
-  /// and the inverted index). Used by the serving cache's byte-budget
-  /// eviction; charges the *encoded* arena so a delta-encoded store spends
-  /// proportionally less budget than a raw one.
+  /// and the inverted index: ~12 B per node — row offsets and merge
+  /// counts — plus 4 B per indexed membership).
+  /// Used by the serving cache's byte-budget eviction; charges the
+  /// *encoded* arena so a delta-encoded store spends proportionally less
+  /// budget than a raw one.
   std::uint64_t ApproxMemoryBytes() const;
 
   /// Removes all sets but keeps the node capacity and encoding.
@@ -227,7 +251,15 @@ class RrCollection {
   /// hit_prefix_[i] = sentinel-hit sets among the first i sets; maintained
   /// on Add so any prefix count is O(1).
   std::vector<std::uint32_t> hit_prefix_{0};
-  std::vector<std::vector<RrId>> index_;
+  NodeId num_nodes_;
+  /// Inverted index over the first `indexed_sets_` sets, as one CSR: the
+  /// ids of the sets containing node v are
+  /// index_ids_[index_offsets_[v], index_offsets_[v + 1]), ascending.
+  /// Past the n + 1 offsets, the same allocation holds `IndexNewSets`'
+  /// per-node counts, two 32-bit counts per word, all zero between merges.
+  std::vector<std::uint64_t> index_offsets_;
+  std::vector<RrId> index_ids_;
+  std::size_t indexed_sets_ = 0;
 };
 
 /// A read-only snapshot of the first `num_sets()` sets of an `RrCollection`.
@@ -273,7 +305,7 @@ class RrCollectionView {
   }
 
   /// Ids < num_sets() of the RR sets containing `v`. O(log) to trim the
-  /// parent's (ascending) list to the prefix; O(1) for full-length views.
+  /// parent's (ascending) row to the prefix; O(1) for full-length views.
   std::span<const RrId> SetsContaining(NodeId v) const;
 
   NodeId num_graph_nodes() const { return collection_->num_graph_nodes(); }

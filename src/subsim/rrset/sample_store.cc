@@ -111,6 +111,7 @@ Result<std::unique_ptr<SampleStore>> SampleStore::CreateRepaired(
         ++repair.sets_kept;
       }
     }
+    to.IndexNewSets();
     SUBSIM_DCHECK(to.num_hit_sentinel() == 0,
                   "sentinel-truncated set in a repaired sample store");
     repaired->committed_[s].store(to.num_sets(), std::memory_order_release);

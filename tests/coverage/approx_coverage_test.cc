@@ -94,6 +94,7 @@ RrCollection SkewedCollection(NodeId n, int num_sets, std::uint64_t seed) {
     }
     collection.Add(set, false);
   }
+  collection.IndexNewSets();
   return collection;
 }
 

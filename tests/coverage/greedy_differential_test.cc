@@ -43,6 +43,7 @@ RrCollection CopyPrefix(const RrCollection& collection,
     const RrId rr = static_cast<RrId>(id);
     copy.Add(collection.View(rr).ToVector(), collection.HitSentinel(rr));
   }
+  copy.IndexNewSets();
   return copy;
 }
 

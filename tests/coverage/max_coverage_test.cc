@@ -16,6 +16,7 @@ RrCollection CollectionFromSets(NodeId n,
   for (std::size_t i = 0; i < sets.size(); ++i) {
     collection.Add(sets[i], i < hits.size() && hits[i]);
   }
+  collection.IndexNewSets();
   return collection;
 }
 

@@ -15,6 +15,7 @@
 #include "subsim/graph/graph_builder.h"
 #include "subsim/graph/weight_models.h"
 #include "subsim/rrset/parallel_fill.h"
+#include "index_equality.h"
 
 namespace subsim {
 namespace {
@@ -68,6 +69,7 @@ void ExpectIdentical(const RrCollection& a, const RrCollection& b) {
       ASSERT_EQ(sa[i], sb[i]) << "set " << id << " pos " << i;
     }
   }
+  ASSERT_NO_FATAL_FAILURE(ExpectSameIndex(a, b));
 }
 
 const Graph& SharedGraph() {

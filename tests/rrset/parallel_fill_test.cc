@@ -8,6 +8,7 @@
 #include "subsim/graph/generators.h"
 #include "subsim/graph/graph_builder.h"
 #include "subsim/graph/weight_models.h"
+#include "index_equality.h"
 
 namespace subsim {
 namespace {
@@ -98,6 +99,8 @@ TEST(FillCollectionTest, SplitFillsMatchOneFill) {
     ASSERT_TRUE(FillCollection(request, &whole).ok());
   }
   ExpectIdentical(split, whole);
+  // Two index merges must build the same rows as one.
+  ExpectSameIndex(split, whole);
 }
 
 TEST(FillCollectionTest, StreamSurvivesCollectionReset) {
@@ -194,6 +197,32 @@ TEST(FillCollectionTest, ZeroCountIsNoop) {
   ASSERT_TRUE(FillCollection(request, &collection).ok());
   EXPECT_EQ(collection.num_sets(), 0u);
   EXPECT_EQ(rng.next_index, 0u);
+}
+
+TEST(FillCollectionTest, RejectsFillPastRrIdRange) {
+  // 2^32 sets would wrap the 32-bit RrId; the fill is refused before any
+  // generation or allocation, leaving the collection and cursor untouched.
+  const Graph graph = TestGraph();
+  RrCollection collection(graph.num_nodes());
+  RngStream rng = MakeRngStream(17, 1);
+  FillRequest request;
+  request.kind = GeneratorKind::kVanillaIc;
+  request.graph = &graph;
+  request.rng = &rng;
+  request.count = std::size_t{1} << 32;
+  Status status = FillCollection(request, &collection);
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+  EXPECT_EQ(collection.num_sets(), 0u);
+  EXPECT_EQ(rng.next_index, 0u);
+
+  // The limit counts the sets already held.
+  request.count = 10;
+  ASSERT_TRUE(FillCollection(request, &collection).ok());
+  request.count = kMaxRrSets - 9;
+  status = FillCollection(request, &collection);
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+  EXPECT_EQ(collection.num_sets(), 10u);
+  EXPECT_EQ(rng.next_index, 10u);
 }
 
 TEST(FillCollectionTest, PropagatesGeneratorConstructionFailure) {

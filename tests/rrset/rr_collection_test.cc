@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "subsim/coverage/max_coverage.h"
@@ -44,6 +47,7 @@ TEST(RrCollectionTest, InvertedIndexTracksMembership) {
   collection.Add(std::vector<NodeId>{0, 1}, false);
   collection.Add(std::vector<NodeId>{1, 2}, false);
   collection.Add(std::vector<NodeId>{1}, false);
+  collection.IndexNewSets();
 
   EXPECT_EQ(collection.SetsContaining(0).size(), 1u);
   EXPECT_EQ(collection.SetsContaining(1).size(), 3u);
@@ -66,6 +70,7 @@ TEST(RrCollectionTest, EmptySetAllowed) {
 TEST(RrCollectionTest, ClearResetsEverything) {
   RrCollection collection(3);
   collection.Add(std::vector<NodeId>{0, 1}, true);
+  collection.IndexNewSets();
   collection.Clear();
   EXPECT_EQ(collection.num_sets(), 0u);
   EXPECT_EQ(collection.total_nodes(), 0u);
@@ -74,6 +79,7 @@ TEST(RrCollectionTest, ClearResetsEverything) {
   EXPECT_EQ(collection.num_graph_nodes(), 3u);
 
   collection.Add(std::vector<NodeId>{2}, false);
+  collection.IndexNewSets();
   EXPECT_EQ(collection.num_sets(), 1u);
   EXPECT_EQ(collection.SetsContaining(2).size(), 1u);
 }
@@ -102,6 +108,7 @@ TEST(RrCollectionViewTest, ImplicitFullViewMatchesCollection) {
   RrCollection collection(6);
   collection.Add(std::vector<NodeId>{0, 3}, false);
   collection.Add(std::vector<NodeId>{3, 5}, true);
+  collection.IndexNewSets();
 
   const RrCollectionView view = collection;  // implicit, full length
   EXPECT_EQ(view.num_sets(), collection.num_sets());
@@ -118,6 +125,7 @@ TEST(RrCollectionViewTest, PrefixViewSurvivesGrowth) {
   RrCollection collection(50);
   collection.Add(std::vector<NodeId>{1, 2}, false);
   collection.Add(std::vector<NodeId>{2, 3}, false);
+  collection.IndexNewSets();
 
   const RrCollectionView snapshot = collection.Prefix(2);
   EXPECT_EQ(snapshot.num_sets(), 2u);
@@ -135,6 +143,9 @@ TEST(RrCollectionViewTest, PrefixViewSurvivesGrowth) {
     std::sort(set.begin(), set.end());
     set.erase(std::unique(set.begin(), set.end()), set.end());
     collection.Add(set, false);
+    if (i % 1000 == 999) {
+      collection.IndexNewSets();
+    }
   }
 
   EXPECT_EQ(snapshot.num_sets(), 2u);
@@ -165,6 +176,7 @@ TEST(RrCollectionViewTest, InvertedIndexConsistentAfterLargeAppends) {
     collection.Add(set, false);
     sets.push_back(set);
   }
+  collection.IndexNewSets();
   for (const std::size_t prefix : {0u, 1u, 7u, 500u, 1999u, 2000u}) {
     const RrCollectionView view = collection.Prefix(prefix);
     std::vector<std::size_t> expected(n, 0);
@@ -215,6 +227,7 @@ TEST(RrCollectionViewTest, GreedyExcludesSentinelHitSetsInEveryPrefix) {
     collection.Add(std::vector<NodeId>{1, static_cast<NodeId>(i % 5)},
                    false);
   }
+  collection.IndexNewSets();
   CoverageGreedyOptions options;
   options.k = 1;
   options.exclude_sentinel_hit_sets = true;
@@ -227,6 +240,123 @@ TEST(RrCollectionViewTest, GreedyExcludesSentinelHitSetsInEveryPrefix) {
     EXPECT_EQ(greedy.considered_sets, prefix / 2);
   }
 }
+
+// ---- Bulk index merge against a vector-of-vectors reference. ----
+
+/// Exact footprint `ApproxMemoryBytes` must report once every set is
+/// indexed: arena, set offsets (plus the membership prefix for delta),
+/// sentinel flags and their prefix, and the CSR index — (n + 1) offsets,
+/// one id per membership and the merge's n 4-byte counts, in whole 8-byte
+/// words — with no slack.
+std::uint64_t ExpectedMemoryBytes(const RrCollection& collection) {
+  const std::uint64_t sets = collection.num_sets();
+  const std::uint64_t offsets =
+      (sets + 1) * sizeof(std::uint64_t) *
+      (collection.encoding() == RrEncoding::kRaw ? 1 : 2);
+  return collection.arena_bytes() + offsets + sets * sizeof(std::uint8_t) +
+         (sets + 1) * sizeof(std::uint32_t) +
+         (collection.num_graph_nodes() + 1ull) * sizeof(std::uint64_t) +
+         collection.total_nodes() * sizeof(RrId) +
+         (collection.num_graph_nodes() + 1ull) / 2 * sizeof(std::uint64_t);
+}
+
+/// Compares the first `prefix` sets' index rows with the reference rows
+/// (which list ids ascending).
+void ExpectPrefixMatches(const RrCollection& collection,
+                         const std::vector<std::vector<RrId>>& reference,
+                         std::size_t prefix) {
+  SCOPED_TRACE("prefix " + std::to_string(prefix));
+  const RrCollectionView view = collection.Prefix(prefix);
+  for (NodeId v = 0; v < collection.num_graph_nodes(); ++v) {
+    const std::vector<RrId>& row = reference[v];
+    const auto end = std::lower_bound(row.begin(), row.end(),
+                                      static_cast<RrId>(prefix));
+    const std::span<const RrId> got = view.SetsContaining(v);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), row.begin(), end))
+        << "node " << v << ": " << got.size() << " ids, expected "
+        << (end - row.begin());
+  }
+}
+
+class RrIndexMergeTest : public ::testing::TestWithParam<RrEncoding> {};
+
+TEST_P(RrIndexMergeTest, RandomBatchesMatchReference) {
+  // Nodes 5k + 2 are in no set; node n - 1 is in many. Batches (sets added
+  // between two IndexNewSets calls) range from zero sets to a few hundred,
+  // and sets from empty to 9 members in discovery (unsorted) order.
+  constexpr NodeId kNodes = 97;
+  RrCollection collection(kNodes, GetParam());
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    if (round == 1) {
+      // Clear keeps the node capacity; the refill below starts from ids 0.
+      collection.Clear();
+      EXPECT_EQ(collection.num_graph_nodes(), kNodes);
+      EXPECT_EQ(collection.ApproxMemoryBytes(),
+                ExpectedMemoryBytes(collection));
+      for (NodeId v = 0; v < kNodes; ++v) {
+        ASSERT_TRUE(collection.SetsContaining(v).empty()) << "node " << v;
+      }
+    }
+    Rng rng(31 + round);
+    std::vector<std::vector<RrId>> reference(kNodes);
+    std::vector<std::size_t> boundaries = {0};
+    std::size_t batch_begin = 0;
+    for (int step = 0; step < 60; ++step) {
+      const std::uint64_t shape = rng.UniformInt(8);
+      const std::size_t batch = shape == 0   ? 0
+                                : shape == 1 ? 200 + rng.UniformInt(100)
+                                             : rng.UniformInt(40);
+      for (std::size_t i = 0; i < batch; ++i) {
+        std::vector<NodeId> set;
+        const std::size_t size = static_cast<std::size_t>(rng.UniformInt(10));
+        while (set.size() < size) {
+          NodeId v = static_cast<NodeId>(rng.UniformInt(kNodes));
+          if (rng.UniformInt(6) == 0) {
+            v = kNodes - 1;
+          }
+          if (v % 5 != 2 && std::find(set.begin(), set.end(), v) == set.end()) {
+            set.push_back(v);
+          }
+        }
+        const RrId id = collection.Add(set, rng.UniformInt(4) == 0);
+        ASSERT_EQ(id, collection.num_sets() - 1);
+        for (const NodeId v : set) {
+          reference[v].push_back(id);
+        }
+      }
+      // Index at random points: a third of the time the batch keeps
+      // growing into the next step before it is merged.
+      if (rng.UniformInt(3) == 0) {
+        continue;
+      }
+      collection.IndexNewSets();
+      const std::size_t batch_end = collection.num_sets();
+      boundaries.push_back(batch_end);
+      EXPECT_EQ(collection.ApproxMemoryBytes(),
+                ExpectedMemoryBytes(collection));
+      for (const std::size_t prefix : boundaries) {
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectPrefixMatches(collection, reference, prefix));
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectPrefixMatches(
+          collection, reference, (batch_begin + batch_end) / 2));
+      batch_begin = batch_end;
+    }
+    collection.IndexNewSets();
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectPrefixMatches(collection, reference, collection.num_sets()));
+    EXPECT_GT(collection.SetsContaining(kNodes - 1).size(), 100u);
+    EXPECT_TRUE(collection.SetsContaining(2).empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEncodings, RrIndexMergeTest,
+                         ::testing::Values(RrEncoding::kRaw,
+                                           RrEncoding::kDeltaVarint),
+                         [](const auto& info) {
+                           return std::string(RrEncodingName(info.param));
+                         });
 
 TEST(RrCollectionTest, ApproxMemoryBytesGrowsWithContent) {
   RrCollection collection(100);

@@ -18,6 +18,7 @@
 #include "subsim/random/rng.h"
 #include "subsim/rrset/generator_factory.h"
 #include "subsim/rrset/sample_store.h"
+#include "index_equality.h"
 
 namespace subsim {
 namespace {
@@ -107,6 +108,7 @@ void ExpectStoresIdentical(const SampleStore& a, const SampleStore& b) {
           << "set " << id << " differs";
       ASSERT_EQ(va.HitSentinel(id), vb.HitSentinel(id)) << "set " << id;
     }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameIndex(va, vb));
   }
 }
 
