@@ -1,8 +1,7 @@
-// Fuzz harness for the untrusted graph-ingestion surface: the binary
-// edge-list snapshot parser (header fields drive allocations) and the SNAP
-// text parser (field splitting, integer/double parsing). The contract under
-// fuzzing: arbitrary bytes may yield an error Status but must never crash,
-// hang, overflow an allocation, or trip a sanitizer.
+// Fuzz harness for the untrusted graph-ingestion surface: the SNAP text
+// edge-list parser (field splitting, integer/double parsing). The contract
+// under fuzzing: arbitrary bytes may yield an error Status but must never
+// crash, hang, overflow an allocation, or trip a sanitizer.
 //
 // Built two ways (fuzz/CMakeLists.txt): with clang as a libFuzzer binary
 // (-fsanitize=fuzzer), elsewhere linked against standalone_driver.cc which
@@ -17,20 +16,9 @@
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  const std::string bytes(reinterpret_cast<const char*>(data), size);
-  {
-    std::istringstream in(bytes);
-    // SUBSIM-NOLINT-NEXTLINE(status-discarded): fuzzing for crashes, not outcomes
-    (void)subsim::ParseEdgeListBinary(in, "<fuzz>");
-  }
-  {
-    std::istringstream in(bytes);
-    subsim::EdgeListReadOptions options;
-    // Steer both parser modes from the input so the corpus covers them.
-    options.undirected = (size % 2) != 0;
-    options.read_weights = (size % 3) != 0;
-    // SUBSIM-NOLINT-NEXTLINE(status-discarded): fuzzing for crashes, not outcomes
-    (void)subsim::ParseEdgeListText(in, options, "<fuzz>");
-  }
+  std::istringstream in(
+      std::string(reinterpret_cast<const char*>(data), size));
+  // SUBSIM-NOLINT-NEXTLINE(status-discarded): fuzzing for crashes, not outcomes
+  (void)subsim::ParseEdgeListText(in, "<fuzz>");
   return 0;
 }

@@ -37,24 +37,9 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) && {
   std::vector<Edge>& edges = list_.edges;
   const NodeId n = list_.num_nodes;
 
-  if (options.remove_self_loops) {
-    edges.erase(std::remove_if(edges.begin(), edges.end(),
-                               [](const Edge& e) { return e.src == e.dst; }),
-                edges.end());
-  }
-
-  if (options.merge_parallel_edges) {
-    std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-      if (a.src != b.src) return a.src < b.src;
-      if (a.dst != b.dst) return a.dst < b.dst;
-      return a.weight > b.weight;  // keep the max-weight copy first
-    });
-    edges.erase(std::unique(edges.begin(), edges.end(),
-                            [](const Edge& a, const Edge& b) {
-                              return a.src == b.src && a.dst == b.dst;
-                            }),
-                edges.end());
-  }
+  edges.erase(std::remove_if(edges.begin(), edges.end(),
+                             [](const Edge& e) { return e.src == e.dst; }),
+              edges.end());
 
   // InRowMeta::begin is 32-bit so four descriptors pack per cache line;
   // the paper's largest dataset is ~1.5B edges, far below the limit.

@@ -9,22 +9,15 @@
 
 namespace subsim {
 
-/// Options controlling CSR construction.
+/// Options controlling CSR construction. Self-loops (u == v) are always
+/// dropped: a self-loop never changes a cascade, since the endpoint is
+/// already active when the edge would fire. Parallel (u, v) copies are
+/// always kept, each as its own edge in insertion order.
 struct GraphBuildOptions {
   /// Sort each node's in-neighbor list by descending edge weight. Required
   /// by the index-free sorted subset sampler (Section 3.3); harmless
   /// otherwise. Out-lists keep insertion order.
   bool sort_in_edges_by_weight = false;
-
-  /// Drop self-loops (u == v). A self-loop never changes a cascade — the
-  /// endpoint is already active when the edge would fire — so this defaults
-  /// to true.
-  bool remove_self_loops = true;
-
-  /// Merge parallel (u, v) duplicates, keeping the max weight. Off by
-  /// default: datasets are usually deduplicated already and detection costs
-  /// a sort.
-  bool merge_parallel_edges = false;
 };
 
 /// Validates and freezes an `EdgeList` into an immutable CSR `Graph`.
@@ -43,12 +36,6 @@ class GraphBuilder {
   /// Appends a directed edge; endpoints are validated at Build time.
   void AddEdge(NodeId src, NodeId dst, double weight) {
     list_.edges.push_back(Edge{src, dst, weight});
-  }
-
-  /// Appends u->v and v->u with the same weight (undirected datasets).
-  void AddUndirectedEdge(NodeId u, NodeId v, double weight) {
-    AddEdge(u, v, weight);
-    AddEdge(v, u, weight);
   }
 
   std::size_t num_pending_edges() const { return list_.edges.size(); }

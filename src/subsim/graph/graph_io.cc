@@ -1,32 +1,22 @@
 #include "subsim/graph/graph_io.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "subsim/util/string_util.h"
 
 namespace subsim {
 
-namespace {
-
-constexpr std::uint64_t kBinaryMagic = 0x53554253494d4731ull;  // "SUBSIMG1"
-
-}  // namespace
-
-Result<EdgeList> ReadEdgeListText(const std::string& path,
-                                  const EdgeListReadOptions& options) {
+Result<EdgeList> ReadEdgeListText(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     return Status::IoError("cannot open " + path);
   }
-  return ParseEdgeListText(in, options, path);
+  return ParseEdgeListText(in, path);
 }
 
 Result<EdgeList> ParseEdgeListText(std::istream& in,
-                                   const EdgeListReadOptions& options,
                                    const std::string& origin) {
   EdgeList list;
   NodeId max_id = 0;
@@ -55,7 +45,7 @@ Result<EdgeList> ParseEdgeListText(std::istream& in,
                                      ": node id exceeds 32-bit range");
     }
     double weight = 0.0;
-    if (options.read_weights && fields.size() >= 3) {
+    if (fields.size() >= 3) {
       if (!ParseDouble(fields[2], &weight)) {
         return Status::InvalidArgument(origin + ":" + std::to_string(line_no) +
                                        ": malformed weight");
@@ -64,9 +54,6 @@ Result<EdgeList> ParseEdgeListText(std::istream& in,
     const NodeId s = static_cast<NodeId>(src);
     const NodeId d = static_cast<NodeId>(dst);
     list.edges.push_back(Edge{s, d, weight});
-    if (options.undirected) {
-      list.edges.push_back(Edge{d, s, weight});
-    }
     max_id = std::max(max_id, std::max(s, d));
     any_node = true;
   }
@@ -92,99 +79,6 @@ Status WriteEdgeListText(const EdgeList& list, const std::string& path) {
     return Status::IoError("write error on " + path);
   }
   return Status::Ok();
-}
-
-Status WriteEdgeListBinary(const EdgeList& list, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  const std::uint64_t n = list.num_nodes;
-  const std::uint64_t m = list.edges.size();
-  out.write(reinterpret_cast<const char*>(&kBinaryMagic), sizeof(kBinaryMagic));
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-  out.write(reinterpret_cast<const char*>(list.edges.data()),
-            static_cast<std::streamsize>(m * sizeof(Edge)));
-  out.flush();
-  if (!out) {
-    return Status::IoError("write error on " + path);
-  }
-  return Status::Ok();
-}
-
-Result<EdgeList> ReadEdgeListBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open " + path);
-  }
-  return ParseEdgeListBinary(in, path);
-}
-
-Result<EdgeList> ParseEdgeListBinary(std::istream& in,
-                                     const std::string& origin) {
-  // The header is untrusted input: every field is validated against the
-  // actual stream size before a single byte drives an allocation.
-  in.seekg(0, std::ios::end);
-  const std::streamoff stream_size = in.tellg();
-  in.seekg(0, std::ios::beg);
-  if (!in || stream_size < 0) {
-    return Status::IoError(origin + ": cannot determine stream size");
-  }
-  constexpr std::streamoff kHeaderBytes = 3 * sizeof(std::uint64_t);
-  if (stream_size < kHeaderBytes) {
-    return Status::InvalidArgument(origin +
-                                   ": not a subsim binary edge list");
-  }
-
-  const auto read_u64 = [&in](std::uint64_t* out) {
-    in.read(reinterpret_cast<char*>(out), sizeof(*out));
-    return in.gcount() == static_cast<std::streamsize>(sizeof(*out)) &&
-           static_cast<bool>(in);
-  };
-  std::uint64_t magic = 0;
-  std::uint64_t n = 0;
-  std::uint64_t m = 0;
-  if (!read_u64(&magic) || magic != kBinaryMagic) {
-    return Status::InvalidArgument(origin +
-                                   ": not a subsim binary edge list");
-  }
-  if (!read_u64(&n) || !read_u64(&m)) {
-    return Status::IoError(origin + ": truncated header");
-  }
-  if (n > 0xFFFFFFFFull) {
-    return Status::InvalidArgument(origin +
-                                   ": node count exceeds 32-bit range");
-  }
-  const std::uint64_t payload_bytes =
-      static_cast<std::uint64_t>(stream_size - kHeaderBytes);
-  // Divide instead of multiplying so a huge m cannot overflow, then be
-  // "within bounds", and drive a giant resize.
-  if (m > payload_bytes / sizeof(Edge)) {
-    return Status::InvalidArgument(
-        origin + ": edge count " + std::to_string(m) +
-        " exceeds payload (" + std::to_string(payload_bytes) + " bytes)");
-  }
-
-  EdgeList list;
-  list.num_nodes = static_cast<NodeId>(n);
-  list.edges.resize(m);
-  const std::streamsize payload =
-      static_cast<std::streamsize>(m * sizeof(Edge));
-  in.read(reinterpret_cast<char*>(list.edges.data()), payload);
-  if (in.gcount() != payload || !in) {
-    return Status::IoError(origin + ": truncated edge payload");
-  }
-  for (std::size_t i = 0; i < list.edges.size(); ++i) {
-    const Edge& e = list.edges[i];
-    if (e.src >= n || e.dst >= n) {
-      return Status::InvalidArgument(
-          origin + ": edge " + std::to_string(i) + " references node " +
-          std::to_string(std::max(e.src, e.dst)) + " outside [0, " +
-          std::to_string(n) + ")");
-    }
-  }
-  return list;
 }
 
 }  // namespace subsim

@@ -9,45 +9,23 @@
 
 namespace subsim {
 
-/// Options for text edge-list parsing (SNAP-style files).
-struct EdgeListReadOptions {
-  /// Treat each line "u v [w]" as two directed edges u->v and v->u.
-  bool undirected = false;
-  /// If a third column is present, read it as the edge weight; otherwise
-  /// weights default to 0 (assign a WeightModel afterwards).
-  bool read_weights = true;
-  /// Lines starting with '#' or '%' are always skipped.
-};
-
-/// Parses a whitespace-separated edge list. Node ids may be arbitrary
-/// non-negative integers; they are kept as-is, and `num_nodes` becomes
-/// max(id) + 1. Fails with IoError / InvalidArgument on unreadable files or
-/// malformed lines.
-Result<EdgeList> ReadEdgeListText(const std::string& path,
-                                  const EdgeListReadOptions& options = {});
+/// Parses a whitespace-separated SNAP-style edge list, one directed edge
+/// "src dst [weight]" per line. A missing weight column reads as 0 (assign a
+/// WeightModel afterwards). Lines starting with '#' or '%' are skipped.
+/// Node ids may be arbitrary non-negative integers; they are kept as-is,
+/// and `num_nodes` becomes max(id) + 1. Fails with IoError /
+/// InvalidArgument on unreadable files or malformed lines.
+Result<EdgeList> ReadEdgeListText(const std::string& path);
 
 /// Stream-level core of ReadEdgeListText. `origin` labels error messages
 /// (a path for files, "<memory>" for in-memory buffers). Parsing from a
 /// stream keeps the untrusted-input surface testable without touching the
 /// filesystem — the fuzz harnesses drive this directly.
 Result<EdgeList> ParseEdgeListText(std::istream& in,
-                                   const EdgeListReadOptions& options = {},
                                    const std::string& origin = "<stream>");
 
-/// Writes "src dst weight" lines. Inverse of ReadEdgeListText with
-/// read_weights = true.
+/// Writes "src dst weight" lines. Inverse of ReadEdgeListText.
 Status WriteEdgeListText(const EdgeList& list, const std::string& path);
-
-/// Binary snapshot of an edge list (magic + version + counts + packed
-/// edges). Roughly 10x faster to load than text for big graphs.
-Status WriteEdgeListBinary(const EdgeList& list, const std::string& path);
-Result<EdgeList> ReadEdgeListBinary(const std::string& path);
-
-/// Stream-level core of ReadEdgeListBinary; the stream must support
-/// seeking (the header is validated against the total size before any
-/// allocation). Same fuzzing rationale as ParseEdgeListText.
-Result<EdgeList> ParseEdgeListBinary(std::istream& in,
-                                     const std::string& origin = "<stream>");
 
 }  // namespace subsim
 

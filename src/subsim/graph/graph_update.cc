@@ -51,14 +51,40 @@ Result<EdgeUpdateResult> ApplyEdgeUpdates(const Graph& graph,
   const NodeId n = graph.num_nodes();
   EdgeList list = graph.ToEdgeList();
 
-  // (src, dst) -> index into list.edges for the live copy of that edge.
-  // Parallel edges can exist in graphs built without merging; ops address
-  // the first live copy, which matches the builder's stable CSR order.
-  std::unordered_map<std::uint64_t, std::size_t> live;
-  live.reserve(list.edges.size());
-  for (std::size_t i = 0; i < list.edges.size(); ++i) {
-    const Edge& e = list.edges[i];
-    live.emplace(EdgeKey(e.src, e.dst), i);
+  // Every copy of each (src, dst) the batch names, as indices into
+  // list.edges in the builder's stable order. Ops address the first live
+  // copy: a delete moves `next_live` past it, and an insert (legal only once
+  // no copy is live) appends a new one. Only the out-rows of the batch's
+  // sources are scanned, so indexing costs O(m) at most, whatever the batch.
+  struct Copies {
+    std::vector<std::size_t> at;
+    std::size_t next_live = 0;
+  };
+  std::unordered_map<std::uint64_t, Copies> copies;
+  std::vector<NodeId> sources;
+  for (const EdgeOp& op : batch.ops) {
+    if (op.src < n && op.dst < n) {
+      copies.try_emplace(EdgeKey(op.src, op.dst));
+      sources.push_back(op.src);
+    }
+  }
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  // ToEdgeList emits the out-rows in node order.
+  std::size_t row_begin = 0;
+  auto next_source = sources.begin();
+  for (NodeId u = 0; next_source != sources.end(); ++u) {
+    const std::size_t row_end = row_begin + graph.OutDegree(u);
+    if (u == *next_source) {
+      for (std::size_t i = row_begin; i < row_end; ++i) {
+        const auto it = copies.find(EdgeKey(u, list.edges[i].dst));
+        if (it != copies.end()) {
+          it->second.at.push_back(i);
+        }
+      }
+      ++next_source;
+    }
+    row_begin = row_end;
   }
 
   std::vector<NodeId> dirty;
@@ -75,33 +101,32 @@ Result<EdgeUpdateResult> ApplyEdgeUpdates(const Graph& graph,
         (!std::isfinite(op.weight) || op.weight < 0.0 || op.weight > 1.0)) {
       return OpError(i, op, "weight must be a finite probability in [0,1]");
     }
-    const std::uint64_t key = EdgeKey(op.src, op.dst);
-    const auto it = live.find(key);
+    Copies& edge = copies.find(EdgeKey(op.src, op.dst))->second;
+    const bool live = edge.next_live < edge.at.size();
     switch (op.kind) {
       case EdgeOpKind::kInsert: {
         if (op.src == op.dst) {
           return OpError(i, op, "self-loops are not allowed");
         }
-        if (it != live.end()) {
+        if (live) {
           return OpError(i, op, "edge already exists");
         }
-        live.emplace(key, list.edges.size());
+        edge.at.push_back(list.edges.size());
         list.edges.push_back(Edge{op.src, op.dst, op.weight});
         break;
       }
       case EdgeOpKind::kDelete: {
-        if (it == live.end()) {
+        if (!live) {
           return OpError(i, op, "no such edge");
         }
-        list.edges[it->second].src = kRemovedEdge;
-        live.erase(it);
+        list.edges[edge.at[edge.next_live++]].src = kRemovedEdge;
         break;
       }
       case EdgeOpKind::kSetWeight: {
-        if (it == live.end()) {
+        if (!live) {
           return OpError(i, op, "no such edge");
         }
-        list.edges[it->second].weight = op.weight;
+        list.edges[edge.at[edge.next_live]].weight = op.weight;
         break;
       }
     }

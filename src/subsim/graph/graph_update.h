@@ -59,8 +59,12 @@ struct EdgeUpdateResult {
 /// the successor snapshot. Fails (`kInvalidArgument`) without side effects
 /// when any op is invalid: endpoint out of range, self-loop insert, insert
 /// of an existing edge, delete/weight-change of a missing edge, or a
-/// non-probability weight. `expect_version` is NOT checked here — version
-/// arbitration belongs to the registry, which owns the version counter.
+/// non-probability weight. The builder keeps parallel edges, so an op
+/// addresses the first live copy of its (src, dst) in the builder's stable
+/// order: repeated deletes remove the copies one by one, and an insert is
+/// rejected while any copy is live. `expect_version` is NOT checked here —
+/// version arbitration belongs to the registry, which owns the version
+/// counter.
 Result<EdgeUpdateResult> ApplyEdgeUpdates(const Graph& graph,
                                           const UpdateBatch& batch);
 

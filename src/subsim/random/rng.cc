@@ -80,17 +80,10 @@ bool Rng::Bernoulli(double p) {
   return NextDouble() < p;
 }
 
-Rng Rng::Fork(std::uint64_t stream) const {
-  // Mix the current state with the stream id through SplitMix64 so forks
-  // differ even for consecutive stream ids.
-  std::uint64_t mix = s_[0] ^ Rotl(s_[2], 29) ^ (stream * 0xd1342543de82ef95ull);
-  std::uint64_t seed = SplitMix64(&mix);
-  return Rng(seed ^ stream);
-}
-
 Rng Rng::Substream(std::uint64_t base_seed, std::uint64_t set_index) {
-  // Same mixing recipe as Fork, but keyed on a plain seed instead of live
-  // engine state so the result is a pure function of its two arguments.
+  // Keyed on a plain seed, not on live engine state, so the result is a
+  // pure function of its two arguments. The mix spreads consecutive set
+  // indices apart.
   std::uint64_t mix =
       base_seed ^ Rotl(base_seed, 29) ^ (set_index * 0xd1342543de82ef95ull);
   std::uint64_t seed = SplitMix64(&mix);

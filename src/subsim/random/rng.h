@@ -73,17 +73,12 @@ class Rng {
   /// True with probability p (p clamped to [0, 1]).
   bool Bernoulli(double p);
 
-  /// Derives an independent generator for substream `stream`. Two forks of
-  /// the same Rng state with different stream ids are statistically
-  /// independent; forking does not advance this generator.
-  Rng Fork(std::uint64_t stream) const;
-
   /// Counter-based substream: an independent generator that is a pure
   /// function of `(base_seed, set_index)` — no parent state involved. This
   /// is the thread-invariance primitive: when every RR set at index `i` is
   /// generated from `Substream(base_seed, i)`, the ordered sample stream is
   /// byte-identical regardless of how indices are scheduled across worker
-  /// threads. Uses the same SplitMix-style mixing as `Fork`.
+  /// threads. The seed is a SplitMix64 mix of both arguments.
   static Rng Substream(std::uint64_t base_seed, std::uint64_t set_index);
 
   using result_type = std::uint64_t;

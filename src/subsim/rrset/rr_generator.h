@@ -33,12 +33,6 @@ struct RrGenStats {
   std::uint64_t rejection_accepts = 0;
   std::uint64_t batch_chunks = 0;
   std::uint64_t prefetch_lines = 0;
-
-  double AverageSetSize() const {
-    return sets_generated == 0
-               ? 0.0
-               : static_cast<double>(nodes_added) / sets_generated;
-  }
 };
 
 /// Strategy interface for generating random reverse-reachable sets.

@@ -92,11 +92,6 @@ Result<GraphSnapshot> GraphRegistry::GetSnapshot(
   return it->second;
 }
 
-bool GraphRegistry::Contains(const std::string& name) const {
-  const MutexLock lock(mu_);
-  return graphs_.count(name) > 0;
-}
-
 std::vector<std::string> GraphRegistry::Names() const {
   const MutexLock lock(mu_);
   std::vector<std::string> names;

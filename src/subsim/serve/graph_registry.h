@@ -80,8 +80,6 @@ class GraphRegistry {
   Result<GraphSnapshot> GetSnapshot(const std::string& name) const
       SUBSIM_EXCLUDES(mu_);
 
-  bool Contains(const std::string& name) const SUBSIM_EXCLUDES(mu_);
-
   /// Registered names, sorted.
   std::vector<std::string> Names() const SUBSIM_EXCLUDES(mu_);
 

@@ -343,7 +343,6 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   // updating the name publishes a new version, so old entries are simply
   // never looked up again.
   key.graph_version = snapshot->version;
-  key.algo = query.algo;
   key.generator = query.generator;
   key.rng_seed = query.rng_seed;
   // Raw and delta stores hold identical logical sets, but an entry's

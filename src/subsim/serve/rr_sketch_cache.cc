@@ -129,11 +129,15 @@ void RrSketchCache::EnforceBudget() {
     if (!slot.dirty) {
       continue;
     }
+    // A holder outside the cache may grow the store after it is measured,
+    // so the slot stays dirty until no such holder is left. Read before
+    // measuring: new holders come only from this class, under `mu_`.
+    const bool held = slot.entry.use_count() > 1;
     const std::uint64_t bytes = slot.entry->store->ApproxMemoryBytes();
     total_bytes_ += bytes;
     total_bytes_ -= std::min(total_bytes_, slot.bytes);
     slot.bytes = bytes;
-    slot.dirty = false;
+    slot.dirty = held;
   }
   if (total_bytes_ <= options_.max_bytes) {
     return;

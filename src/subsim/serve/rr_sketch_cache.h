@@ -28,10 +28,6 @@ namespace subsim {
 ///             updating a name changes the version and the old entries
 ///             simply stop being reachable (stale hits are structurally
 ///             impossible, not merely invalidated);
-///  - `algo`:  the algorithm name, because each algorithm derives its rng
-///             stream lineage differently (OPIM-C uses stream seeds 1/2
-///             for R1/R2, IMM uses stream 1 alone) and mixing lineages
-///             would break the cold-equivalence guarantee;
 ///  - `generator`: the RR-set generation strategy (vanilla / subsim / lt);
 ///  - `rng_seed`: the master seed the stream seeds derive from;
 ///  - `encoding`: the arena storage encoding. Raw and delta stores hold
@@ -40,29 +36,32 @@ namespace subsim {
 ///             asking for different encodings get distinct entries rather
 ///             than transcoding in place.
 ///
-/// The generation thread count is deliberately *not* part of the key:
-/// fills are thread-count invariant, so stores produced at any
-/// `num_threads` are interchangeable. Likewise `approx_coverage` is an
+/// The algorithm is not part of the key: every algorithm that reuses
+/// samples (OPIM-C, IMM) builds the same store, streams
+/// `MakeRngStream(rng_seed, 1)` and `(rng_seed, 2)` (IMM reads the first,
+/// which is OPIM-C's R1), so an IMM and an OPIM-C query on one key share
+/// an entry. The generation thread count is deliberately *not* part of
+/// the key either: fills are thread-count invariant, so stores produced at
+/// any `num_threads` are interchangeable. Likewise `approx_coverage` is an
 /// evaluation knob — it never changes the stored bytes — so it is not in
-/// the key either.
+/// the key.
 struct SketchKey {
   std::string graph;
   std::uint64_t graph_version = 0;
-  std::string algo;
   GeneratorKind generator = GeneratorKind::kVanillaIc;
   std::uint64_t rng_seed = 1;
   RrEncoding encoding = RrEncoding::kRaw;
 
   friend bool operator==(const SketchKey& a, const SketchKey& b) {
     return a.graph == b.graph && a.graph_version == b.graph_version &&
-           a.algo == b.algo && a.generator == b.generator &&
-           a.rng_seed == b.rng_seed && a.encoding == b.encoding;
+           a.generator == b.generator && a.rng_seed == b.rng_seed &&
+           a.encoding == b.encoding;
   }
   friend bool operator<(const SketchKey& a, const SketchKey& b) {
-    return std::tie(a.graph, a.graph_version, a.algo, a.generator,
-                    a.rng_seed, a.encoding) <
-           std::tie(b.graph, b.graph_version, b.algo, b.generator,
-                    b.rng_seed, b.encoding);
+    return std::tie(a.graph, a.graph_version, a.generator, a.rng_seed,
+                    a.encoding) <
+           std::tie(b.graph, b.graph_version, b.generator, b.rng_seed,
+                    b.encoding);
   }
 };
 
@@ -178,7 +177,9 @@ class RrSketchCache {
     /// these over all slots.
     std::uint64_t bytes = 0;
     /// Set when the store may have grown since `bytes` was computed (every
-    /// hit marks the slot — the query that took it will extend the store).
+    /// hit marks the slot — the query that took it will extend the store),
+    /// and kept set by a refresh that finds the entry still held outside
+    /// the cache.
     bool dirty = false;
   };
 

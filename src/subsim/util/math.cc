@@ -58,20 +58,4 @@ std::uint64_t NextPowerOfTwo(std::uint64_t x) {
   return p;
 }
 
-int FloorLog2(std::uint64_t x) {
-  SUBSIM_CHECK(x >= 1, "FloorLog2 requires x >= 1");
-  int r = 0;
-  while (x > 1) {
-    x >>= 1;
-    ++r;
-  }
-  return r;
-}
-
-int CeilLog2(std::uint64_t x) {
-  SUBSIM_CHECK(x >= 1, "CeilLog2 requires x >= 1");
-  const int f = FloorLog2(x);
-  return (std::uint64_t{1} << f) == x ? f : f + 1;
-}
-
 }  // namespace subsim

@@ -25,12 +25,6 @@ constexpr double kOneMinusInvE = 0.6321205588285577;
 /// Rounds `x` up to the next power of two (x >= 1). Returns 1 for x == 0.
 std::uint64_t NextPowerOfTwo(std::uint64_t x);
 
-/// floor(log2(x)) for x >= 1.
-int FloorLog2(std::uint64_t x);
-
-/// Ceil of log2(x) for x >= 1.
-int CeilLog2(std::uint64_t x);
-
 }  // namespace subsim
 
 #endif  // SUBSIM_UTIL_MATH_H_

@@ -1,7 +1,6 @@
 #ifndef SUBSIM_UTIL_MUTEX_H_
 #define SUBSIM_UTIL_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -33,7 +32,6 @@ class SUBSIM_CAPABILITY("mutex") Mutex {
 
   void Lock() SUBSIM_ACQUIRE() { mu_.lock(); }
   void Unlock() SUBSIM_RELEASE() { mu_.unlock(); }
-  bool TryLock() SUBSIM_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -123,17 +121,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // ownership stays with the caller's scoped lock
-  }
-
-  /// Timed wait with the same borrowed-lock contract as `Wait`. Returns
-  /// false on timeout. As with `Wait`, re-evaluate the predicate in the
-  /// caller — spurious wakeups are possible either way.
-  bool WaitFor(Mutex& mu, std::chrono::nanoseconds timeout)
-      SUBSIM_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(lock, timeout);
-    lock.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void NotifyOne() { cv_.notify_one(); }

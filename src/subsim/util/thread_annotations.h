@@ -69,10 +69,6 @@
 #define SUBSIM_RELEASE_SHARED(...) \
   SUBSIM_THREAD_ANNOTATION_ATTRIBUTE__(release_shared_capability(__VA_ARGS__))
 
-/// Function tries to acquire `...`; first argument is the success value.
-#define SUBSIM_TRY_ACQUIRE(...) \
-  SUBSIM_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_capability(__VA_ARGS__))
-
 /// Caller must NOT hold `...` (deadlock prevention for self-locking APIs).
 #define SUBSIM_EXCLUDES(...) \
   SUBSIM_THREAD_ANNOTATION_ATTRIBUTE__(locks_excluded(__VA_ARGS__))

@@ -7,19 +7,15 @@ namespace subsim {
 
 /// Monotonic wall-clock stopwatch.
 ///
-/// Starts running on construction. `ElapsedSeconds` may be called repeatedly;
-/// `Restart` resets the origin.
+/// Starts running on construction. `ElapsedSeconds` may be called
+/// repeatedly.
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -113,40 +113,6 @@ TEST(GraphBuilderTest, SelfLoopsRemovedByDefault) {
   EXPECT_EQ(graph->num_edges(), 1u);
 }
 
-TEST(GraphBuilderTest, SelfLoopsKeptWhenRequested) {
-  GraphBuilder builder(2);
-  builder.AddEdge(0, 0, 0.5);
-  GraphBuildOptions options;
-  options.remove_self_loops = false;
-  Result<Graph> graph = std::move(builder).Build(options);
-  ASSERT_TRUE(graph.ok());
-  EXPECT_EQ(graph->num_edges(), 1u);
-  EXPECT_EQ(graph->InDegree(0), 1u);
-}
-
-TEST(GraphBuilderTest, MergeParallelEdgesKeepsMaxWeight) {
-  GraphBuilder builder(2);
-  builder.AddEdge(0, 1, 0.3);
-  builder.AddEdge(0, 1, 0.8);
-  builder.AddEdge(0, 1, 0.5);
-  GraphBuildOptions options;
-  options.merge_parallel_edges = true;
-  Result<Graph> graph = std::move(builder).Build(options);
-  ASSERT_TRUE(graph.ok());
-  EXPECT_EQ(graph->num_edges(), 1u);
-  EXPECT_DOUBLE_EQ(graph->OutWeights(0)[0], 0.8);
-}
-
-TEST(GraphBuilderTest, UndirectedEdgeAddsBothDirections) {
-  GraphBuilder builder(2);
-  builder.AddUndirectedEdge(0, 1, 0.4);
-  Result<Graph> graph = std::move(builder).Build();
-  ASSERT_TRUE(graph.ok());
-  EXPECT_EQ(graph->num_edges(), 2u);
-  EXPECT_EQ(graph->OutDegree(0), 1u);
-  EXPECT_EQ(graph->OutDegree(1), 1u);
-}
-
 TEST(GraphBuilderTest, SortInEdgesByWeightDescending) {
   GraphBuilder builder(4);
   builder.AddEdge(0, 3, 0.2);

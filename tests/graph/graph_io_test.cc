@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -47,26 +45,6 @@ TEST_F(GraphIoTest, ReadsWeights) {
   ASSERT_TRUE(list.ok());
   EXPECT_DOUBLE_EQ(list->edges[0].weight, 0.25);
   EXPECT_DOUBLE_EQ(list->edges[1].weight, 0.75);
-}
-
-TEST_F(GraphIoTest, IgnoresWeightsWhenDisabled) {
-  const std::string path = TempPath("weights_off.txt");
-  WriteFile(path, "0 1 0.25\n");
-  EdgeListReadOptions options;
-  options.read_weights = false;
-  const Result<EdgeList> list = ReadEdgeListText(path, options);
-  ASSERT_TRUE(list.ok());
-  EXPECT_DOUBLE_EQ(list->edges[0].weight, 0.0);
-}
-
-TEST_F(GraphIoTest, UndirectedDoublesEdges) {
-  const std::string path = TempPath("undirected.txt");
-  WriteFile(path, "0 1\n1 2\n");
-  EdgeListReadOptions options;
-  options.undirected = true;
-  const Result<EdgeList> list = ReadEdgeListText(path, options);
-  ASSERT_TRUE(list.ok());
-  EXPECT_EQ(list->edges.size(), 4u);
 }
 
 TEST_F(GraphIoTest, AcceptsCommaAndTabSeparators) {
@@ -133,117 +111,6 @@ TEST_F(GraphIoTest, TextRoundTrip) {
     EXPECT_EQ(loaded->edges[i].dst, original.edges[i].dst);
     EXPECT_DOUBLE_EQ(loaded->edges[i].weight, original.edges[i].weight);
   }
-}
-
-TEST_F(GraphIoTest, BinaryRoundTrip) {
-  EdgeList original;
-  original.num_nodes = 1000;
-  for (NodeId i = 0; i + 1 < 1000; ++i) {
-    original.edges.push_back(
-        Edge{i, static_cast<NodeId>(i + 1), 1.0 / (i + 1)});
-  }
-  const std::string path = TempPath("roundtrip.bin");
-  ASSERT_TRUE(WriteEdgeListBinary(original, path).ok());
-  const Result<EdgeList> loaded = ReadEdgeListBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_nodes, original.num_nodes);
-  ASSERT_EQ(loaded->edges.size(), original.edges.size());
-  for (std::size_t i = 0; i < original.edges.size(); ++i) {
-    EXPECT_EQ(loaded->edges[i].src, original.edges[i].src);
-    EXPECT_EQ(loaded->edges[i].dst, original.edges[i].dst);
-    EXPECT_DOUBLE_EQ(loaded->edges[i].weight, original.edges[i].weight);
-  }
-}
-
-TEST_F(GraphIoTest, BinaryRejectsWrongMagic) {
-  const std::string path = TempPath("notbinary.bin");
-  WriteFile(path, "this is not a subsim binary file at all");
-  const Result<EdgeList> loaded = ReadEdgeListBinary(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(GraphIoTest, BinaryRejectsEmptyFile) {
-  const std::string path = TempPath("empty.bin");
-  WriteFile(path, "");
-  const Result<EdgeList> loaded = ReadEdgeListBinary(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(GraphIoTest, BinaryRejectsTruncatedHeader) {
-  // Valid magic but the file ends before the counts.
-  const std::string path = TempPath("header_only.bin");
-  const std::uint64_t magic = 0x53554253494d4731ull;
-  std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.close();
-  const Result<EdgeList> loaded = ReadEdgeListBinary(path);
-  EXPECT_FALSE(loaded.ok());
-}
-
-TEST_F(GraphIoTest, BinaryRejectsEdgeCountBeyondFileSize) {
-  // A header claiming 2^56 edges in a 3-edge file must fail fast with
-  // InvalidArgument instead of attempting a petabyte allocation.
-  EdgeList original;
-  original.num_nodes = 4;
-  original.edges = {{0, 1, 0.5}, {1, 2, 0.5}, {2, 3, 0.5}};
-  const std::string path = TempPath("liar.bin");
-  ASSERT_TRUE(WriteEdgeListBinary(original, path).ok());
-  std::fstream patch(path,
-                     std::ios::binary | std::ios::in | std::ios::out);
-  patch.seekp(2 * sizeof(std::uint64_t));
-  const std::uint64_t huge_m = 1ull << 56;
-  patch.write(reinterpret_cast<const char*>(&huge_m), sizeof(huge_m));
-  patch.close();
-  const Result<EdgeList> loaded = ReadEdgeListBinary(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(GraphIoTest, BinaryRejectsNodeCountOverflow) {
-  EdgeList original;
-  original.num_nodes = 2;
-  original.edges = {{0, 1, 0.5}};
-  const std::string path = TempPath("big_n.bin");
-  ASSERT_TRUE(WriteEdgeListBinary(original, path).ok());
-  std::fstream patch(path,
-                     std::ios::binary | std::ios::in | std::ios::out);
-  patch.seekp(sizeof(std::uint64_t));
-  const std::uint64_t huge_n = 1ull << 40;
-  patch.write(reinterpret_cast<const char*>(&huge_n), sizeof(huge_n));
-  patch.close();
-  const Result<EdgeList> loaded = ReadEdgeListBinary(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(GraphIoTest, BinaryRejectsEdgeReferencingNodeOutOfRange) {
-  // Payload is well-formed bytes-wise but one edge points past num_nodes;
-  // trusting it would corrupt every CSR build downstream.
-  EdgeList original;
-  original.num_nodes = 3;
-  original.edges = {{0, 1, 0.5}, {7, 2, 0.5}};
-  const std::string path = TempPath("bad_id.bin");
-  ASSERT_TRUE(WriteEdgeListBinary(original, path).ok());
-  const Result<EdgeList> loaded = ReadEdgeListBinary(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(GraphIoTest, BinaryRejectsTruncatedPayload) {
-  EdgeList original;
-  original.num_nodes = 10;
-  original.edges = {{0, 1, 0.5}, {1, 2, 0.5}};
-  const std::string path = TempPath("truncated.bin");
-  ASSERT_TRUE(WriteEdgeListBinary(original, path).ok());
-  // Chop off the last few bytes.
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  WriteFile(path, data.substr(0, data.size() - 5));
-  EXPECT_FALSE(ReadEdgeListBinary(path).ok());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "subsim/graph/graph.h"
 #include "subsim/graph/graph_builder.h"
 #include "subsim/graph/types.h"
+#include "subsim/random/rng.h"
 
 namespace subsim {
 namespace {
@@ -106,6 +107,193 @@ TEST(ApplyEdgeUpdatesTest, RejectsInvalidOpsAtomically) {
 
   UpdateBatch empty;
   EXPECT_FALSE(ApplyEdgeUpdates(base, empty).ok());
+}
+
+// Two copies of 0 -> 1 (0.5 first, 0.25 second in the builder's order)
+// plus 1 -> 2.
+Graph ParallelGraph() {
+  EdgeList list;
+  list.num_nodes = 3;
+  list.edges = {{0, 1, 0.5}, {1, 2, 0.5}, {0, 1, 0.25}};
+  Result<Graph> graph = BuildGraph(std::move(list));
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
+std::vector<double> WeightsOf(const Graph& graph, NodeId src, NodeId dst) {
+  std::vector<double> weights;
+  for (const Edge& e : graph.ToEdgeList().edges) {
+    if (e.src == src && e.dst == dst) {
+      weights.push_back(e.weight);
+    }
+  }
+  return weights;
+}
+
+TEST(ApplyEdgeUpdatesTest, DeletesEveryParallelCopyInOrder) {
+  UpdateBatch batch;
+  batch.ops.push_back({EdgeOpKind::kDelete, 0, 1, 0.0});
+  batch.ops.push_back({EdgeOpKind::kDelete, 0, 1, 0.0});
+  Result<EdgeUpdateResult> updated = ApplyEdgeUpdates(ParallelGraph(), batch);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_TRUE(WeightsOf(updated->graph, 0, 1).empty());
+  EXPECT_EQ(updated->graph.num_edges(), 1u);
+  EXPECT_EQ(updated->dirty_nodes, std::vector<NodeId>{1});
+}
+
+TEST(ApplyEdgeUpdatesTest, WeightAfterDeleteAddressesNextLiveCopy) {
+  UpdateBatch batch;
+  batch.ops.push_back({EdgeOpKind::kDelete, 0, 1, 0.0});
+  batch.ops.push_back({EdgeOpKind::kSetWeight, 0, 1, 0.9});
+  Result<EdgeUpdateResult> updated = ApplyEdgeUpdates(ParallelGraph(), batch);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  // The 0.5 copy was deleted; the 0.25 copy took the new weight.
+  EXPECT_EQ(WeightsOf(updated->graph, 0, 1), std::vector<double>{0.9});
+}
+
+TEST(ApplyEdgeUpdatesTest, InsertRejectedWhileAParallelCopyIsLive) {
+  UpdateBatch batch;
+  batch.ops.push_back({EdgeOpKind::kDelete, 0, 1, 0.0});
+  batch.ops.push_back({EdgeOpKind::kInsert, 0, 1, 0.9});
+  Result<EdgeUpdateResult> updated = ApplyEdgeUpdates(ParallelGraph(), batch);
+  ASSERT_FALSE(updated.ok());
+  EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(updated.status().ToString().find("op 1 (insert 0->1)"),
+            std::string::npos)
+      << updated.status().ToString();
+}
+
+// Linear-scan reference edit: every op addresses the first live copy of
+// its (src, dst) in `ToEdgeList()` order; inserts append.
+struct ReferenceEdit {
+  bool ok = false;
+  std::size_t failed_op = 0;
+  EdgeList edited;
+  std::vector<NodeId> dirty_nodes;
+};
+
+ReferenceEdit EditByLinearScan(const Graph& graph, const UpdateBatch& batch) {
+  ReferenceEdit ref;
+  EdgeList list = graph.ToEdgeList();
+  std::vector<bool> live(list.edges.size(), true);
+  for (std::size_t i = 0; i < batch.ops.size(); ++i) {
+    const EdgeOp& op = batch.ops[i];
+    std::size_t at = 0;
+    while (at < list.edges.size() &&
+           !(live[at] && list.edges[at].src == op.src &&
+             list.edges[at].dst == op.dst)) {
+      ++at;
+    }
+    const bool found = at < list.edges.size();
+    const bool rejected = op.kind == EdgeOpKind::kInsert
+                              ? found || op.src == op.dst
+                              : !found;
+    if (rejected) {
+      ref.failed_op = i;
+      return ref;
+    }
+    switch (op.kind) {
+      case EdgeOpKind::kInsert:
+        list.edges.push_back(Edge{op.src, op.dst, op.weight});
+        live.push_back(true);
+        break;
+      case EdgeOpKind::kDelete:
+        live[at] = false;
+        break;
+      case EdgeOpKind::kSetWeight:
+        list.edges[at].weight = op.weight;
+        break;
+    }
+    ref.dirty_nodes.push_back(op.dst);
+  }
+  ref.edited.num_nodes = list.num_nodes;
+  for (std::size_t j = 0; j < list.edges.size(); ++j) {
+    if (live[j]) {
+      ref.edited.edges.push_back(list.edges[j]);
+    }
+  }
+  std::sort(ref.dirty_nodes.begin(), ref.dirty_nodes.end());
+  ref.dirty_nodes.erase(
+      std::unique(ref.dirty_nodes.begin(), ref.dirty_nodes.end()),
+      ref.dirty_nodes.end());
+  ref.ok = true;
+  return ref;
+}
+
+void ExpectSameEdges(const EdgeList& actual, const EdgeList& expected) {
+  ASSERT_EQ(actual.num_nodes, expected.num_nodes);
+  ASSERT_EQ(actual.edges.size(), expected.edges.size());
+  for (std::size_t i = 0; i < actual.edges.size(); ++i) {
+    EXPECT_EQ(actual.edges[i].src, expected.edges[i].src) << "edge " << i;
+    EXPECT_EQ(actual.edges[i].dst, expected.edges[i].dst) << "edge " << i;
+    EXPECT_EQ(actual.edges[i].weight, expected.edges[i].weight)
+        << "edge " << i;
+  }
+}
+
+// Small dense multigraphs, so most batches hit parallel copies and many
+// deletes empty a row; every other trial builds weight-sorted in-rows.
+TEST(ApplyEdgeUpdatesTest, MatchesLinearScanReferenceOnMultigraphs) {
+  constexpr double kWeights[] = {0.125, 0.25, 0.5, 0.75};
+  Rng rng(20260417);
+  std::size_t applied = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    EdgeList list;
+    list.num_nodes = static_cast<NodeId>(2 + rng.UniformInt(5));
+    const std::uint64_t m = rng.UniformInt(20);
+    const auto random_node = [&] {
+      return static_cast<NodeId>(rng.UniformInt(list.num_nodes));
+    };
+    for (std::uint64_t j = 0; j < m; ++j) {
+      const NodeId src = random_node();
+      const NodeId dst = random_node();
+      if (src != dst) {
+        list.edges.push_back(Edge{src, dst, kWeights[rng.UniformInt(4)]});
+      }
+    }
+    GraphBuildOptions options;
+    options.sort_in_edges_by_weight = trial % 2 == 1;
+    Result<Graph> base = BuildGraph(list, options);
+    ASSERT_TRUE(base.ok());
+
+    UpdateBatch batch;
+    const std::uint64_t num_ops = 1 + rng.UniformInt(8);
+    for (std::uint64_t j = 0; j < num_ops; ++j) {
+      EdgeOp op;
+      op.kind = static_cast<EdgeOpKind>(rng.UniformInt(3));
+      // Deletes and weight changes mostly name a base edge; inserts name
+      // any pair.
+      if (op.kind != EdgeOpKind::kInsert && !list.edges.empty()) {
+        const Edge& e = list.edges[rng.UniformInt(list.edges.size())];
+        op.src = e.src;
+        op.dst = e.dst;
+      } else {
+        op.src = random_node();
+        op.dst = random_node();
+      }
+      op.weight = kWeights[rng.UniformInt(4)];
+      batch.ops.push_back(op);
+    }
+
+    const ReferenceEdit ref = EditByLinearScan(*base, batch);
+    Result<EdgeUpdateResult> updated = ApplyEdgeUpdates(*base, batch);
+    ASSERT_EQ(updated.ok(), ref.ok)
+        << "trial " << trial << ": " << updated.status().ToString();
+    if (!ref.ok) {
+      EXPECT_NE(updated.status().ToString().find(
+                    "op " + std::to_string(ref.failed_op) + " ("),
+                std::string::npos)
+          << "trial " << trial << ": " << updated.status().ToString();
+      continue;
+    }
+    ++applied;
+    Result<Graph> expected = BuildGraph(ref.edited, options);
+    ASSERT_TRUE(expected.ok());
+    ExpectSameEdges(updated->graph.ToEdgeList(), expected->ToEdgeList());
+    EXPECT_EQ(updated->dirty_nodes, ref.dirty_nodes) << "trial " << trial;
+  }
+  // The sweep must exercise successful edits, not just rejections.
+  EXPECT_GT(applied, 200u);
 }
 
 TEST(ParseGraphUpdateRequestTest, ParsesFullBatch) {

@@ -106,41 +106,10 @@ TEST(RngTest, BernoulliFrequencyMatchesP) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStreams) {
-  Rng base(17);
-  Rng fork1 = base.Fork(1);
-  Rng fork2 = base.Fork(2);
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (fork1.NextU64() == fork2.NextU64()) {
-      ++equal;
-    }
-  }
-  EXPECT_LT(equal, 2);
-}
-
-TEST(RngTest, ForkDoesNotAdvanceParent) {
-  Rng a(29);
-  Rng b(29);
-  (void)a.Fork(1);
-  (void)a.Fork(2);
-  EXPECT_EQ(a.NextU64(), b.NextU64());
-}
-
-TEST(RngTest, ForkIsDeterministic) {
-  Rng a(29);
-  Rng b(29);
-  Rng fa = a.Fork(9);
-  Rng fb = b.Fork(9);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(fa.NextU64(), fb.NextU64());
-  }
-}
-
 TEST(RngTest, SubstreamIsAPureFunctionOfSeedAndIndex) {
-  // Unlike Fork, Substream does not depend on any generator state: the
-  // same (base_seed, index) pair always yields the same stream. This is
-  // the property thread-invariant parallel fills are built on.
+  // Substream does not depend on any generator state: the same
+  // (base_seed, index) pair always yields the same stream. This is the
+  // property thread-invariant parallel fills are built on.
   Rng a = Rng::Substream(17, 5);
   Rng b = Rng::Substream(17, 5);
   for (int i = 0; i < 64; ++i) {

@@ -188,7 +188,7 @@ TEST_F(GraphUpdateServeTest, RemoveGraphEndToEnd) {
   Result<std::size_t> removed = engine.RemoveGraph("g");
   ASSERT_TRUE(removed.ok());
   EXPECT_EQ(*removed, 1u);
-  EXPECT_FALSE(registry_.Contains("g"));
+  EXPECT_FALSE(registry_.GetSnapshot("g").ok());
   EXPECT_EQ(engine.cache().num_entries(), 0u);
 
   const QueryResponse after = engine.Execute(BaseQuery("g"));
@@ -315,7 +315,7 @@ TEST_F(GraphUpdateServeTest, RemoveGraphRoute) {
   EXPECT_EQ(removed.status_code, 200) << removed.body;
   EXPECT_NE(removed.body.find("\"cache_entries_dropped\":1"),
             std::string::npos);
-  EXPECT_FALSE(registry_.Contains("g"));
+  EXPECT_FALSE(registry_.GetSnapshot("g").ok());
 
   EXPECT_EQ(app.Handle(PostRequest("/v1/remove_graph", "graph=g"),
                        HttpRequestContext{})

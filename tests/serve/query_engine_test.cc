@@ -95,6 +95,32 @@ TEST_F(QueryEngineTest, EngineResultMatchesDirectAlgorithmRun) {
   EXPECT_DOUBLE_EQ(served.result.estimated_spread, direct->estimated_spread);
 }
 
+TEST_F(QueryEngineTest, ImmAfterOpimCHitsTheSameEntryAndMatchesColdImm) {
+  QueryEngine engine(&registry_);
+  const QueryResponse opim_c = engine.Execute(BaseQuery("g"));
+  ASSERT_TRUE(opim_c.status.ok()) << opim_c.status.ToString();
+  EXPECT_FALSE(opim_c.stats.cache_hit);
+
+  SelectSeedsQuery query = BaseQuery("g");
+  query.algo = "imm";
+  const QueryResponse imm = engine.Execute(query);
+  ASSERT_TRUE(imm.status.ok()) << imm.status.ToString();
+  EXPECT_TRUE(imm.stats.cache_hit);
+  EXPECT_GT(imm.stats.rr_sets_reused, 0u);
+  EXPECT_EQ(engine.cache().num_entries(), 1u);
+
+  Result<GraphSnapshot> snapshot = registry_.GetSnapshot("g");
+  ASSERT_TRUE(snapshot.ok());
+  Result<std::unique_ptr<ImAlgorithm>> cold_imm = MakeImAlgorithm("imm");
+  ASSERT_TRUE(cold_imm.ok());
+  Result<ImResult> cold =
+      (*cold_imm)->Run(*snapshot->graph, query.ToImOptions());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(imm.result.seeds, cold->seeds);
+  EXPECT_EQ(imm.result.num_rr_sets, cold->num_rr_sets);
+  EXPECT_DOUBLE_EQ(imm.result.estimated_spread, cold->estimated_spread);
+}
+
 TEST_F(QueryEngineTest, GrowingKReusesEarlierSamples) {
   QueryEngine engine(&registry_);
   SelectSeedsQuery query = BaseQuery("g");
@@ -142,8 +168,9 @@ TEST_F(QueryEngineTest, ConcurrentQueriesShareOneCache) {
     EXPECT_FALSE(response.result.seeds.empty());
     EXPECT_TRUE(response.stats.cache_eligible);
   }
-  // One entry per (algo) since graph/generator/seed agree across queries.
-  EXPECT_EQ(engine.cache().num_entries(), 2u);
+  // One entry: graph/generator/seed/encoding agree across queries, and
+  // OPIM-C and IMM build the same store.
+  EXPECT_EQ(engine.cache().num_entries(), 1u);
 
   // Determinism survives the race: re-running any query warm gives the same
   // seeds the concurrent run produced.

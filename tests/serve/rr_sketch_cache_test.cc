@@ -37,7 +37,6 @@ RrSketchCache::StoreFactory SequentialFactory(std::uint64_t seed) {
 SketchKey KeyFor(const std::string& graph, std::uint64_t seed) {
   SketchKey key;
   key.graph = graph;
-  key.algo = "opim-c";
   key.generator = GeneratorKind::kSubsimIc;
   key.rng_seed = seed;
   return key;
@@ -213,10 +212,19 @@ TEST(RrSketchCacheTest, BudgetEvictionRacesConcurrentLookups) {
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
 
+  // Readers pause halfway until the evictor has evicted once, so their
+  // second half provably races a live evictor. Without the gate, a busy
+  // machine can let every reader finish before the evictor runs at all.
+  // The first half alone outgrows the budget, so the gate always opens.
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
       for (int i = 0; i < 60; ++i) {
+        if (i == 30) {
+          while (cache.evictions() == 0) {
+            std::this_thread::yield();
+          }
+        }
         // 8 distinct keys cycling: misses, hits, and re-creations after
         // eviction all happen during the run.
         const std::uint64_t seed = static_cast<std::uint64_t>((t + i) % 8);

@@ -69,17 +69,6 @@ TEST(NextPowerOfTwoTest, Values) {
   EXPECT_EQ(NextPowerOfTwo(1024), 1024u);
 }
 
-TEST(FloorCeilLog2Test, Values) {
-  EXPECT_EQ(FloorLog2(1), 0);
-  EXPECT_EQ(FloorLog2(2), 1);
-  EXPECT_EQ(FloorLog2(3), 1);
-  EXPECT_EQ(FloorLog2(1024), 10);
-  EXPECT_EQ(CeilLog2(1), 0);
-  EXPECT_EQ(CeilLog2(3), 2);
-  EXPECT_EQ(CeilLog2(1024), 10);
-  EXPECT_EQ(CeilLog2(1025), 11);
-}
-
 class PowOneMinusInvKSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t,
                                                  std::uint64_t>> {};

@@ -1,21 +1,12 @@
 // ANALYZE-AS: src/subsim/rrset/example.cc
-// Fixture: the rrset layer implements the fill machinery, so it may call
-// ParallelFill and fork worker streams. No findings.
-#include <cstdint>
-
-#include "subsim/random/rng.h"
+// Fixture: the rrset layer owns the batched chunk kernel; naming it and
+// calling it here is the implementation, not a bypass. No findings.
 
 namespace subsim {
 
-void ImplementFill(Rng& rng) {
-  ParallelFill(nullptr, 128);
-  Rng worker = rng.Fork(0);
-  (void)worker;
-}
-
-// The rrset layer also owns the batched chunk kernel; calling it here is
-// the implementation, not a bypass.
 void ImplementBatchedFill() {
+  BatchRrKernel* kernel = nullptr;
+  (void)kernel;
   GenerateChunk(11, 0, 64);
 }
 

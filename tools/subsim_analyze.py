@@ -60,20 +60,11 @@ Rules (paths are relative to the repo root; suppress with
                        Timing there flows through PhaseScope so every
                        measured interval is a traced span. (Text, both
                        engines.)
-  fill-entry-point     ParallelFill / Rng::Fork / the batched chunk kernel
-                       outside src/subsim/{random,rrset}/ and tests/random/:
+  fill-entry-point     The batched chunk kernel (BatchRrKernel,
+                       GenerateChunk) outside src/subsim/{random,rrset}/:
                        bulk RR generation has exactly one entry point,
                        FillCollection(FillRequest). Mentions of the
-                       ParallelFillOptions and BatchRrKernel types are text
-                       checks for both engines.
-  rr-span-access       `.Set(` on an RrCollection / RrCollectionView handle
-                       outside src/subsim/rrset/. The arena may be
-                       delta-varint encoded, so no contiguous NodeId span
-                       exists; consumers iterate through View(id) and the
-                       RrSetView cursor (ForEachNode / Decode). The text
-                       engine tracks names declared with an RR-collection
-                       type; the ast engine resolves the callee's class, so
-                       Gauge::Set / BitVector::Set never false-positive.
+                       BatchRrKernel type are text checks for both engines.
   nolint-needs-reason  A suppression of any rule must carry a reason.
   wall-clock           Reading any clock (steady/system/high_resolution
                        ::now, time(nullptr), gettimeofday, clock_gettime)
@@ -162,7 +153,6 @@ RNG_CONFINEMENT_FORBIDDEN = (
 FILL_ENTRY_ALLOWED = (
     "src/subsim/random/",
     "src/subsim/rrset/",
-    "tests/random/",
 )
 RAW_SOCKET_ALLOWED = ("src/subsim/net/",)
 UNORDERED_ITER_FORBIDDEN = (
@@ -171,7 +161,6 @@ UNORDERED_ITER_FORBIDDEN = (
     "src/subsim/random/",
     "src/subsim/graph/",
 )
-RR_SPAN_ALLOWED = ("src/subsim/rrset/",)
 
 ALL_RULES = (
     "status-discarded",
@@ -181,7 +170,6 @@ ALL_RULES = (
     "iostream-logging",
     "ad-hoc-timer",
     "fill-entry-point",
-    "rr-span-access",
     "nolint-needs-reason",
     "wall-clock",
     "rng-confinement",
@@ -220,12 +208,10 @@ WALL_CLOCK_RE = re.compile(
     r"|high_resolution_clock)\s*::\s*now\b"
     r"|\bgettimeofday\s*\(|\bclock_gettime\s*\(|\bstd::time\s*\("
     r"|(?<![\w:.>])time\s*\(\s*(?:nullptr|NULL)")
-# fill-entry-point: calls are engine checks (the ast engine resolves
-# Rng::Fork's class); naming the legacy options type or the batched chunk
-# kernel is a text check for both engines.
-FILL_ENTRY_CALL_RE = re.compile(
-    r"\bParallelFill\s*\(|(?:\.|->|::)\s*Fork\s*\(|\bGenerateChunk\s*\(")
-FILL_ENTRY_TYPE_RE = re.compile(r"\b(?:ParallelFillOptions|BatchRrKernel)\b")
+# fill-entry-point: the chunk call is an engine check; naming the batched
+# chunk kernel's type is a text check for both engines.
+FILL_ENTRY_CALL_RE = re.compile(r"\bGenerateChunk\s*\(")
+FILL_ENTRY_TYPE_RE = re.compile(r"\bBatchRrKernel\b")
 
 # Direct Rng construction: `Rng name(init)`, `Rng name{init}`, `= Rng(...)`,
 # `return Rng(...)`. `Rng name = Rng::Substream(...)` never matches these
@@ -281,14 +267,6 @@ SOCKET_ANY_CALL_RE = re.compile(r"\b(?:" + _SOCKET_NAMES + r")\s*\(")
 
 UNORDERED_TYPE_RE = re.compile(
     r"\bstd\s*::\s*unordered_(?:set|map|multiset|multimap)\s*<")
-
-# rr-span-access (text engine): names declared with an RR-collection type;
-# `.Set(` is only flagged on those, so other Set() methods never match. The
-# ast engine resolves the callee's semantic parent class instead.
-RR_HANDLE_DECL_RE = re.compile(
-    r"\bRrCollection(?:View)?\s*[&*]?\s+(?P<name>\w+)\b")
-RR_SET_CALL_RE = re.compile(r"\b(?P<name>\w+)\s*(?:\.|->)\s*Set\s*\(")
-RR_COLLECTION_CLASSES = {"RrCollection", "RrCollectionView"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -590,8 +568,8 @@ def text_engine_findings(
         for m in FILL_ENTRY_CALL_RE.finditer(code):
             out.append((line_of(code, m.start()), "fill-entry-point",
                         "bulk RR generation must go through FillCollection"
-                        "(FillRequest); ParallelFill/Rng::Fork here bypasses "
-                        "the thread-count-invariance contract"))
+                        "(FillRequest); the batched chunk kernel here "
+                        "bypasses the thread-count-invariance contract"))
 
     if not path_matches(vpath, RAW_SOCKET_ALLOWED):
         call_re = (SOCKET_ANY_CALL_RE if vpath.startswith(SRC_PREFIX)
@@ -632,17 +610,6 @@ def text_engine_findings(
                             "layer; hash iteration order is implementation-"
                             "defined — copy to a sorted vector (or use an "
                             "ordered container) before consuming"))
-
-    if not path_matches(vpath, RR_SPAN_ALLOWED):
-        rr_handles = {m.group("name")
-                      for m in RR_HANDLE_DECL_RE.finditer(code)}
-        for m in RR_SET_CALL_RE.finditer(code):
-            if m.group("name") in rr_handles:
-                out.append((line_of(code, m.start()), "rr-span-access",
-                            f"'{m.group('name')}.Set(' reaches into the RR "
-                            "arena, which may be delta-varint encoded; "
-                            "iterate via View(id) and "
-                            "RrSetView::ForEachNode/Decode"))
     return out
 
 
@@ -770,37 +737,12 @@ def ast_engine_findings(
                         "outside src/subsim/net/; go through "
                         "HttpServer/HttpClient"))
 
-        if kind == K.CALL_EXPR and not path_matches(vpath,
-                                                    FILL_ENTRY_ALLOWED):
-            if cursor.spelling == "ParallelFill":
-                out.append((line, "fill-entry-point",
-                            "direct ParallelFill call; use FillCollection"
-                            "(FillRequest)"))
-            elif cursor.spelling == "Fork":
-                ref = cursor.referenced
-                owner = (ref.semantic_parent.spelling
-                         if ref is not None and ref.semantic_parent else "")
-                if owner == "Rng":
-                    out.append((line, "fill-entry-point",
-                                "Rng::Fork outside random/rrset; forked "
-                                "streams break thread-count invariance"))
-            elif cursor.spelling == "GenerateChunk":
-                out.append((line, "fill-entry-point",
-                            "BatchRrKernel::GenerateChunk is the fill's "
-                            "internal engine; generate samples through "
-                            "FillCollection(FillRequest)"))
-
-        if (kind == K.CALL_EXPR and cursor.spelling == "Set"
-                and not path_matches(vpath, RR_SPAN_ALLOWED)):
-            ref = cursor.referenced
-            owner = (ref.semantic_parent.spelling
-                     if ref is not None and ref.semantic_parent else "")
-            if owner in RR_COLLECTION_CLASSES:
-                out.append((line, "rr-span-access",
-                            f"{owner}::Set reaches into the RR arena, "
-                            "which may be delta-varint encoded; iterate "
-                            "via View(id) and "
-                            "RrSetView::ForEachNode/Decode"))
+        if (kind == K.CALL_EXPR and cursor.spelling == "GenerateChunk"
+                and not path_matches(vpath, FILL_ENTRY_ALLOWED)):
+            out.append((line, "fill-entry-point",
+                        "BatchRrKernel::GenerateChunk is the fill's "
+                        "internal engine; generate samples through "
+                        "FillCollection(FillRequest)"))
 
         if kind == K.CXX_FOR_RANGE_STMT and path_matches(
                 vpath, UNORDERED_ITER_FORBIDDEN):
