@@ -34,7 +34,7 @@ namespace subsim_bench {
 class BenchObs {
  public:
   explicit BenchObs(const subsim::ExperimentArgs& args)
-      : path_(args.metrics_json), tracer_(/*max_spans=*/8192, &metrics_) {}
+      : path_(args.metrics_json), tracer_(/*max_spans=*/8192) {}
 
   bool enabled() const { return !path_.empty(); }
 
@@ -46,7 +46,8 @@ class BenchObs {
   }
 
   /// Writes the snapshot to the --metrics-json path ("-" = stdout).
-  /// Returns false (after printing the error) if the file cannot open.
+  /// Returns false (after printing the error) if the file cannot be
+  /// opened or written.
   bool Write() const {
     if (!enabled()) {
       return true;
@@ -61,15 +62,20 @@ class BenchObs {
       std::fprintf(stderr, "cannot open %s\n", path_.c_str());
       return false;
     }
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
+    // Buffered writes fail late (a full disk surfaces at fclose), so both
+    // results count.
+    const bool wrote = std::fputs(json.c_str(), out) >= 0;
+    if (std::fclose(out) != 0 || !wrote) {
+      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+      return false;
+    }
     std::fprintf(stderr, "metrics: %s\n", path_.c_str());
     return true;
   }
 
  private:
   const std::string path_;
-  subsim::MetricsRegistry metrics_;  // declared before the tracer using it
+  subsim::MetricsRegistry metrics_;
   subsim::PhaseTracer tracer_;
 };
 

@@ -52,7 +52,7 @@ bool CheckMetricsOverhead(const subsim::Graph& graph, std::uint64_t seed) {
   };
 
   subsim::MetricsRegistry metrics;
-  subsim::PhaseTracer tracer(/*max_spans=*/8192, &metrics);
+  subsim::PhaseTracer tracer(/*max_spans=*/8192);
   double plain = -1.0;
   double instrumented = -1.0;
   for (int rep = 0; rep < kReps; ++rep) {

@@ -34,22 +34,6 @@ double HistogramSnapshot::ApproxQuantile(double q) const {
   return BucketUpperEdge(kNumBuckets - 1);
 }
 
-std::map<std::string, std::uint64_t> MetricsSnapshot::CounterDeltaSince(
-    const MetricsSnapshot& earlier) const {
-  std::map<std::string, std::uint64_t> delta;
-  for (const auto& [name, value] : counters) {
-    std::uint64_t before = 0;
-    auto it = earlier.counters.find(name);
-    if (it != earlier.counters.end()) {
-      before = it->second;
-    }
-    if (value > before) {
-      delta[name] = value - before;
-    }
-  }
-  return delta;
-}
-
 MetricsRegistry::Metric& MetricsRegistry::FindOrCreate(std::string_view name,
                                                        Kind kind) {
   const MutexLock lock(mu_);

@@ -46,12 +46,6 @@ struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-
-  /// Counter-wise difference `this - earlier` (missing keys in `earlier`
-  /// count as zero; zero deltas are omitted). Gauges and histograms are not
-  /// diffed — spans only attribute monotonic counts.
-  std::map<std::string, std::uint64_t> CounterDeltaSince(
-      const MetricsSnapshot& earlier) const;
 };
 
 /// Lock-cheap metrics registry: counters, gauges, and log2-bucket

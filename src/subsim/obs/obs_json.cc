@@ -10,31 +10,25 @@ std::string JsonName(const std::string& name) {
   return '"' + JsonEscape(name) + '"';
 }
 
-void AppendCounterMap(const std::map<std::string, std::uint64_t>& counters,
-                      std::string* out) {
-  *out += '{';
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) {
-      *out += ',';
-    }
-    first = false;
-    *out += JsonName(name) + ':' + std::to_string(value);
-  }
-  *out += '}';
-}
-
 }  // namespace
 
 std::string ObsJsonFields(const MetricsSnapshot& snapshot,
                           const PhaseTracer* tracer) {
   std::string out = "\"schema_version\":1";
 
-  out += ",\"counters\":";
-  AppendCounterMap(snapshot.counters, &out);
+  out += ",\"counters\":{";
+  bool first = true;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (!first) {
+      out += ',';
+    }
+    first = false;
+    out += JsonName(name) + ':' + std::to_string(value);
+  }
+  out += '}';
 
   out += ",\"gauges\":{";
-  bool first = true;
+  first = true;
   for (const auto& [name, value] : snapshot.gauges) {
     if (!first) {
       out += ',';
@@ -76,10 +70,7 @@ std::string ObsJsonFields(const MetricsSnapshot& snapshot,
       first = false;
       out += "{\"name\":" + JsonName(span.name);
       out += ",\"depth\":" + std::to_string(span.depth);
-      out += ",\"seconds\":" + JsonDouble(span.seconds);
-      out += ",\"counter_deltas\":";
-      AppendCounterMap(span.counter_deltas, &out);
-      out += '}';
+      out += ",\"seconds\":" + JsonDouble(span.seconds) + '}';
     }
     out += ']';
     if (const std::uint64_t dropped = tracer->dropped_spans(); dropped > 0) {

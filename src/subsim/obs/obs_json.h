@@ -22,8 +22,7 @@ namespace subsim {
 ///     ...
 ///   },
 ///   "spans": [
-///     {"name": "...", "depth": 0, "seconds": 0.12,
-///      "counter_deltas": {"name": 7, ...}},
+///     {"name": "...", "depth": 0, "seconds": 0.12},
 ///     ...
 ///   ]
 /// }

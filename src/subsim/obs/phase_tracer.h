@@ -3,11 +3,9 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "subsim/obs/metrics.h"
 #include "subsim/util/mutex.h"
 #include "subsim/util/thread_annotations.h"
 
@@ -20,19 +18,13 @@ struct PhaseSpan {
   std::string name;
   double seconds = 0.0;
   int depth = 0;
-  /// Counter increments attributed to this span: registry counter deltas
-  /// between open and close. Empty when the tracer has no registry
-  /// attached or nothing changed.
-  std::map<std::string, std::uint64_t> counter_deltas;
 };
 
 /// Records nested timed spans (theta estimation, fill rounds, sentinel
-/// selection, coverage...) with per-span metric deltas.
-///
-/// A tracer is cheap but not free: opening a span with an attached
-/// registry takes a metrics snapshot. Use it to bracket *phases* (tens
-/// per run), never per-RR-set work — per-set counts belong in the
-/// registry, which the span then attributes via its delta.
+/// selection, coverage...). A span is a name, a depth and a duration;
+/// counts (RR sets, nodes, edges examined) belong in a `MetricsRegistry`.
+/// Use spans to bracket *phases* (tens per run), never per-RR-set work:
+/// each one takes a lock to record.
 ///
 /// Span retention is bounded (`max_spans`); once full, further spans are
 /// timed but dropped, and `dropped_spans()` reports how many. All methods
@@ -40,14 +32,11 @@ struct PhaseSpan {
 /// opened on different threads interleave at their own depths.
 class PhaseTracer {
  public:
-  explicit PhaseTracer(std::size_t max_spans = 4096,
-                       MetricsRegistry* registry = nullptr)
-      : max_spans_(max_spans), registry_(registry) {}
+  explicit PhaseTracer(std::size_t max_spans = 4096)
+      : max_spans_(max_spans) {}
 
   PhaseTracer(const PhaseTracer&) = delete;
   PhaseTracer& operator=(const PhaseTracer&) = delete;
-
-  MetricsRegistry* registry() const { return registry_; }
 
   std::vector<PhaseSpan> Spans() const SUBSIM_EXCLUDES(mu_) {
     const MutexLock lock(mu_);
@@ -57,12 +46,6 @@ class PhaseTracer {
   std::uint64_t dropped_spans() const SUBSIM_EXCLUDES(mu_) {
     const MutexLock lock(mu_);
     return dropped_;
-  }
-
-  void Clear() SUBSIM_EXCLUDES(mu_) {
-    const MutexLock lock(mu_);
-    spans_.clear();
-    dropped_ = 0;
   }
 
  private:
@@ -78,7 +61,6 @@ class PhaseTracer {
   }
 
   const std::size_t max_spans_;
-  MetricsRegistry* const registry_;
   /// Leaf lock; span recording never acquires anything else while held.
   mutable Mutex mu_;
   std::vector<PhaseSpan> spans_ SUBSIM_GUARDED_BY(mu_);
@@ -95,9 +77,6 @@ class PhaseScope {
       : tracer_(tracer), name_(std::move(name)), start_(Clock::now()) {
     if (tracer_ != nullptr) {
       depth_ = ThreadDepth()++;
-      if (tracer_->registry_ != nullptr) {
-        open_snapshot_ = tracer_->registry_->Snapshot();
-      }
     }
   }
 
@@ -124,10 +103,6 @@ class PhaseScope {
     span.name = std::move(name_);
     span.seconds = ElapsedSeconds();
     span.depth = depth_;
-    if (tracer_->registry_ != nullptr) {
-      span.counter_deltas =
-          tracer_->registry_->Snapshot().CounterDeltaSince(open_snapshot_);
-    }
     tracer_->Record(std::move(span));
   }
 
@@ -142,7 +117,6 @@ class PhaseScope {
   PhaseTracer* tracer_;
   std::string name_;
   Clock::time_point start_;
-  MetricsSnapshot open_snapshot_;
   int depth_ = 0;
   bool closed_ = false;
 };

@@ -36,7 +36,6 @@ struct WorkerBuffer {
   std::vector<std::uint8_t> hits;
   /// Final generator stats; flushed to metrics after the join.
   RrGenStats stats;
-  std::uint64_t chunks_claimed = 0;
 };
 
 /// Where a chunk's sets landed. Written once by the claiming worker, read
@@ -133,8 +132,7 @@ Status FillCollection(const FillRequest& request, RrCollection* collection) {
     if (chunk >= num_chunks) {
       return false;
     }
-    WorkerBuffer& buffer = buffers[t];
-    ++buffer.chunks_claimed;
+    const WorkerBuffer& buffer = buffers[t];
     *begin = chunk * kChunkSize;
     *end = std::min(*begin + kChunkSize, count);
     ChunkRef& ref = chunks[chunk];
@@ -182,7 +180,6 @@ Status FillCollection(const FillRequest& request, RrCollection* collection) {
       }
       const std::size_t chunk_end =
           std::min(chunk_begin + kBatchedChunksPerClaim, num_chunks);
-      buffer.chunks_claimed += chunk_end - chunk_begin;
       const std::size_t begin = chunk_begin * kChunkSize;
       const std::size_t end =
           std::min(chunk_end * kChunkSize, count);
@@ -244,10 +241,6 @@ Status FillCollection(const FillRequest& request, RrCollection* collection) {
   MetricsRegistry::HistogramHandle set_size;
   if (request.obs.metrics != nullptr) {
     set_size = request.obs.metrics->Histogram("rr.set_size");
-    request.obs.metrics->Counter("fill.chunks_claimed")
-        .Add(static_cast<std::uint64_t>(num_chunks));
-    request.obs.metrics->Counter("fill.substream_forks")
-        .Add(static_cast<std::uint64_t>(count));
   }
 
   // Index-order merge: chunk c holds sets [c*kChunkSize, ...), so walking

@@ -115,21 +115,7 @@ QueryEngine::QueryEngine(GraphRegistry* registry,
     : registry_(registry),
       cache_(options.cache),
       num_threads_(options.num_threads),
-      impl_(std::make_unique<Impl>(this, options.num_workers)) {
-  // Register the serve-level instruments up front so /metricsz exposes
-  // every golden key (docs/serving.md) from the first scrape, before any
-  // traffic arrives.
-  metrics_.Counter("serve.queries");
-  metrics_.Counter("serve.errors");
-  metrics_.Counter("serve.shed");
-  metrics_.Counter("serve.deadline_hits");
-  metrics_.Histogram("serve.queue_us");
-  metrics_.Histogram("serve.exec_us");
-  metrics_.Counter("update.batches");
-  metrics_.Counter("update.sets_repaired");
-  metrics_.Counter("update.sets_kept");
-  metrics_.Histogram("update.repair_us");
-}
+      impl_(std::make_unique<Impl>(this, options.num_workers)) {}
 
 QueryEngine::~QueryEngine() = default;
 
@@ -195,14 +181,14 @@ Result<QueryEngine::GraphUpdateOutcome> QueryEngine::ApplyGraphUpdates(
   // Runs outside the cache lock — lookups stay unblocked; a query racing
   // this loop either finds the old-version entry (fine: its key pins the
   // old snapshot) or misses on the new version and fills cold.
-  PhaseScope repair_span(&tracer_, "serve.update");
+  PhaseScope repair_span(nullptr, "serve.update");
   const std::vector<std::pair<SketchKey, std::shared_ptr<RrSketchCache::Entry>>>
       old_entries =
           cache_.EntriesForGraph(name, updated->previous.version);
   for (const auto& [old_key, old_entry] : old_entries) {
     SampleStore::Options store_options;
     store_options.num_threads = num_threads_;
-    store_options.obs = ObsContext{&metrics_, &tracer_};
+    store_options.obs = ObsContext{&metrics_, nullptr};
     SampleStore::RepairStats repair_stats;
     Result<std::unique_ptr<SampleStore>> repaired =
         SampleStore::CreateRepaired(*updated->snapshot.graph,
@@ -231,11 +217,11 @@ Result<QueryEngine::GraphUpdateOutcome> QueryEngine::ApplyGraphUpdates(
   outcome.repair_seconds = repair_span.ElapsedSeconds();
   repair_span.Close();
 
-  metrics_.Counter("update.batches").Increment();
-  metrics_.Counter("update.sets_repaired").Add(outcome.sets_repaired);
-  metrics_.Counter("update.sets_kept").Add(outcome.sets_kept);
-  metrics_.Histogram("update.repair_us")
-      .Observe(static_cast<std::uint64_t>(outcome.repair_seconds * 1e6));
+  update_batches_.Increment();
+  update_sets_repaired_.Add(outcome.sets_repaired);
+  update_sets_kept_.Add(outcome.sets_kept);
+  update_repair_us_.Observe(
+      static_cast<std::uint64_t>(outcome.repair_seconds * 1e6));
   cache_.EnforceBudget();
   return outcome;
 }
@@ -262,7 +248,7 @@ std::string QueryEngine::CacheStatsJson() const {
 std::string QueryEngine::StatsJson() const {
   std::string out = CacheStatsJson();
   out.back() = ',';  // reopen the object for the observability fields
-  out += ObsJsonFields(metrics_.Snapshot(), &tracer_);
+  out += ObsJsonFields(metrics_.Snapshot());
   out += "}";
   return out;
 }
@@ -275,26 +261,21 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   response.query_id = query_id;
   response.query = query;
   response.stats.queue_seconds = queue_seconds;
-  metrics_.Histogram("serve.queue_us")
-      .Observe(static_cast<std::uint64_t>(queue_seconds * 1e6));
-  PhaseScope exec_span(&tracer_, "serve.exec");
+  queue_us_.Observe(static_cast<std::uint64_t>(queue_seconds * 1e6));
+  PhaseScope exec_span(nullptr, "serve.exec");
 
   const auto finish = [&](Status status) -> QueryResponse {
     response.stats.exec_seconds = exec_span.ElapsedSeconds();
     exec_span.Close();
-    metrics_.Histogram("serve.exec_us")
-        .Observe(static_cast<std::uint64_t>(response.stats.exec_seconds * 1e6));
-    metrics_.Counter("serve.queries").Increment();
+    exec_us_.Observe(
+        static_cast<std::uint64_t>(response.stats.exec_seconds * 1e6));
+    queries_.Increment();
     if (!status.ok()) {
-      metrics_.Counter("serve.errors").Increment();
+      errors_.Increment();
     }
     if (response.result.deadline_hit) {
-      metrics_.Counter("serve.deadline_hits").Increment();
+      deadline_hits_.Increment();
     }
-    metrics_.Gauge("serve.cache_entries")
-        .Set(static_cast<double>(cache_.num_entries()));
-    metrics_.Gauge("serve.cache_bytes")
-        .Set(static_cast<double>(cache_.ApproxMemoryBytes()));
     response.status = std::move(status);
     return std::move(response);
   };
@@ -303,7 +284,7 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   // anyway would only make the caller's overload worse. Budgets that
   // expire mid-run degrade at a round boundary instead (ImOptions).
   if (deadline.is_set() && deadline.Expired()) {
-    metrics_.Counter("serve.shed").Increment();
+    shed_.Increment();
     return finish(Status::DeadlineExceeded(
         "deadline expired before execution started"));
   }
@@ -319,7 +300,7 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   }
   ImOptions options = query.ToImOptions();
   // Every query — cached or fresh — records into the engine registry.
-  options.obs = ObsContext{&metrics_, &tracer_};
+  options.obs = ObsContext{&metrics_, nullptr};
   // Generation threads are an engine-level knob: results are invariant to
   // the thread count, so applying it here cannot change any response.
   options.num_threads = num_threads_;

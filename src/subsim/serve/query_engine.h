@@ -7,7 +7,6 @@
 #include <string>
 
 #include "subsim/obs/metrics.h"
-#include "subsim/obs/phase_tracer.h"
 #include "subsim/serve/graph_registry.h"
 #include "subsim/serve/query.h"
 #include "subsim/serve/rr_sketch_cache.h"
@@ -102,8 +101,8 @@ class QueryEngine {
     /// Across all repaired entries: sets regenerated / carried forward.
     std::uint64_t sets_repaired = 0;
     std::uint64_t sets_kept = 0;
-    /// Wall seconds spent repairing cache entries (the `serve.update`
-    /// span; also observed into `update.repair_us`).
+    /// Wall seconds spent repairing cache entries (timed by the
+    /// `serve.update` stopwatch; also observed into `update.repair_us`).
     double repair_seconds = 0.0;
   };
 
@@ -135,7 +134,6 @@ class QueryEngine {
   /// (`serve.*` plus whatever the algorithms and generators record).
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  const PhaseTracer& tracer() const { return tracer_; }
 
   /// The cache-level stats as one JSON object: `cache_entries`,
   /// `cache_hits`, `cache_misses`, `cache_lost_races`, `cache_evictions`,
@@ -157,7 +155,26 @@ class QueryEngine {
   // Declared before the cache: cached SampleStores carry ObsContext
   // pointers into the registry, so they must be destroyed first.
   MetricsRegistry metrics_;
-  PhaseTracer tracer_{4096, &metrics_};
+  // Handles to the engine's own instruments, taken once so /metricsz
+  // exposes every golden key (docs/observability.md) from the first scrape
+  // and queries do no name lookups under the registry mutex.
+  MetricsRegistry::CounterHandle queries_ = metrics_.Counter("serve.queries");
+  MetricsRegistry::CounterHandle errors_ = metrics_.Counter("serve.errors");
+  MetricsRegistry::CounterHandle shed_ = metrics_.Counter("serve.shed");
+  MetricsRegistry::CounterHandle deadline_hits_ =
+      metrics_.Counter("serve.deadline_hits");
+  MetricsRegistry::HistogramHandle queue_us_ =
+      metrics_.Histogram("serve.queue_us");
+  MetricsRegistry::HistogramHandle exec_us_ =
+      metrics_.Histogram("serve.exec_us");
+  MetricsRegistry::CounterHandle update_batches_ =
+      metrics_.Counter("update.batches");
+  MetricsRegistry::CounterHandle update_sets_repaired_ =
+      metrics_.Counter("update.sets_repaired");
+  MetricsRegistry::CounterHandle update_sets_kept_ =
+      metrics_.Counter("update.sets_kept");
+  MetricsRegistry::HistogramHandle update_repair_us_ =
+      metrics_.Histogram("update.repair_us");
   GraphRegistry* registry_;
   RrSketchCache cache_;
   /// Serializes `ApplyGraphUpdates` calls: each repair pass must see the

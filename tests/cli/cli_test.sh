@@ -87,8 +87,6 @@ done
 sed -n 's/.*"counters":{\([^}]*\)}.*/\1/p' "$MJSON" | tr ',' '\n' \
   | sed 's/:.*//' | sort > "$WORK/counter_keys.txt"
 cat > "$WORK/counter_keys_golden.txt" <<'EOF'
-"fill.chunks_claimed"
-"fill.substream_forks"
 "rr.batch_chunks"
 "rr.edges_examined"
 "rr.geometric_skips"
@@ -120,15 +118,6 @@ if [ -n "$SETS" ] && [ "$SETS" -gt 0 ] && [ "$SETS" = "$STORE_SETS" ] \
 else
   echo "FAIL: metrics set counts inconsistent" \
        "(rr=$SETS store=$STORE_SETS hist=$HIST_COUNT)"
-  FAILURES=$((FAILURES + 1))
-fi
-# Every set is drawn from its own counter-based substream, so the fork
-# count must equal the set count regardless of --threads.
-FORKS=$(sed -n 's/.*"fill.substream_forks":\([0-9]*\).*/\1/p' "$MJSON")
-if [ -n "$FORKS" ] && [ "$FORKS" = "$SETS" ]; then
-  echo "ok: one substream fork per RR set ($FORKS)"
-else
-  echo "FAIL: substream forks ($FORKS) != sets generated ($SETS)"
   FAILURES=$((FAILURES + 1))
 fi
 RATIO=$(sed -n 's/.*"opim_c.approx_ratio":\([0-9.eE+-]*\).*/\1/p' "$MJSON")

@@ -85,7 +85,7 @@ TEST(MetricsConcurrencyTest, WritersAndSnapshotReaderDoNotRace) {
 
 TEST(MetricsConcurrencyTest, ConcurrentSpansRecordWithoutRacing) {
   MetricsRegistry registry;
-  PhaseTracer tracer(/*max_spans=*/1 << 14, &registry);
+  PhaseTracer tracer(/*max_spans=*/1 << 14);
   constexpr int kThreads = 8;
   constexpr int kSpansPerThread = 200;
 

@@ -1,9 +1,10 @@
 // Unit tests for the observability layer: MetricsRegistry handle
-// semantics, histogram bucketing, snapshot deltas, PhaseTracer span
-// recording, and the exported JSON shape.
+// semantics, histogram bucketing, PhaseTracer span recording, and the
+// exported JSON shape.
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,19 +81,6 @@ TEST(MetricsRegistryTest, HistogramCountSumMeanAndQuantile) {
   EXPECT_DOUBLE_EQ(snapshot.ApproxQuantile(1.0), 64.0);
 }
 
-TEST(MetricsRegistryTest, CounterDeltaSinceOmitsUnchanged) {
-  MetricsRegistry registry;
-  MetricsRegistry::CounterHandle a = registry.Counter("a");
-  MetricsRegistry::CounterHandle b = registry.Counter("b");
-  a.Add(2);
-  b.Add(5);
-  const MetricsSnapshot before = registry.Snapshot();
-  a.Add(10);
-  const auto delta = registry.Snapshot().CounterDeltaSince(before);
-  ASSERT_EQ(delta.size(), 1u);
-  EXPECT_EQ(delta.at("a"), 10u);
-}
-
 TEST(MetricsRegistryTest, WritesFromManyThreadsAllLand) {
   MetricsRegistry registry;
   MetricsRegistry::CounterHandle counter = registry.Counter("n");
@@ -129,21 +117,6 @@ TEST(PhaseTracerTest, RecordsNestedSpansWithDepths) {
   EXPECT_GE(spans[1].seconds, spans[0].seconds);
 }
 
-TEST(PhaseTracerTest, SpanAttributesCounterDeltas) {
-  MetricsRegistry registry;
-  PhaseTracer tracer(/*max_spans=*/16, &registry);
-  MetricsRegistry::CounterHandle counter = registry.Counter("work");
-  counter.Add(5);  // before the span: must not be attributed
-  {
-    PhaseScope span(&tracer, "phase");
-    counter.Add(3);
-  }
-  const std::vector<PhaseSpan> spans = tracer.Spans();
-  ASSERT_EQ(spans.size(), 1u);
-  ASSERT_EQ(spans[0].counter_deltas.count("work"), 1u);
-  EXPECT_EQ(spans[0].counter_deltas.at("work"), 3u);
-}
-
 TEST(PhaseTracerTest, BoundedRetentionCountsDrops) {
   PhaseTracer tracer(/*max_spans=*/2);
   for (int i = 0; i < 5; ++i) {
@@ -162,7 +135,7 @@ TEST(PhaseTracerTest, NullTracerDegradesToStopwatch) {
 
 TEST(ObsJsonTest, EmitsDocumentedSchema) {
   MetricsRegistry registry;
-  PhaseTracer tracer(/*max_spans=*/16, &registry);
+  PhaseTracer tracer(/*max_spans=*/16);
   registry.Counter("rr.sets_generated").Add(12);
   registry.Gauge("opim_c.approx_ratio").Set(0.73);
   registry.Histogram("rr.set_size").Observe(9);
@@ -176,8 +149,12 @@ TEST(ObsJsonTest, EmitsDocumentedSchema) {
   EXPECT_NE(json.find("\"opim_c.approx_ratio\":0.73"), std::string::npos);
   EXPECT_NE(json.find("\"rr.set_size\":{\"count\":1,\"sum\":9"),
             std::string::npos);
-  EXPECT_NE(json.find("\"spans\":[{\"name\":\"opim_c.run\""),
-            std::string::npos);
+  // A span is exactly a name, a depth and a duration; counts live in
+  // "counters" only.
+  EXPECT_TRUE(std::regex_search(
+      json, std::regex(R"("spans":\[\{"name":"opim_c\.run","depth":0,)"
+                       R"("seconds":[0-9.eE+-]+\}\])")))
+      << json;
   // Nothing was dropped, so the key is omitted.
   EXPECT_EQ(json.find("dropped_spans"), std::string::npos);
 

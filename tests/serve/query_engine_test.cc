@@ -274,17 +274,9 @@ TEST_F(QueryEngineTest, PerQueryMetricsFoldIntoEngineStats) {
   EXPECT_GE(snapshot.counters.at("rr.sets_generated"),
             cold.stats.rr_sets_generated);
   EXPECT_GT(snapshot.counters.count("store.fill_rounds"), 0u);
-  EXPECT_DOUBLE_EQ(snapshot.gauges.at("serve.cache_entries"), 1.0);
-
-  // The engine run traces spans for both serve and algorithm phases.
-  bool saw_exec = false;
-  bool saw_algo = false;
-  for (const PhaseSpan& span : engine.tracer().Spans()) {
-    saw_exec = saw_exec || span.name == "serve.exec";
-    saw_algo = saw_algo || span.name == "opim_c.run";
-  }
-  EXPECT_TRUE(saw_exec);
-  EXPECT_TRUE(saw_algo);
+  // The cache size is reported once, by the cache stats.
+  EXPECT_NE(engine.CacheStatsJson().find("\"cache_entries\":1"),
+            std::string::npos);
 }
 
 TEST_F(QueryEngineTest, StatsJsonMergesCacheAndMetrics) {
@@ -310,7 +302,9 @@ TEST_F(QueryEngineTest, StatsJsonMergesCacheAndMetrics) {
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
   EXPECT_NE(json.find("\"serve.queries\":1"), std::string::npos);
   EXPECT_NE(json.find("\"rr.set_size\""), std::string::npos);
-  EXPECT_NE(json.find("\"spans\":["), std::string::npos);
+  // The engine keeps no trace, so the document does not grow with
+  // traffic.
+  EXPECT_EQ(json.find("\"spans\""), std::string::npos);
 }
 
 TEST_F(QueryEngineTest, DestructionRacesInFlightQueries) {

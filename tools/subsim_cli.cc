@@ -316,7 +316,7 @@ int CmdRun(const Flags& flags) {
   // registry and the instrumentation handles stay no-ops.
   const std::string metrics_path = flags.Get("metrics-json", "");
   MetricsRegistry metrics;
-  PhaseTracer tracer(/*max_spans=*/4096, &metrics);
+  PhaseTracer tracer(/*max_spans=*/4096);
   if (!metrics_path.empty()) {
     options.obs = ObsContext{&metrics, &tracer};
   }
