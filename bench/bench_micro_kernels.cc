@@ -10,7 +10,8 @@
 // two kernels produce byte-identical collections, and fails if the
 // batched kernel is slower than the scalar one. It also fails if storing
 // and indexing a fill in an `RrCollection` costs too much next to the
-// generation alone.
+// generation alone, or if a fill pays for the graph's sampling plans again
+// once they are built: per fill, or per worker thread.
 
 #include <benchmark/benchmark.h>
 
@@ -293,13 +294,15 @@ BENCHMARK_CAPTURE(BM_CoverageGreedy, subsim_100k_nodes,
 // assertion per generator kind, on min-over-reps single-thread timings.
 
 double TimeFillSeconds(const Graph& graph, GeneratorKind kind,
-                       FillKernel kernel, std::size_t count) {
+                       FillKernel kernel, std::size_t count,
+                       unsigned num_threads = 1) {
   RrCollection collection(graph.num_nodes());
   RngStream stream = MakeRngStream(11, 1);
   const auto start = std::chrono::steady_clock::now();
   const Status status = FillCollection(
       {.kind = kind, .graph = &graph, .rng = &stream, .count = count,
-       .num_threads = 1, .sentinels = {}, .obs = {}, .kernel = kernel},
+       .num_threads = num_threads, .sentinels = {}, .obs = {},
+       .kernel = kernel},
       &collection);
   const auto stop = std::chrono::steady_clock::now();
   SUBSIM_CHECK(status.ok(), "smoke fill: %s", status.ToString().c_str());
@@ -342,6 +345,63 @@ bool CollectionsIdentical(const RrCollection& a, const RrCollection& b) {
     }
   }
   return true;
+}
+
+/// Exponential weights with in-rows left unsorted, so SUBSIM's plans
+/// include one `BucketSubsetSampler` per skewed row: the graph's sampling
+/// state costs O(m) heap allocations to build.
+Graph BucketPlanGraph() {
+  Result<EdgeList> list = GenerateBarabasiAlbert(200000, 10, false, 5);
+  const Status weights =
+      AssignWeights(WeightModel::kExponential, {}, &list.value());
+  SUBSIM_CHECK(weights.ok(), "plan graph weights: %s",
+               weights.ToString().c_str());
+  return BuildGraph(std::move(list).value()).value();
+}
+
+/// Plan guards: the graph's sampling plans are built once per graph and
+/// shared, so (1) a small fill on a graph whose plans exist costs a
+/// fraction of the first fill, which builds them, and (2) more fill
+/// threads do not make a fill slower. With a kernel that plans per worker
+/// per fill, the warm fill costs as much as the cold one and each extra
+/// thread adds an O(m) build.
+bool RunPlanGuards(int reps) {
+  constexpr double kMaxWarmOverCold = 0.25;
+  constexpr double kMaxThreadsRatio = 1.25;
+  constexpr std::size_t kSmallFill = 64;
+  constexpr std::size_t kThreadedFill = 4096;
+  double cold_best = 0.0;
+  double warm_best = 0.0;
+  double warm_ratio = 0.0;
+  double one_best = 0.0;
+  double four_best = 0.0;
+  double threads_ratio = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const Graph graph = BucketPlanGraph();  // fresh: no plans built yet
+    const double cold = TimeFillSeconds(graph, GeneratorKind::kSubsimIc,
+                                        FillKernel::kAuto, kSmallFill);
+    const double warm = TimeFillSeconds(graph, GeneratorKind::kSubsimIc,
+                                        FillKernel::kAuto, kSmallFill);
+    const double one = TimeFillSeconds(graph, GeneratorKind::kSubsimIc,
+                                       FillKernel::kAuto, kThreadedFill, 1);
+    const double four = TimeFillSeconds(graph, GeneratorKind::kSubsimIc,
+                                        FillKernel::kAuto, kThreadedFill, 4);
+    cold_best = rep == 0 ? cold : std::min(cold_best, cold);
+    warm_best = rep == 0 ? warm : std::min(warm_best, warm);
+    warm_ratio = rep == 0 ? warm / cold : std::min(warm_ratio, warm / cold);
+    one_best = rep == 0 ? one : std::min(one_best, one);
+    four_best = rep == 0 ? four : std::min(four_best, four);
+    threads_ratio = rep == 0 ? four / one : std::min(threads_ratio, four / one);
+  }
+  const bool warm_pass = warm_ratio <= kMaxWarmOverCold;
+  std::printf("%s %-8s cold %8.2f ms  warm %8.2f ms  ratio %5.2fx\n",
+              warm_pass ? "ok  " : "FAIL", "plan", cold_best * 1e3,
+              warm_best * 1e3, warm_ratio);
+  const bool threads_pass = threads_ratio <= kMaxThreadsRatio;
+  std::printf("%s %-8s 1 thread %8.2f ms  4 threads %8.2f ms  ratio %5.2fx\n",
+              threads_pass ? "ok  " : "FAIL", "threads", one_best * 1e3,
+              four_best * 1e3, threads_ratio);
+  return warm_pass && threads_pass;
 }
 
 int RunSmoke() {
@@ -444,6 +504,7 @@ int RunSmoke() {
                 fill_best * 1e3, ratio);
     ok = ok && pass;
   }
+  ok = RunPlanGuards(kReps) && ok;
   return ok ? 0 : 1;
 }
 

@@ -1,7 +1,11 @@
 #ifndef SUBSIM_GRAPH_GRAPH_H_
 #define SUBSIM_GRAPH_GRAPH_H_
 
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -58,7 +62,9 @@ static_assert(sizeof(InRowMeta) == 16, "InRowMeta must pack 4 per line");
 /// requires (paper Section 3.3).
 ///
 /// Instances are created by `GraphBuilder`; the class itself is read-only,
-/// cheap to move, and deliberately has no mutation API.
+/// cheap to move, and deliberately has no mutation API. The one exception
+/// is `Derived`: immutable state that layers above graph/ derive from the
+/// graph, built once on first use and owned by it (see there).
 class Graph {
  public:
   Graph() = default;
@@ -191,8 +197,44 @@ class Graph {
   /// tests.
   EdgeList ToEdgeList() const;
 
+  /// Kinds of state derived from a graph by layers above graph/. Each slot
+  /// holds one type, and only one accessor builds it:
+  ///  * kSubsimPlan — `SubsimExpandCore::Shared` (rrset/): the SUBSIM node
+  ///    plans, plus bucket samplers on unsorted skewed graphs;
+  ///  * kLtPlan — `LtEdgePicker::Shared` (rrset/): LT's pick records and
+  ///    alias tables, or the weight-sum check that rejected the graph.
+  enum class DerivedSlot : std::uint8_t { kSubsimPlan, kLtPlan, kCount };
+
+  /// The state in `slot`, built by `build()` (returning a
+  /// `std::unique_ptr<T>`) on the first call for this graph; every later
+  /// call returns the same object. Concurrent first callers block until
+  /// the one build finishes (`std::call_once`), and the state is
+  /// immutable afterwards, so any number of threads may read it.
+  ///
+  /// The state lives behind a pointer the graph owns, so moving the graph
+  /// moves it along at the same address; it must therefore hold row
+  /// positions and parameters only, never a reference to the graph. A
+  /// graph update builds a new `Graph`, which starts with empty slots, so
+  /// derived state never needs invalidating.
+  template <class T, class Build>
+  const T& Derived(DerivedSlot slot, Build&& build) const {
+    DerivedState& state = derived_->slots[static_cast<std::size_t>(slot)];
+    std::call_once(state.once,
+                   [&] { state.value = std::shared_ptr<const T>(build()); });
+    return *static_cast<const T*>(state.value.get());
+  }
+
  private:
   friend class GraphBuilder;
+
+  struct DerivedState {
+    std::once_flag once;
+    std::shared_ptr<const void> value;  // type-erased; see DerivedSlot
+  };
+  struct DerivedSlots {
+    std::array<DerivedState, static_cast<std::size_t>(DerivedSlot::kCount)>
+        slots;
+  };
 
   NodeId num_nodes_ = 0;
   EdgeIndex num_edges_ = 0;
@@ -207,6 +249,10 @@ class Graph {
 
   std::vector<double> in_weight_sums_;  // size n
   std::vector<InRowMeta> in_row_meta_;  // size n; see InRowMeta
+
+  /// Behind a pointer: `std::once_flag` cannot move, and the state's
+  /// address must survive a move of the graph.
+  std::unique_ptr<DerivedSlots> derived_ = std::make_unique<DerivedSlots>();
 };
 
 }  // namespace subsim

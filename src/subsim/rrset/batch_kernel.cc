@@ -422,9 +422,9 @@ class VanillaBatchKernel final : public BatchKernelCrtp<VanillaBatchKernel> {
   std::vector<std::uint64_t> draw_buf_;
 };
 
-/// SUBSIM IC, batched: the scalar `SubsimExpandCore` plans drive the
-/// traversal; only the activation sink and the small-degree naive policy
-/// (bulk draws) differ. Without sentinels the draws are independent of
+/// SUBSIM IC, batched: the graph's shared `SubsimExpandCore` plans drive
+/// the traversal, exactly as in the scalar generator; only the activation
+/// sink and the small-degree naive policy (bulk draws) differ. Without sentinels the draws are independent of
 /// activation outcomes, so the sink merely collects candidates and the
 /// run step commits them a round later (same pipeline as the vanilla
 /// kernel). With sentinels a stop truncates the take-all/bucket emission
@@ -436,8 +436,7 @@ class VanillaBatchKernel final : public BatchKernelCrtp<VanillaBatchKernel> {
 class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
  public:
   explicit SubsimBatchKernel(const Graph& graph)
-      : BatchKernelCrtp(graph),
-        core_(graph, SubsimIcGenerator::kDefaultNaiveFallbackDegree) {}
+      : BatchKernelCrtp(graph), core_(SubsimExpandCore::Shared(graph)) {}
 
   const char* name() const override { return "subsim-ic-batch"; }
 
@@ -451,7 +450,7 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
 
   void PrefetchNodeData(std::size_t slot, NodeId v) {
     (void)slot;
-    stats_.prefetch_lines += core_.PrefetchRow(v);
+    stats_.prefetch_lines += core_.PrefetchRow(graph_, v);
   }
 
   bool Step(std::size_t slot) {
@@ -501,7 +500,7 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
       for (NodeId w : pending) {
         if (MarkLane(slot, w)) {
           nodes.push_back(w);
-          stats_.prefetch_lines += core_.PrefetchRow(w);
+          stats_.prefetch_lines += core_.PrefetchRow(graph_, w);
         }
       }
       pending.clear();
@@ -515,7 +514,8 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
     const NodeId u = nodes[lane_head_[slot]++];
     CollectSink sink{this, &pending};
     BulkNaivePolicy naive{&draw_buf_};
-    core_.ExpandNode(u, lane_rngs_[slot], &stats_, sink, naive);
+    core_.ExpandNode(graph_, u, lane_rngs_[slot], &stats_, sink, naive,
+                     &bucket_scratch_);
     return pending.empty() && lane_head_[slot] == nodes.size();
   }
 
@@ -524,7 +524,8 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
     const NodeId u = nodes[lane_head_[slot]++];
     InlineSink sink{this, &nodes, slot, false};
     BulkNaivePolicy naive{&draw_buf_};
-    if (core_.ExpandNode(u, lane_rngs_[slot], &stats_, sink, naive)) {
+    if (core_.ExpandNode(graph_, u, lane_rngs_[slot], &stats_, sink, naive,
+                         &bucket_scratch_)) {
       MarkLaneHit(slot);
       return true;
     }
@@ -579,9 +580,10 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
     }
   };
 
-  SubsimExpandCore core_;
+  const SubsimExpandCore& core_;
   std::vector<NodeId> pending_[kMaxLanes];
   std::vector<std::uint64_t> draw_buf_;
+  std::vector<std::uint32_t> bucket_scratch_;
 };
 
 /// LT, batched. The live-edge walk is inherently sequential in its draws
@@ -593,8 +595,8 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
 /// it, appends it, and prefetches its in-row for the following pick.
 class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
  public:
-  explicit LtBatchKernel(const Graph& graph)
-      : BatchKernelCrtp(graph), picker_(graph) {}
+  LtBatchKernel(const Graph& graph, const LtEdgePicker& picker)
+      : BatchKernelCrtp(graph), picker_(picker) {}
 
   const char* name() const override { return "lt-batch"; }
 
@@ -624,7 +626,8 @@ class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
     }
 
     const NodeId next =
-        picker_.PickInNeighbor(nodes.back(), lane_rngs_[slot], &stats_);
+        picker_.PickInNeighbor(graph_, nodes.back(), lane_rngs_[slot],
+                               &stats_);
     if (next == kInvalidNode) {
       return true;  // dead end
     }
@@ -637,7 +640,7 @@ class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
   }
 
  private:
-  LtEdgePicker picker_;
+  const LtEdgePicker& picker_;
   NodeId lane_candidate_[kMaxLanes] = {};
   std::uint8_t lane_pick_[kMaxLanes] = {};
 };
@@ -652,11 +655,12 @@ Result<std::unique_ptr<BatchRrKernel>> BatchRrKernel::Create(
     case GeneratorKind::kSubsimIc:
       return std::unique_ptr<BatchRrKernel>(new SubsimBatchKernel(graph));
     case GeneratorKind::kLt: {
-      Status status = LtEdgePicker::Validate(graph);
-      if (!status.ok()) {
-        return status;
+      Result<const LtEdgePicker*> picker = LtEdgePicker::Shared(graph);
+      if (!picker.ok()) {
+        return picker.status();
       }
-      return std::unique_ptr<BatchRrKernel>(new LtBatchKernel(graph));
+      return std::unique_ptr<BatchRrKernel>(
+          new LtBatchKernel(graph, **picker));
     }
   }
   return Status::InvalidArgument("unknown generator kind");

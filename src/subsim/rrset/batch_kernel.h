@@ -57,20 +57,24 @@ struct BatchChunkSink {
 ///  * discovery-time software prefetch over the CSR in-adjacency and the
 ///    kernels' packed per-node descriptors (`Graph::PrefetchInMeta` /
 ///    `PrefetchInRow`, `SubsimExpandCore::PrefetchPlan` / `PrefetchRow`,
-///    `LtEdgePicker::PrefetchPick` / `PrefetchRow`).
+///    `LtEdgePicker::PrefetchPick`).
 ///
-/// Like `RrGenerator`, a kernel holds per-instance scratch and is not
-/// thread-safe; `FillCollection` builds one per worker. The interface is
-/// deliberately device-shaped — a chunk in, a flat SoA buffer out, no
+/// Like `RrGenerator`, a kernel holds per-instance scratch (marks, lanes,
+/// queues) and is not thread-safe; `FillCollection` builds one per worker
+/// per fill. The sampling plans it reads are the graph's shared, immutable
+/// state (`SubsimExpandCore::Shared`, `LtEdgePicker::Shared`), built once
+/// per graph, so a kernel costs its scratch allocation only. The interface
+/// is deliberately device-shaped — a chunk in, a flat SoA buffer out, no
 /// callbacks on the hot path — so an accelerator backend is just another
 /// implementation of `GenerateChunk`.
 class BatchRrKernel {
  public:
   virtual ~BatchRrKernel() = default;
 
-  /// Builds the kernel for `kind`; fails for exactly the inputs the scalar
-  /// factory rejects (e.g. LT weight-sum violations). `graph` must be
-  /// non-empty and outlive the kernel.
+  /// Builds the kernel for `kind` over the graph's shared sampling state
+  /// (built here if this is its first use); fails for exactly the inputs
+  /// the scalar factory rejects (e.g. LT weight-sum violations). `graph`
+  /// must be non-empty and outlive the kernel.
   static Result<std::unique_ptr<BatchRrKernel>> Create(GeneratorKind kind,
                                                        const Graph& graph);
 

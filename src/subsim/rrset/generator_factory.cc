@@ -45,6 +45,19 @@ void FlushRrGenStatsDelta(const RrGenStats& before, const RrGenStats& after,
       .Add(after.prefetch_lines - before.prefetch_lines);
 }
 
+Status PrepareSamplingState(GeneratorKind kind, const Graph& graph) {
+  switch (kind) {
+    case GeneratorKind::kVanillaIc:
+      return Status::Ok();
+    case GeneratorKind::kSubsimIc:
+      SubsimExpandCore::Shared(graph);
+      return Status::Ok();
+    case GeneratorKind::kLt:
+      return LtEdgePicker::Shared(graph).status();
+  }
+  return Status::InvalidArgument("unknown generator kind");
+}
+
 Result<std::unique_ptr<RrGenerator>> MakeRrGenerator(GeneratorKind kind,
                                                      const Graph& graph) {
   switch (kind) {

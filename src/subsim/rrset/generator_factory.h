@@ -19,8 +19,19 @@ enum class GeneratorKind {
   kLt,         // Linear Threshold live-edge walk
 };
 
-/// Builds a generator over `graph` (which must outlive the result).
-/// kLt validates the per-node weight-sum requirement.
+/// Builds, on the first call for `graph`, the immutable per-graph half of
+/// `kind`'s generators and kernels — SUBSIM's node plans and bucket
+/// samplers (`SubsimExpandCore::Shared`), LT's pick records and alias
+/// tables (`LtEdgePicker::Shared`); vanilla IC has none — and returns the
+/// kind's verdict on the graph: kLt rejects a graph whose per-node
+/// in-weight sums exceed 1. The state is owned by `graph` and shared
+/// read-only by every generator, kernel, fill and store over it.
+Status PrepareSamplingState(GeneratorKind kind, const Graph& graph);
+
+/// Builds a generator over `graph` (which must outlive the result): the
+/// graph's shared sampling state (built here on first use; see
+/// `PrepareSamplingState`) plus the generator's own scratch. Fails where
+/// `PrepareSamplingState` does.
 Result<std::unique_ptr<RrGenerator>> MakeRrGenerator(GeneratorKind kind,
                                                      const Graph& graph);
 

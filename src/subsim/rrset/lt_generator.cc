@@ -1,25 +1,48 @@
 #include "subsim/rrset/lt_generator.h"
 
+#include <memory>
 #include <string>
 
 namespace subsim {
 
-Status LtEdgePicker::Validate(const Graph& graph) {
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (graph.InWeightSum(v) > 1.0 + 1e-9) {
-      return Status::InvalidArgument(
-          "LT requires per-node incoming weights to sum to <= 1; node " +
-          std::to_string(v) + " sums to " +
-          std::to_string(graph.InWeightSum(v)));
-    }
+namespace {
+
+/// What the graph's kLtPlan slot holds: the picker, or why LT rejected
+/// the graph.
+struct SharedLtPlan {
+  Status status;
+  std::unique_ptr<const LtEdgePicker> picker;
+};
+
+}  // namespace
+
+Result<const LtEdgePicker*> LtEdgePicker::Shared(const Graph& graph) {
+  const SharedLtPlan& plan = graph.Derived<SharedLtPlan>(
+      Graph::DerivedSlot::kLtPlan, [&] {
+        auto built = std::make_unique<SharedLtPlan>();
+        for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+          if (graph.InWeightSum(v) > 1.0 + 1e-9) {
+            built->status = Status::InvalidArgument(
+                "LT requires per-node incoming weights to sum to <= 1; "
+                "node " +
+                std::to_string(v) + " sums to " +
+                std::to_string(graph.InWeightSum(v)));
+            return built;
+          }
+        }
+        built->picker.reset(new LtEdgePicker(graph));
+        return built;
+      });
+  if (!plan.status.ok()) {
+    return plan.status;
   }
-  return Status::Ok();
+  return plan.picker.get();
 }
 
-LtEdgePicker::LtEdgePicker(const Graph& graph) : graph_(graph) {
+LtEdgePicker::LtEdgePicker(const Graph& graph) {
+  constructions_.fetch_add(1, std::memory_order_relaxed);
   const NodeId n = graph.num_nodes();
   meta_.assign(n, PickMeta{});
-  alias_.resize(n);
   for (NodeId v = 0; v < n; ++v) {
     const InRowMeta& row = graph.InMeta(v);
     PickMeta& pm = meta_[v];
@@ -31,6 +54,9 @@ LtEdgePicker::LtEdgePicker(const Graph& graph) : graph_(graph) {
       continue;  // uniform pick; no table needed
     }
     pm.has_alias = 1;
+    if (alias_.empty()) {
+      alias_.resize(n);
+    }
     const auto weights = graph.InWeights(v);
     alias_[v] = std::make_unique<AliasTable>(
         std::vector<double>(weights.begin(), weights.end()));
@@ -38,15 +64,15 @@ LtEdgePicker::LtEdgePicker(const Graph& graph) : graph_(graph) {
 }
 
 Result<std::unique_ptr<LtGenerator>> LtGenerator::Create(const Graph& graph) {
-  Status status = LtEdgePicker::Validate(graph);
-  if (!status.ok()) {
-    return status;
+  Result<const LtEdgePicker*> picker = LtEdgePicker::Shared(graph);
+  if (!picker.ok()) {
+    return picker.status();
   }
-  return std::unique_ptr<LtGenerator>(new LtGenerator(graph));
+  return std::unique_ptr<LtGenerator>(new LtGenerator(graph, **picker));
 }
 
-LtGenerator::LtGenerator(const Graph& graph)
-    : graph_(graph), picker_(graph) {
+LtGenerator::LtGenerator(const Graph& graph, const LtEdgePicker& picker)
+    : graph_(graph), picker_(picker) {
   activated_.Resize(graph.num_nodes());
   sentinel_.Resize(graph.num_nodes());
 }
@@ -69,7 +95,7 @@ bool LtGenerator::Generate(Rng& rng, std::vector<NodeId>* out) {
   bool hit = has_sentinels_ && sentinel_.Get(cur);
 
   while (!hit) {
-    const NodeId next = picker_.PickInNeighbor(cur, rng, &stats_);
+    const NodeId next = picker_.PickInNeighbor(graph_, cur, rng, &stats_);
     if (next == kInvalidNode || !activated_.Set(next)) {
       break;  // dead end or walked into the existing set
     }

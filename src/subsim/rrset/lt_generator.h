@@ -1,6 +1,7 @@
 #ifndef SUBSIM_RRSET_LT_GENERATOR_H_
 #define SUBSIM_RRSET_LT_GENERATOR_H_
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -18,21 +19,33 @@ namespace subsim {
 /// stream: one NextDouble against the in-weight sum, then a uniform or
 /// alias-table pick among the in-neighbors.
 ///
-/// Owns the per-node alias tables (built once for nodes with skewed
-/// in-weights). `graph` must outlive the picker.
+/// The picker is the immutable, per-graph half of an LT generator: the
+/// per-node pick records and the alias tables of nodes with skewed
+/// in-weights, built once per graph (`Shared`) and read concurrently by
+/// every worker, fill and store of that graph. It holds row positions, not
+/// the graph, so the calls that read adjacency take the graph it was built
+/// from.
 class LtEdgePicker {
  public:
-  /// LT requires each node's incoming weights to sum to at most 1; returns
-  /// InvalidArgument naming the first violating node otherwise.
-  static Status Validate(const Graph& graph);
+  /// The graph's shared picker, built on the first call for `graph` and
+  /// owned by it (`Graph::Derived`). LT requires each node's incoming
+  /// weights to sum to at most 1 (+ 1e-9); the build checks this first and
+  /// fails with InvalidArgument naming the first violating node, a verdict
+  /// every later call returns too.
+  static Result<const LtEdgePicker*> Shared(const Graph& graph);
 
-  explicit LtEdgePicker(const Graph& graph);
+  /// Pickers constructed in this process so far. Lets tests check that a
+  /// solve builds each graph's picker once.
+  static std::uint64_t constructions() {
+    return constructions_.load(std::memory_order_relaxed);
+  }
 
   /// Picks the live in-neighbor of v, or kInvalidNode for "no live edge".
   /// Draw contract: zero draws when the in-weight sum is <= 0; otherwise
   /// one NextDouble, plus one pick draw only when the live-edge draw lands
   /// inside the sum. Bumps `stats->edges_examined` per live-edge draw.
-  NodeId PickInNeighbor(NodeId v, Rng& rng, RrGenStats* stats) const {
+  NodeId PickInNeighbor(const Graph& graph, NodeId v, Rng& rng,
+                        RrGenStats* stats) const {
     const PickMeta& pm = meta_[v];
     if (pm.weight_sum <= 0.0) {
       return kInvalidNode;
@@ -41,7 +54,7 @@ class LtEdgePicker {
     if (rng.NextDouble() >= pm.weight_sum) {
       return kInvalidNode;  // no live in-edge for v
     }
-    const auto sources = graph_.InSourcesAt(pm.begin, pm.degree);
+    const auto sources = graph.InSourcesAt(pm.begin, pm.degree);
     if (pm.has_alias == 0) {
       // Uniform in-weights: live edge uniform among in-neighbors.
       return sources[rng.UniformInt(sources.size())];
@@ -52,22 +65,12 @@ class LtEdgePicker {
   /// Prefetches the packed per-node descriptor `PickInNeighbor(v)` reads
   /// before it touches the in-row: weight sum, CSR position, and the
   /// alias marker in one cache line. Safe to issue the moment `v` is
-  /// drawn; pair it with `PrefetchRow(v)` once the descriptor is resident.
+  /// drawn.
   void PrefetchPick(NodeId v) const { PrefetchRead(meta_.data() + v); }
 
-  /// Prefetches the leading lines of v's in-source row for an upcoming
-  /// pick. Reads `meta_[v]` — expected warm after `PrefetchPick(v)`.
-  /// Returns the number of prefetch instructions issued.
-  unsigned PrefetchRow(NodeId v, unsigned max_lines = 2) const {
-    const PickMeta& pm = meta_[v];
-    if (pm.degree == 0) {
-      return 0;
-    }
-    return PrefetchReadRange(graph_.InSourcesAt(pm.begin, pm.degree).data(),
-                             pm.degree * sizeof(NodeId), max_lines);
-  }
-
  private:
+  explicit LtEdgePicker(const Graph& graph);
+
   /// Packed per-node pick descriptor: everything a walk step needs before
   /// indexing the in-source row, in one 16-byte record (four per cache
   /// line) — the live-edge draw threshold, the CSR position, and whether
@@ -81,10 +84,12 @@ class LtEdgePicker {
   };
   static_assert(sizeof(PickMeta) == 16, "PickMeta must pack 4 per line");
 
-  const Graph& graph_;
   std::vector<PickMeta> meta_;
-  /// Alias tables for nodes with skewed in-weights; null for uniform ones.
+  /// Alias tables for nodes with skewed in-weights, indexed by node; null
+  /// for uniform ones, and empty when every row is uniform.
   std::vector<std::unique_ptr<AliasTable>> alias_;
+
+  static inline std::atomic<std::uint64_t> constructions_{0};
 };
 
 /// Linear Threshold RR-set generator.
@@ -94,14 +99,15 @@ class LtEdgePicker {
 /// and no edge with probability 1 - sum_w p(w, v). A reverse traversal is
 /// therefore a random walk that stops on a revisit, a dead end, or a
 /// no-edge draw. Per step cost is O(1): uniform pick for equal weights,
-/// alias-table pick otherwise (table built once per node at construction).
+/// alias-table pick otherwise (the graph's shared `LtEdgePicker`).
 ///
 /// The per-node incoming weight sums must not exceed 1 (LT requirement);
 /// `Create` validates this.
 class LtGenerator final : public RrGenerator {
  public:
   /// Fails with InvalidArgument if some node's incoming weights sum above
-  /// 1 + 1e-9. `graph` must outlive the generator.
+  /// 1 + 1e-9 (see `LtEdgePicker::Shared`). `graph` must outlive the
+  /// generator.
   static Result<std::unique_ptr<LtGenerator>> Create(const Graph& graph);
 
   bool Generate(Rng& rng, std::vector<NodeId>* out) override;
@@ -111,10 +117,10 @@ class LtGenerator final : public RrGenerator {
   const char* name() const override { return "lt"; }
 
  private:
-  explicit LtGenerator(const Graph& graph);
+  LtGenerator(const Graph& graph, const LtEdgePicker& picker);
 
   const Graph& graph_;
-  LtEdgePicker picker_;
+  const LtEdgePicker& picker_;
   RrGenStats stats_;
   BitVector activated_;
   BitVector sentinel_;

@@ -86,22 +86,11 @@ Status FillCollection(const FillRequest& request, RrCollection* collection) {
 
   const FillKernel kernel = ResolveFillKernel(request.kernel);
 
-  // Validate generator construction up front (e.g. LT weight sums) so
-  // workers cannot fail after threads have started; the probe then serves
-  // as worker 0's generator so index-building generators are built once.
-  Result<std::unique_ptr<RrGenerator>> scalar_probe = Status::Internal("");
-  Result<std::unique_ptr<BatchRrKernel>> batch_probe = Status::Internal("");
-  if (kernel == FillKernel::kScalar) {
-    scalar_probe = MakeRrGenerator(request.kind, *request.graph);
-    if (!scalar_probe.ok()) {
-      return scalar_probe.status();
-    }
-  } else {
-    batch_probe = BatchRrKernel::Create(request.kind, *request.graph);
-    if (!batch_probe.ok()) {
-      return batch_probe.status();
-    }
-  }
+  // Build (or fetch) the graph's shared sampling state up front. It is
+  // where a kind rejects a graph (e.g. LT weight sums), so the per-worker
+  // kernels below, which only allocate scratch over it, cannot fail after
+  // threads have started.
+  SUBSIM_RETURN_IF_ERROR(PrepareSamplingState(request.kind, *request.graph));
   const std::size_t count = request.count;
   if (count == 0) {
     return Status::Ok();
@@ -200,39 +189,29 @@ Status FillCollection(const FillRequest& request, RrCollection* collection) {
     buffer.stats = batch->stats();
   };
 
-  const auto run_worker = [&](unsigned t, bool probe_owner) {
+  const auto run_worker = [&](unsigned t) {
     if (kernel == FillKernel::kScalar) {
-      if (probe_owner) {
-        scalar_worker(t, scalar_probe->get());
-        return;
-      }
       Result<std::unique_ptr<RrGenerator>> generator =
           MakeRrGenerator(request.kind, *request.graph);
-      // Construction succeeded on the probe above; a failure here would
-      // mean non-deterministic construction, which the factories do not do.
-      SUBSIM_CHECK(generator.ok(), "generator construction raced");
+      SUBSIM_CHECK(generator.ok(), "generator over prepared state failed");
       scalar_worker(t, generator->get());
-      return;
-    }
-    if (probe_owner) {
-      batched_worker(t, batch_probe->get());
       return;
     }
     Result<std::unique_ptr<BatchRrKernel>> batch =
         BatchRrKernel::Create(request.kind, *request.graph);
-    SUBSIM_CHECK(batch.ok(), "kernel construction raced");
+    SUBSIM_CHECK(batch.ok(), "kernel over prepared state failed");
     batched_worker(t, batch->get());
   };
 
   if (num_threads == 1) {
-    run_worker(0, /*probe_owner=*/true);
+    run_worker(0);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(num_threads - 1);
     for (unsigned t = 1; t < num_threads; ++t) {
-      threads.emplace_back([&, t] { run_worker(t, /*probe_owner=*/false); });
+      threads.emplace_back([&, t] { run_worker(t); });
     }
-    run_worker(0, /*probe_owner=*/true);
+    run_worker(0);
     for (std::thread& thread : threads) {
       thread.join();
     }

@@ -47,9 +47,11 @@ const char* FillKernelName(FillKernel kernel);
 ///        .count = theta, .num_threads = options.num_threads},
 ///       &collection));
 struct FillRequest {
-  /// RR-set generation strategy; generators are constructed internally
-  /// (one per worker), so construction failures (e.g. LT weight-sum
-  /// violations) surface as the fill's Status.
+  /// RR-set generation strategy. The fill builds the graph's shared
+  /// sampling state for it on first use (`PrepareSamplingState`), so a
+  /// kind's rejection of the graph (e.g. LT weight-sum violations)
+  /// surfaces as the fill's Status; each worker then gets its own scratch
+  /// over that state.
   GeneratorKind kind = GeneratorKind::kVanillaIc;
   const Graph* graph = nullptr;
   /// Stream cursor. Set `i` of the fill is generated from
@@ -82,9 +84,10 @@ struct FillRequest {
 /// off an atomic counter, with the merge reassembling chunks in index order.
 /// The appended sets are therefore byte-identical for any `num_threads` —
 /// parallelism changes only wall-clock time, never the sample stream. Each
-/// worker owns a private generator (the `RrGenerator` interface is stateful
-/// and not thread-safe); the up-front validation probe is reused as worker
-/// 0's generator so index-building generators pay construction once.
+/// worker owns a private generator or kernel for its mutable scratch
+/// (marks, queues, lanes; neither interface is thread-safe), while the
+/// per-graph sampling plans they read are built once per graph and shared
+/// (`PrepareSamplingState`), so a fill never rebuilds them.
 ///
 /// Parallelism is an extension beyond the paper (which is single-threaded);
 /// generation is embarrassingly parallel and the counter-based streams make

@@ -21,13 +21,10 @@ SampleStore::SampleStore(const Graph& graph, GeneratorKind kind,
 Result<std::unique_ptr<SampleStore>> SampleStore::Create(
     const Graph& graph, GeneratorKind kind,
     std::array<RngStream, kNumStreams> streams, const Options& options) {
-  // Fills construct their own generators, but probe once here so a graph
-  // the kind rejects (e.g. LT weight sums) fails at creation, not on the
-  // first EnsureSets.
-  Result<std::unique_ptr<RrGenerator>> probe = MakeRrGenerator(kind, graph);
-  if (!probe.ok()) {
-    return probe.status();
-  }
+  // Build the graph's shared sampling state now, so a graph the kind
+  // rejects (e.g. LT weight sums) fails at creation, not on the first
+  // EnsureSets; every fill of the store then reads that state.
+  SUBSIM_RETURN_IF_ERROR(PrepareSamplingState(kind, graph));
   return std::unique_ptr<SampleStore>(
       new SampleStore(graph, kind, streams, options));
 }
@@ -42,8 +39,10 @@ Result<std::unique_ptr<SampleStore>> SampleStore::CreateRepaired(
         std::to_string(source.num_nodes_) + " nodes, new graph has " +
         std::to_string(graph.num_nodes()));
   }
-  // Also the regeneration engine below — creation fails here when the kind
-  // rejects the mutated graph (e.g. an LT weight sum pushed past 1).
+  // The regeneration engine below, over the new graph's shared sampling
+  // state: every store repaired onto `graph` shares one plan build.
+  // Creation fails here when the kind rejects the mutated graph (e.g. an
+  // LT weight sum pushed past 1).
   Result<std::unique_ptr<RrGenerator>> generator =
       MakeRrGenerator(source.kind_, graph);
   if (!generator.ok()) {

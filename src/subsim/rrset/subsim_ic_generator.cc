@@ -3,14 +3,11 @@
 namespace subsim {
 
 SubsimExpandCore::SubsimExpandCore(const Graph& graph,
-                                   NodeId naive_fallback_degree)
-    : graph_(graph) {
+                                   NodeId naive_fallback_degree) {
+  constructions_.fetch_add(1, std::memory_order_relaxed);
   const NodeId n = graph.num_nodes();
   const bool bucket_strategy = !graph.in_sorted_by_weight();
   meta_.assign(n, PlanMeta{});
-  if (bucket_strategy) {
-    bucket_samplers_.resize(n);
-  }
 
   for (NodeId v = 0; v < n; ++v) {
     const InRowMeta& row = graph.InMeta(v);
@@ -48,6 +45,9 @@ SubsimExpandCore::SubsimExpandCore(const Graph& graph,
     }
     set_plan(NodePlan::kGeneral);
     if (bucket_strategy) {
+      if (bucket_samplers_.empty()) {
+        bucket_samplers_.resize(n);
+      }
       const auto weights = graph.InWeights(v);
       bucket_samplers_[v] = std::make_unique<BucketSubsetSampler>(
           std::vector<double>(weights.begin(), weights.end()));
@@ -55,9 +55,24 @@ SubsimExpandCore::SubsimExpandCore(const Graph& graph,
   }
 }
 
+const SubsimExpandCore& SubsimExpandCore::Shared(const Graph& graph) {
+  return graph.Derived<SubsimExpandCore>(
+      Graph::DerivedSlot::kSubsimPlan, [&] {
+        return std::make_unique<SubsimExpandCore>(
+            graph, SubsimIcGenerator::kDefaultNaiveFallbackDegree);
+      });
+}
+
 SubsimIcGenerator::SubsimIcGenerator(const Graph& graph,
                                      NodeId naive_fallback_degree)
-    : graph_(graph), core_(graph, naive_fallback_degree) {
+    : graph_(graph),
+      private_core_(naive_fallback_degree ==
+                            kDefaultNaiveFallbackDegree
+                        ? nullptr
+                        : std::make_unique<const SubsimExpandCore>(
+                              graph, naive_fallback_degree)),
+      core_(private_core_ != nullptr ? private_core_.get()
+                                     : &SubsimExpandCore::Shared(graph)) {
   activated_.Resize(graph.num_nodes());
   sentinel_.Resize(graph.num_nodes());
 }
@@ -99,7 +114,8 @@ bool SubsimIcGenerator::Generate(Rng& rng, std::vector<NodeId>* out) {
     ScalarSink sink{this, out};
     SubsimExpandCore::ScalarNaivePolicy naive;
     while (head < queue_.size()) {
-      if (core_.ExpandNode(queue_[head++], rng, &stats_, sink, naive)) {
+      if (core_->ExpandNode(graph_, queue_[head++], rng, &stats_, sink,
+                            naive, &bucket_scratch_)) {
         hit = true;
         break;
       }

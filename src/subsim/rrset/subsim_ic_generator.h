@@ -1,6 +1,7 @@
 #ifndef SUBSIM_RRSET_SUBSIM_IC_GENERATOR_H_
 #define SUBSIM_RRSET_SUBSIM_IC_GENERATOR_H_
 
+#include <atomic>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -20,6 +21,13 @@ namespace subsim {
 /// kernel runs the *same* code on the same precomputed plans — byte
 /// identity between the two kernels is structural, not coincidental.
 ///
+/// The core is the immutable, per-graph half of a SUBSIM generator: built
+/// once per graph (`Shared`) and read concurrently by every worker, fill,
+/// store and query of that graph. Everything mutable — visited marks,
+/// queues, RNG lanes, the bucket path's index scratch — belongs to the
+/// caller. The plans hold row positions and parameters, not the graph, so
+/// every call that reads adjacency takes the graph it was built from.
+///
 /// `ExpandNode` samples the in-neighbors of one dequeued node, invoking
 /// `sink.Activate(w)` for every sampled in-neighbor in the plan's emission
 /// order. The sink owns the visited/sentinel bookkeeping:
@@ -37,9 +45,9 @@ namespace subsim {
 ///   * weight-sorted graphs (`sort_in_edges_by_weight`) use the index-free
 ///     `SampleSortedSubset`: O(1 + mu + log d) per activated node, zero
 ///     preprocessing;
-///   * other graphs get a per-node `BucketSubsetSampler` built at
-///     construction: O(1 + mu) per activated node after O(m)
-///     preprocessing (Lemma 5).
+///   * other graphs get a per-node `BucketSubsetSampler` built with the
+///     plans: O(1 + mu) per activated node after O(m) preprocessing
+///     (Lemma 5), paid once per graph as the paper charges it.
 ///
 /// `NaivePolicy` lets a kernel substitute how the small-degree Bernoulli
 /// plan realizes its coin flips. Two hooks, both of which must consume
@@ -51,13 +59,21 @@ namespace subsim {
 ///     never read (the batched kernel additionally bulk-draws the coins).
 class SubsimExpandCore {
  public:
-  /// `graph` must outlive the core. Construction cost: O(n) for the
-  /// uniform fast path, plus O(m) over skew-weighted nodes when the graph
-  /// is not weight-sorted. `naive_fallback_degree` = 0 disables the
-  /// small-degree fallback (tests use this to force the skip kernels).
+  /// Plans every node of `graph`. Cost: O(n), plus O(m) over skew-weighted
+  /// nodes when the graph is not weight-sorted. `naive_fallback_degree` =
+  /// 0 disables the small-degree fallback (tests use this to force the
+  /// skip kernels). Library code uses `Shared` instead.
   SubsimExpandCore(const Graph& graph, NodeId naive_fallback_degree);
 
-  const Graph& graph() const { return graph_; }
+  /// The graph's shared core with the default naive fallback, built on the
+  /// first call for `graph` and owned by it (`Graph::Derived`).
+  static const SubsimExpandCore& Shared(const Graph& graph);
+
+  /// Cores constructed in this process so far, shared or private. Lets
+  /// tests check that a solve plans each graph once.
+  static std::uint64_t constructions() {
+    return constructions_.load(std::memory_order_relaxed);
+  }
 
   /// Prefetches the packed per-node plan descriptor for an upcoming
   /// `ExpandNode(u)` — the batched kernel issues this as soon as `u` is
@@ -69,28 +85,33 @@ class SubsimExpandCore {
   /// will read (sources; weights only for plans that read them). Reads
   /// `meta_[u]` — expected warm after `PrefetchPlan(u)`. Returns the
   /// number of prefetch instructions issued.
-  unsigned PrefetchRow(NodeId u, unsigned max_lines = 2) const {
+  unsigned PrefetchRow(const Graph& graph, NodeId u,
+                       unsigned max_lines = 2) const {
     const PlanMeta& pm = meta_[u];
     if (pm.degree == 0) {
       return 0;
     }
     unsigned lines = PrefetchReadRange(
-        graph_.InSourcesAt(pm.begin, pm.degree).data(),
+        graph.InSourcesAt(pm.begin, pm.degree).data(),
         pm.degree * sizeof(NodeId), max_lines);
     const auto plan = static_cast<NodePlan>(pm.plan);
     if (plan == NodePlan::kSmallNaive || plan == NodePlan::kGeneral) {
       lines += PrefetchReadRange(
-          graph_.InWeightsAt(pm.begin, pm.degree).data(),
+          graph.InWeightsAt(pm.begin, pm.degree).data(),
           pm.degree * sizeof(double), max_lines);
     }
     return lines;
   }
 
+  /// Expands `u` over `graph` (the graph the core was built from).
+  /// `bucket_scratch` is the caller's buffer for the bucket strategy's
+  /// sampled indices.
   template <class Sink, class NaivePolicy>
-  bool ExpandNode(NodeId u, Rng& rng, RrGenStats* stats, Sink& sink,
-                  NaivePolicy&& naive) {
+  bool ExpandNode(const Graph& graph, NodeId u, Rng& rng, RrGenStats* stats,
+                  Sink& sink, NaivePolicy&& naive,
+                  std::vector<std::uint32_t>* bucket_scratch) const {
     const PlanMeta& pm = meta_[u];
-    const auto sources = graph_.InSourcesAt(pm.begin, pm.degree);
+    const auto sources = graph.InSourcesAt(pm.begin, pm.degree);
     switch (static_cast<NodePlan>(pm.plan)) {
       case NodePlan::kNoInEdges:
         return false;
@@ -104,7 +125,7 @@ class SubsimExpandCore {
         return sink.stopped();
       case NodePlan::kSmallNaive:
         stats->edges_examined += sources.size();
-        naive(u, graph_.InWeightsAt(pm.begin, pm.degree), rng,
+        naive(u, graph.InWeightsAt(pm.begin, pm.degree), rng,
               [&](std::uint32_t i) { sink.Activate(sources[i]); });
         return sink.stopped();
       case NodePlan::kTakeAll:
@@ -129,9 +150,9 @@ class SubsimExpandCore {
         break;
     }
 
-    if (graph_.in_sorted_by_weight()) {
+    if (graph.in_sorted_by_weight()) {
       SampleSortedSubset(
-          graph_.InWeightsAt(pm.begin, pm.degree), rng,
+          graph.InWeightsAt(pm.begin, pm.degree), rng,
           [&](std::uint32_t i) {
             ++stats->edges_examined;
             sink.Activate(sources[i]);
@@ -141,11 +162,11 @@ class SubsimExpandCore {
     }
 
     // Bucket strategy: the sampler emits into scratch, then we activate.
-    scratch_indices_.clear();
-    bucket_samplers_[u]->Sample(rng, &scratch_indices_,
+    bucket_scratch->clear();
+    bucket_samplers_[u]->Sample(rng, bucket_scratch,
                                 &stats->geometric_skips,
                                 &stats->rejection_accepts);
-    for (std::uint32_t i : scratch_indices_) {
+    for (std::uint32_t i : *bucket_scratch) {
       ++stats->edges_examined;
       sink.Activate(sources[i]);
       if (sink.stopped()) {
@@ -202,11 +223,12 @@ class SubsimExpandCore {
   };
   static_assert(sizeof(PlanMeta) == 16, "PlanMeta must pack 4 per line");
 
-  const Graph& graph_;
   std::vector<PlanMeta> meta_;
-  /// Bucket samplers for kGeneral nodes (empty on weight-sorted graphs).
+  /// Bucket samplers for kGeneral nodes, indexed by node. Empty unless the
+  /// graph is unsorted and has at least one kGeneral node.
   std::vector<std::unique_ptr<BucketSubsetSampler>> bucket_samplers_;
-  std::vector<std::uint32_t> scratch_indices_;
+
+  static inline std::atomic<std::uint64_t> constructions_{0};
 };
 
 /// Algorithm 3 (+ Section 3.3): the SUBSIM RR-set generator.
@@ -226,10 +248,15 @@ class SubsimIcGenerator final : public RrGenerator {
   /// are unaffected — the fallback work is O(threshold) = O(1).
   static constexpr NodeId kDefaultNaiveFallbackDegree = 16;
 
-  /// `graph` must outlive the generator (see `SubsimExpandCore`).
+  /// `graph` must outlive the generator. The default fallback samples
+  /// from the graph's shared core (`SubsimExpandCore::Shared`); any other
+  /// value builds a private one.
   explicit SubsimIcGenerator(
       const Graph& graph,
       NodeId naive_fallback_degree = kDefaultNaiveFallbackDegree);
+
+  /// The plans this generator samples from.
+  const SubsimExpandCore& core() const { return *core_; }
 
   bool Generate(Rng& rng, std::vector<NodeId>* out) override;
   void SetSentinels(std::span<const NodeId> sentinels) override;
@@ -250,7 +277,9 @@ class SubsimIcGenerator final : public RrGenerator {
   void Activate(NodeId w, std::vector<NodeId>* out);
 
   const Graph& graph_;
-  SubsimExpandCore core_;
+  /// Set only for a non-default naive fallback; `core_` points into it.
+  std::unique_ptr<const SubsimExpandCore> private_core_;
+  const SubsimExpandCore* core_;
   RrGenStats stats_;
 
   BitVector activated_;
@@ -258,6 +287,7 @@ class SubsimIcGenerator final : public RrGenerator {
   bool has_sentinels_ = false;
   bool stop_ = false;  // set when a sentinel activates mid-expansion
   std::vector<NodeId> queue_;
+  std::vector<std::uint32_t> bucket_scratch_;
 };
 
 }  // namespace subsim

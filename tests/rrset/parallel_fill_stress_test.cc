@@ -101,12 +101,9 @@ TEST(ParallelFillStressTest, DistinctSeedsDiverge) {
   EXPECT_GT(differing, 0u);
 }
 
-TEST(ParallelFillStressTest, ConcurrentFillsShareGraphSafely) {
-  // Several FillCollection invocations race on one shared (read-only)
-  // graph. Under TSan this exercises graph reads, generator construction,
-  // chunk claiming, and the substream derivation from every worker thread
-  // at once; determinism must survive.
-  const Graph graph = StressGraph();
+/// Races several FillCollection invocations of `kind` on one shared
+/// (read-only) graph, then checks each against the same fill run alone.
+void RaceFills(const Graph& graph, GeneratorKind kind) {
   const std::size_t count = 800;
   const unsigned kConcurrentFills = 4;
 
@@ -120,10 +117,10 @@ TEST(ParallelFillStressTest, ConcurrentFillsShareGraphSafely) {
     std::vector<std::thread> fills;
     fills.reserve(kConcurrentFills);
     for (unsigned i = 0; i < kConcurrentFills; ++i) {
-      fills.emplace_back([&graph, &results, count, i] {
+      fills.emplace_back([&graph, &results, kind, count, i] {
         RngStream rng = MakeRngStream(100 + i, 1);
         FillRequest request;
-        request.kind = GeneratorKind::kSubsimIc;
+        request.kind = kind;
         request.graph = &graph;
         request.rng = &rng;
         request.count = count;
@@ -140,9 +137,32 @@ TEST(ParallelFillStressTest, ConcurrentFillsShareGraphSafely) {
   for (unsigned i = 0; i < kConcurrentFills; ++i) {
     ASSERT_EQ(results[i].num_sets(), count) << "fill " << i;
     // Each concurrent result must equal the same fill run in isolation.
-    const RrCollection isolated =
-        Fill(graph, GeneratorKind::kSubsimIc, 100 + i, 2, count);
+    const RrCollection isolated = Fill(graph, kind, 100 + i, 2, count);
     ExpectIdentical(results[i], isolated);
+  }
+}
+
+TEST(ParallelFillStressTest, ConcurrentFillsShareGraphSafely) {
+  // Under TSan this exercises graph reads, generator construction, chunk
+  // claiming, and the substream derivation from every worker thread at
+  // once; determinism must survive.
+  RaceFills(StressGraph(), GeneratorKind::kSubsimIc);
+
+  // The first fills on a fresh graph also race the lazy build of its
+  // shared sampling state (Graph::Derived): SUBSIM's plans with one bucket
+  // sampler per skewed row (exponential weights, unsorted in-rows) and
+  // LT's pick records with their alias tables.
+  for (GeneratorKind kind : {GeneratorKind::kVanillaIc,
+                             GeneratorKind::kSubsimIc, GeneratorKind::kLt}) {
+    SCOPED_TRACE(GeneratorKindName(kind));
+    Result<EdgeList> list = GenerateBarabasiAlbert(2000, 5, false, 19);
+    ASSERT_TRUE(list.ok());
+    ASSERT_TRUE(
+        AssignWeights(WeightModel::kExponential, {}, &list.value()).ok());
+    Result<Graph> fresh = BuildGraph(std::move(list).value());
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_FALSE(fresh->in_sorted_by_weight());
+    RaceFills(*fresh, kind);
   }
 }
 
