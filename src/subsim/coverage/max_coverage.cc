@@ -1,7 +1,9 @@
 #include "subsim/coverage/max_coverage.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -13,6 +15,8 @@
 namespace subsim {
 
 namespace {
+
+std::atomic<std::uint64_t> zero_gain_order_constructions{0};
 
 /// Lazy-heap entry. Ordering is lexicographic on
 /// (marginal, out_degree, node) so Algorithm 6's tie-break is part of the
@@ -126,30 +130,32 @@ void RunExactLoop(GreedyState* state, std::vector<HeapEntry> candidates,
   // Every positive marginal is spent: each unselected node now gains 0, so
   // the rest of the order is (out-degree, id) descending, the order a heap
   // of zero keys would pop them in. Gains are 0 and the prefix stays flat.
-  const std::size_t need = state->k - result->seeds.size();
-  if (need == 0) {
+  // Walking a precomputed order and skipping selected nodes costs
+  // O(k + selected), whatever n is.
+  if (result->seeds.size() == state->k) {
     return;
   }
-  std::vector<HeapEntry> tail;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!state->selected[v]) {
-      tail.push_back(HeapEntry{0, TieBreakDegree(options, v), v});
-    }
-  }
-  const auto pops_first = [](const HeapEntry& a, const HeapEntry& b) {
-    return b < a;
-  };
-  if (tail.size() > need) {
-    std::nth_element(tail.begin(), tail.begin() + need, tail.end(),
-                     pops_first);
-    tail.resize(need);
-  }
-  std::sort(tail.begin(), tail.end(), pops_first);
   const std::uint64_t total = result->total_coverage();
-  for (const HeapEntry& entry : tail) {
-    result->seeds.push_back(entry.node);
+  const auto take = [&](NodeId v) {
+    if (state->selected[v]) {
+      return;
+    }
+    result->seeds.push_back(v);
     result->gains.push_back(0);
     result->coverage_prefix.push_back(total);
+  };
+  if (options.tie_break_by_out_degree) {
+    for (NodeId v : ZeroGainOrder(*options.graph)) {
+      if (result->seeds.size() == state->k) {
+        break;
+      }
+      take(v);
+    }
+  } else {
+    // Out-degree is fixed to 0, so the order is by id alone.
+    for (NodeId v = n; v-- > 0 && result->seeds.size() < state->k;) {
+      take(v);
+    }
   }
 }
 
@@ -273,6 +279,9 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
                "tie_break_by_out_degree requires options.graph");
 
   const NodeId n = collection.num_graph_nodes();
+  SUBSIM_CHECK(!options.tie_break_by_out_degree ||
+                   options.graph->num_nodes() == n,
+               "options.graph must be the graph the RR sets were drawn on");
   const std::size_t num_sets = collection.num_sets();
   const std::uint32_t k =
       std::min<std::uint64_t>(options.k, static_cast<std::uint64_t>(n));
@@ -305,16 +314,27 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
   }
 
   // Positive singleton coverages Λ({v}), excluded nodes included: they feed
-  // the exact i = 0 term of Λ^u. With nothing pre-covered Λ({v}) is the
-  // length of v's index row, so this pass reads n row lengths and probes no
-  // covered bitmap; only HIST phase 2's exclusions pay for ExactMarginal.
+  // the exact i = 0 term of Λ^u. One pass over the considered sets counts
+  // each member's sets and makes a node a candidate the first time it is
+  // seen, so the pass costs the view's memberships, not n index rows (each
+  // a binary search on a prefix view). Nodes in no considered set gain 0
+  // throughout and never enter the heap.
   std::vector<HeapEntry> candidates;
-  for (NodeId v = 0; v < n; ++v) {
-    const std::uint64_t cov = considered == num_sets
-                                  ? collection.SetsContaining(v).size()
-                                  : ExactMarginal(state, v);
-    if (cov > 0) {
-      candidates.push_back(HeapEntry{cov, TieBreakDegree(options, v), v});
+  {
+    std::vector<std::uint32_t> count(n, 0);
+    for (std::size_t id = 0; id < num_sets; ++id) {
+      if (state.covered[id]) {
+        continue;
+      }
+      collection.View(static_cast<RrId>(id)).ForEachNode([&](NodeId v) {
+        if (count[v]++ == 0) {
+          candidates.push_back(HeapEntry{0, 0, v});
+        }
+      });
+    }
+    for (HeapEntry& entry : candidates) {
+      entry.marginal = count[entry.node];
+      entry.out_degree = TieBreakDegree(options, entry.node);
     }
   }
   {
@@ -355,6 +375,38 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
   // With fewer selectable nodes than k the pass returns them all; callers
   // treat seeds.size() as the effective k.
   return result;
+}
+
+std::span<const NodeId> ZeroGainOrder(const Graph& graph) {
+  const std::vector<NodeId>& order = graph.Derived<std::vector<NodeId>>(
+      Graph::DerivedSlot::kZeroGainOrder, [&] {
+        zero_gain_order_constructions.fetch_add(1, std::memory_order_relaxed);
+        // Counting sort on out-degree, descending; filling each degree's
+        // bucket from the highest id down leaves ids descending within it.
+        const NodeId n = graph.num_nodes();
+        NodeId max_degree = 0;
+        for (NodeId v = 0; v < n; ++v) {
+          max_degree = std::max(max_degree, graph.OutDegree(v));
+        }
+        // next[max_degree - d]: where the next node of out-degree d goes.
+        std::vector<NodeId> next(static_cast<std::size_t>(max_degree) + 2, 0);
+        for (NodeId v = 0; v < n; ++v) {
+          ++next[max_degree - graph.OutDegree(v) + 1];
+        }
+        for (std::size_t i = 1; i < next.size(); ++i) {
+          next[i] += next[i - 1];
+        }
+        auto built = std::make_unique<std::vector<NodeId>>(n);
+        for (NodeId v = n; v-- > 0;) {
+          (*built)[next[max_degree - graph.OutDegree(v)]++] = v;
+        }
+        return built;
+      });
+  return order;
+}
+
+std::uint64_t ZeroGainOrderConstructions() {
+  return zero_gain_order_constructions.load(std::memory_order_relaxed);
 }
 
 std::uint64_t ComputeCoverage(RrCollectionView collection,

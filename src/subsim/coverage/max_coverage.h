@@ -90,19 +90,33 @@ struct CoverageGreedyResult {
 /// order — so the selected sequence is identical to the textbook greedy,
 /// including the out-degree tie-break, at a fraction of the cost.
 ///
-/// Exact mode costs O(n) index-row length reads plus work proportional to
-/// the index rows of nodes with positive coverage: singleton coverage is a
-/// row's length when no set is pre-covered, only those nodes enter the heap
-/// (one heapify), and once every positive marginal is spent the remaining
-/// zero-gain seeds are taken in (out-degree, id) order in one selection
-/// pass. When `exclude_sentinel_hit_sets` drops any set, initial marginals
-/// probe the covered bitmap for every index entry instead.
+/// Exact mode costs what the view holds, not what the graph holds. One
+/// pass over the considered sets' members (`RrSetView::ForEachNode`, so
+/// delta-varint sets are decoded once) counts every singleton coverage into
+/// a transient 4 B-per-node array; only the nodes it meets enter the heap
+/// (one heapify), and marginal refreshes read their index rows. Once every
+/// positive marginal is spent, the remaining zero-gain seeds are taken in
+/// (out-degree, id) order by walking a fixed order and skipping selected
+/// nodes: ids downward under Algorithm 1, the graph's `ZeroGainOrder` under
+/// Algorithm 6, so the tail costs O(k + selected). What stays O(n) is
+/// zeroing the count and selected arrays.
 ///
 /// Takes a prefix view so cache-backed runs (`serve/`) can evaluate exactly
 /// the sets a cold run would have had; a plain `RrCollection` converts
 /// implicitly to its full-length view.
 CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
                                        const CoverageGreedyOptions& options);
+
+/// Every node of `graph` sorted by (out-degree, id) descending: the order in
+/// which Revised-Greedy (`tie_break_by_out_degree`) takes zero-gain seeds.
+/// Built with one counting sort on the first call for `graph` and owned by
+/// it (`Graph::DerivedSlot::kZeroGainOrder`, 4 B per node); concurrent
+/// first callers wait for the one build.
+std::span<const NodeId> ZeroGainOrder(const Graph& graph);
+
+/// Zero-gain orders built in this process so far. Lets tests check that a
+/// graph builds its order once.
+std::uint64_t ZeroGainOrderConstructions();
 
 /// Λ_R(S): number of RR sets in `collection` intersecting `seeds`.
 /// O(sum of inverted-index lists of the seeds).

@@ -180,17 +180,23 @@ class Graph {
   unsigned PrefetchInRow(NodeId v, unsigned max_lines = 2) const {
     SUBSIM_DCHECK(v < num_nodes_, "node out of range");
     const InRowMeta& meta = in_row_meta_[v];
-    if (meta.degree == 0) {
-      return 0;
-    }
-    unsigned lines =
-        PrefetchReadRange(in_sources_.data() + meta.begin,
-                          meta.degree * sizeof(NodeId), max_lines);
+    unsigned lines = PrefetchInSourcesAt(meta.begin, meta.degree, max_lines);
     if (!meta.uniform()) {
       lines += PrefetchReadRange(in_weights_.data() + meta.begin,
                                  meta.degree * sizeof(double), max_lines);
     }
     return lines;
+  }
+
+  /// Software-prefetch hook for the in-neighbor sources alone, addressed
+  /// like `InSourcesAt`: for samplers that pick from a row without reading
+  /// its weights (LT's alias tables hold their own). Same line cap and
+  /// return value as `PrefetchInRow`.
+  unsigned PrefetchInSourcesAt(std::size_t begin, std::size_t count,
+                               unsigned max_lines = 2) const {
+    SUBSIM_DCHECK(begin + count <= in_sources_.size(), "row out of range");
+    return PrefetchReadRange(in_sources_.data() + begin,
+                             count * sizeof(NodeId), max_lines);
   }
 
   /// Reconstructs the raw edge list (out-edge order). Mostly for IO and
@@ -202,8 +208,16 @@ class Graph {
   ///  * kSubsimPlan — `SubsimExpandCore::Shared` (rrset/): the SUBSIM node
   ///    plans, plus bucket samplers on unsorted skewed graphs;
   ///  * kLtPlan — `LtEdgePicker::Shared` (rrset/): LT's pick records and
-  ///    alias tables, or the weight-sum check that rejected the graph.
-  enum class DerivedSlot : std::uint8_t { kSubsimPlan, kLtPlan, kCount };
+  ///    alias tables, or the weight-sum check that rejected the graph;
+  ///  * kZeroGainOrder — `ZeroGainOrder` (coverage/): every node sorted by
+  ///    (out-degree, id) descending, the order in which Revised-Greedy
+  ///    takes zero-gain seeds.
+  enum class DerivedSlot : std::uint8_t {
+    kSubsimPlan,
+    kLtPlan,
+    kZeroGainOrder,
+    kCount
+  };
 
   /// The state in `slot`, built by `build()` (returning a
   /// `std::unique_ptr<T>`) on the first call for this graph; every later

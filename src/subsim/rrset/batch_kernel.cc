@@ -590,9 +590,11 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
 /// (each step's pick decides whether there is a next step), so everything
 /// here is memory-level parallelism: dozens of walks advance round-robin
 /// through a two-phase pipeline. The pick phase draws the next candidate
-/// from resident data and prefetches the candidate's stamp, offset entry,
-/// weight sum, and alias pointer; the commit phase (a round later) marks
-/// it, appends it, and prefetches its in-row for the following pick.
+/// from resident data and prefetches the candidate's stamp and its pick
+/// descriptor (weight sum, row position, alias marker); the commit phase
+/// (a round later) marks it, appends it, and prefetches its in-source row
+/// for the following pick — never its in-weights, which the pick does not
+/// read.
 class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
  public:
   LtBatchKernel(const Graph& graph, const LtEdgePicker& picker)
@@ -602,10 +604,11 @@ class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
 
   void OnChunkStart() {}
 
+  void PrefetchSeedMeta(NodeId root) override { picker_.PrefetchPick(root); }
+
   void PrefetchNodeData(std::size_t slot, NodeId v) {
     (void)slot;
-    picker_.PrefetchPick(v);
-    stats_.prefetch_lines += graph_.PrefetchInRow(v);
+    stats_.prefetch_lines += picker_.PrefetchRow(graph_, v);
   }
 
   bool Step(std::size_t slot) {
@@ -621,7 +624,7 @@ class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
         MarkLaneHit(slot);
         return true;
       }
-      stats_.prefetch_lines += graph_.PrefetchInRow(next);
+      stats_.prefetch_lines += picker_.PrefetchRow(graph_, next);
       return false;
     }
 
@@ -633,7 +636,6 @@ class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
     }
     lane_candidate_[slot] = next;
     marks_.Prefetch(next);
-    graph_.PrefetchInMeta(next);
     picker_.PrefetchPick(next);
     lane_pick_[slot] = 1;
     return false;

@@ -57,7 +57,7 @@ struct BatchChunkSink {
 ///  * discovery-time software prefetch over the CSR in-adjacency and the
 ///    kernels' packed per-node descriptors (`Graph::PrefetchInMeta` /
 ///    `PrefetchInRow`, `SubsimExpandCore::PrefetchPlan` / `PrefetchRow`,
-///    `LtEdgePicker::PrefetchPick`).
+///    `LtEdgePicker::PrefetchPick` / `PrefetchRow`).
 ///
 /// Like `RrGenerator`, a kernel holds per-instance scratch (marks, lanes,
 /// queues) and is not thread-safe; `FillCollection` builds one per worker

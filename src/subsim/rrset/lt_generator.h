@@ -68,6 +68,16 @@ class LtEdgePicker {
   /// drawn.
   void PrefetchPick(NodeId v) const { PrefetchRead(meta_.data() + v); }
 
+  /// Prefetches the leading lines of v's in-source row, the only part of
+  /// the row `PickInNeighbor(v)` reads: a skewed row's weights live in its
+  /// alias table, so the graph's in-weight lines are never touched. Reads
+  /// v's descriptor (expected warm after `PrefetchPick`). Returns the
+  /// lines issued, for the `rr.prefetch_lines` counter.
+  unsigned PrefetchRow(const Graph& graph, NodeId v) const {
+    const PickMeta& pm = meta_[v];
+    return graph.PrefetchInSourcesAt(pm.begin, pm.degree);
+  }
+
  private:
   explicit LtEdgePicker(const Graph& graph);
 

@@ -1,5 +1,6 @@
 // Statistical harness for the generator instrumentation: the numbers the
-// metrics registry reports must be *correct*, not just monotone.
+// metrics registry reports must be *correct*, not just monotone. (One
+// counter, LT's `rr.prefetch_lines`, is pinned by an exact identity.)
 //
 // On a WC-weighted Erdős–Rényi graph (every in-list uniform, so SUBSIM
 // runs the geometric-skip plan) two identities pin the counters down:
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -276,6 +278,50 @@ TEST(MetricsStatisticalTest, AttachingMetricsDoesNotPerturbRngStream) {
       ASSERT_EQ(a[j], b[j]) << "set " << i << " pos " << j;
     }
   }
+}
+
+TEST(MetricsStatisticalTest, LtPrefetchLinesCountInSourceRowsOnly) {
+  // An LT pick reads a row's in-sources and never its in-weights (a skewed
+  // row samples from its alias table), so the batched LT kernel prefetches
+  // the source row of each member exactly once — at its commit — and
+  // nothing else: `rr.prefetch_lines` is exactly the sum of those rows'
+  // leading lines, capped at two, even on a graph whose rows are all
+  // skewed.
+  Result<EdgeList> list = GenerateBarabasiAlbert(1500, 6, false, 23);
+  ASSERT_TRUE(list.ok());
+  ASSERT_TRUE(
+      AssignWeights(WeightModel::kExponential, {}, &list.value()).ok());
+  Result<Graph> graph = BuildGraph(std::move(list).value());
+  ASSERT_TRUE(graph.ok());
+
+  MetricsRegistry registry;
+  RrCollection collection(graph->num_nodes());
+  RngStream rng = MakeRngStream(31, 1);
+  FillRequest request;
+  request.kind = GeneratorKind::kLt;
+  request.graph = &*graph;
+  request.rng = &rng;
+  request.count = 3000;
+  request.obs = ObsContext{&registry, nullptr};
+  request.kernel = FillKernel::kBatched;
+  ASSERT_TRUE(FillCollection(request, &collection).ok());
+
+  const auto leading_lines = [](std::uint64_t bytes) {
+    return std::min<std::uint64_t>(2, (bytes + 63) / 64);
+  };
+  std::uint64_t expected = 0;
+  std::uint64_t weight_lines = 0;  // what prefetching in-weights would add
+  for (RrId id = 0; id < collection.num_sets(); ++id) {
+    collection.View(id).ForEachNode([&](NodeId v) {
+      const std::uint64_t degree = graph->InDegree(v);
+      expected += leading_lines(degree * sizeof(NodeId));
+      if (!graph->InMeta(v).uniform()) {
+        weight_lines += leading_lines(degree * sizeof(double));
+      }
+    });
+  }
+  EXPECT_GT(weight_lines, expected / 2);
+  EXPECT_EQ(registry.Snapshot().counters.at("rr.prefetch_lines"), expected);
 }
 
 }  // namespace

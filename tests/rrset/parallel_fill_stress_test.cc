@@ -2,6 +2,8 @@
 // ThreadSanitizer builds (-DSUBSIM_SANITIZE=thread): it sweeps thread
 // counts, races several fills against one shared graph, and checks that
 // the counter-based substreams keep every thread count byte-identical.
+// It also races the first Revised-Greedy calls on a fresh graph against
+// the lazy build of the graph's zero-gain order.
 #include "subsim/rrset/parallel_fill.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "subsim/coverage/max_coverage.h"
 #include "subsim/graph/generators.h"
 #include "subsim/graph/graph_builder.h"
 #include "subsim/graph/weight_models.h"
@@ -163,6 +166,44 @@ TEST(ParallelFillStressTest, ConcurrentFillsShareGraphSafely) {
     ASSERT_TRUE(fresh.ok());
     ASSERT_FALSE(fresh->in_sorted_by_weight());
     RaceFills(*fresh, kind);
+  }
+}
+
+TEST(ParallelFillStressTest, ConcurrentRevisedGreedyRacesZeroGainOrderBuild) {
+  // Revised-Greedy's zero-gain order is built lazily once per graph
+  // (Graph::Derived). The first greedy calls on a fresh graph race that
+  // build: all must see the one order and select identically.
+  const Graph graph = StressGraph();
+  const RrCollection sets = Fill(graph, GeneratorKind::kSubsimIc, 91, 2, 40);
+  CoverageGreedyOptions options;
+  options.k = 300;  // past every positive gain of 40 sets
+  options.tie_break_by_out_degree = true;
+  options.graph = &graph;
+  const std::uint64_t before = ZeroGainOrderConstructions();
+
+  const unsigned kRacers = 4;
+  std::vector<CoverageGreedyResult> results(kRacers);
+  {
+    // SUBSIM-NOLINT-NEXTLINE(raw-thread): races the order's lazy build
+    std::vector<std::thread> racers;
+    racers.reserve(kRacers);
+    for (unsigned i = 0; i < kRacers; ++i) {
+      racers.emplace_back([&sets, &options, &results, i] {
+        results[i] = RunCoverageGreedy(sets, options);
+      });
+    }
+    // SUBSIM-NOLINT-NEXTLINE(raw-thread): joining the racing greedy calls
+    for (std::thread& t : racers) {
+      t.join();
+    }
+  }
+  EXPECT_EQ(ZeroGainOrderConstructions() - before, 1u);
+  const CoverageGreedyResult reference = RunCoverageGreedy(sets, options);
+  ASSERT_EQ(reference.seeds.size(), options.k);
+  EXPECT_EQ(reference.gains.back(), 0u);
+  for (unsigned i = 0; i < kRacers; ++i) {
+    EXPECT_EQ(results[i].seeds, reference.seeds) << "racer " << i;
+    EXPECT_EQ(results[i].gains, reference.gains) << "racer " << i;
   }
 }
 

@@ -2,17 +2,20 @@
 // samplers on unsorted skewed graphs) and LT's pick records are built once
 // per graph, on first use, and shared by every generator, kernel, fill,
 // store and solve over that graph; a moved graph keeps its state; a new
-// graph gets its own.
+// graph gets its own. Revised-Greedy's zero-gain order follows the same
+// contract.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "subsim/algo/registry.h"
+#include "subsim/coverage/max_coverage.h"
 #include "subsim/graph/generators.h"
 #include "subsim/graph/graph_builder.h"
 #include "subsim/graph/graph_update.h"
@@ -239,6 +242,48 @@ TEST(SharedPlanTest, LtRejectionIsCachedWithTheGraph) {
   EXPECT_EQ(LtEdgePicker::constructions() - before.lt, 0u);
   EXPECT_TRUE(PrepareSamplingState(GeneratorKind::kSubsimIc, *graph).ok());
   EXPECT_TRUE(PrepareSamplingState(GeneratorKind::kVanillaIc, *graph).ok());
+}
+
+TEST(SharedPlanTest, HistSolvesBuildTheZeroGainOrderOncePerGraph) {
+  // k far above the nodes a first-round HIST store covers, so its
+  // Revised-Greedy calls run into the zero-gain tail.
+  const auto solve = [](const Graph& graph) {
+    const Result<std::unique_ptr<ImAlgorithm>> hist = MakeImAlgorithm("hist");
+    ASSERT_TRUE(hist.ok());
+    ImOptions options;
+    options.k = 400;
+    options.epsilon = 0.5;
+    const Result<ImResult> result = (*hist)->Run(graph, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  };
+  const Graph graph = SkewedGraph(19);
+  const std::uint64_t before = ZeroGainOrderConstructions();
+  solve(graph);
+  EXPECT_EQ(ZeroGainOrderConstructions() - before, 1u);
+  const NodeId* order = ZeroGainOrder(graph).data();
+  solve(graph);
+  EXPECT_EQ(ZeroGainOrderConstructions() - before, 1u);
+  EXPECT_EQ(ZeroGainOrder(graph).data(), order);
+
+  const Graph other = SkewedGraph(19);
+  solve(other);
+  EXPECT_EQ(ZeroGainOrderConstructions() - before, 2u);
+  EXPECT_NE(ZeroGainOrder(other).data(), order);
+
+  // The order: every node once, out-degree descending, then id descending.
+  const std::span<const NodeId> sorted = ZeroGainOrder(graph);
+  ASSERT_EQ(sorted.size(), graph.num_nodes());
+  std::vector<std::uint8_t> seen(graph.num_nodes(), 0);
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    ASSERT_EQ(seen[sorted[i]]++, 0) << "node " << sorted[i] << " repeats";
+    if (i > 0) {
+      const NodeId a = sorted[i - 1];
+      const NodeId b = sorted[i];
+      EXPECT_TRUE(graph.OutDegree(a) > graph.OutDegree(b) ||
+                  (graph.OutDegree(a) == graph.OutDegree(b) && a > b))
+          << "position " << i;
+    }
+  }
 }
 
 }  // namespace
