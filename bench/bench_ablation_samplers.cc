@@ -6,8 +6,6 @@
 //               behaviour, O(h));
 //   geometric — `SampleUniformSubsetSkips` (uniform probabilities only,
 //               O(1 + mu); "n/a" on the other shapes);
-//   bucket    — `BucketSubsetSampler`: Bringmann-Panagiotou buckets + alias
-//               hops (O(1 + mu));
 //   sorted    — `SampleSortedSubset` on the descending-sorted copy:
 //               index-free position buckets (O(1 + mu + log h)).
 // The crossover structure justifies the SUBSIM generator's per-node plan
@@ -25,7 +23,6 @@
 #include "subsim/benchsup/reporting.h"
 #include "subsim/random/geometric.h"
 #include "subsim/random/rng.h"
-#include "subsim/sampling/bucket_sampler.h"
 #include "subsim/sampling/inline_sampling.h"
 #include "subsim/util/timer.h"
 
@@ -93,7 +90,7 @@ int main(int argc, char** argv) {
 
   std::printf("Ablation: subset-sampler cost (ns per Sample call)\n\n");
   subsim::TablePrinter table({"shape", "h", "mu", "naive", "geometric",
-                              "bucket", "sorted"});
+                              "sorted"});
   for (const char* shape : {"uniform-1/h", "zipf", "random"}) {
     for (const std::size_t h : {16ul, 256ul, 4096ul, 65536ul}) {
       std::vector<double> probs = MakeProbs(shape, h);
@@ -116,7 +113,6 @@ int main(int argc, char** argv) {
           subsim::SampleUniformSubsetSkips(h, inv_log_q, rng, AppendTo(out));
         });
       }
-      const subsim::BucketSubsetSampler bucket(probs);
       std::vector<double> sorted = probs;
       std::sort(sorted.begin(), sorted.end(), std::greater<>());
 
@@ -131,16 +127,14 @@ int main(int argc, char** argv) {
            }),
            geometric,
            measure([&](subsim::Rng& rng, Sample* out) {
-             bucket.Sample(rng, out);
-           }),
-           measure([&](subsim::Rng& rng, Sample* out) {
              subsim::SampleSortedSubset(sorted, rng, AppendTo(out));
            })});
     }
   }
   table.Print(std::cout);
   std::printf(
-      "\nExpected: naive cost grows linearly in h; the three subset\n"
-      "samplers stay ~flat (O(1 + mu)), which is Lemma 3/5 in action.\n");
+      "\nExpected: naive cost grows linearly in h; the two subset\n"
+      "samplers stay ~flat (O(1 + mu) and O(1 + mu + log h)), which is\n"
+      "Lemma 3 and Section 3.3 in action.\n");
   return 0;
 }

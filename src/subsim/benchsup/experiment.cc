@@ -60,8 +60,7 @@ Result<ExperimentArgs> ExperimentArgs::Parse(int argc, char** argv,
 
 Result<Graph> BuildDatasetGraph(const std::string& dataset, double scale,
                                 std::uint64_t seed, WeightModel model,
-                                const WeightModelParams& params,
-                                bool sort_in_edges) {
+                                const WeightModelParams& params) {
   Result<DatasetSpec> spec = FindDataset(dataset);
   if (!spec.ok()) {
     return spec.status();
@@ -71,9 +70,7 @@ Result<Graph> BuildDatasetGraph(const std::string& dataset, double scale,
     return edges.status();
   }
   SUBSIM_RETURN_IF_ERROR(AssignWeights(model, params, &edges.value()));
-  GraphBuildOptions build_options;
-  build_options.sort_in_edges_by_weight = sort_in_edges;
-  return BuildGraph(std::move(edges).value(), build_options);
+  return BuildGraph(std::move(edges).value());
 }
 
 std::vector<std::string> SelectDatasets(const ExperimentArgs& args) {

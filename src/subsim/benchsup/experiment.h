@@ -33,11 +33,9 @@ struct ExperimentArgs {
 };
 
 /// Builds a weighted graph for `dataset` at the experiment scale.
-/// `sort_in_edges` enables the index-free general-IC sampler.
 Result<Graph> BuildDatasetGraph(const std::string& dataset, double scale,
                                 std::uint64_t seed, WeightModel model,
-                                const WeightModelParams& params,
-                                bool sort_in_edges = false);
+                                const WeightModelParams& params);
 
 /// The dataset list this run covers (args.datasets or the standard four).
 std::vector<std::string> SelectDatasets(const ExperimentArgs& args);

@@ -57,9 +57,9 @@ static_assert(sizeof(InRowMeta) == 16, "InRowMeta must pack 4 per line");
 /// 10M-edge undirected BA graph (uniform p = 0.05) from 97-111 ms to
 /// 155-191 ms, with identical activation counts.
 ///
-/// In-neighbor lists may additionally be sorted in descending weight order
-/// (see `in_sorted_by_weight()`), which the index-free general-IC sampler
-/// requires (paper Section 3.3).
+/// Each skewed in-row is ordered by descending weight (ties by ascending
+/// source), which the index-free general-IC sampler requires (paper
+/// Section 3.3); uniform rows and out-rows keep insertion order.
 ///
 /// Instances are created by `GraphBuilder`; the class itself is read-only,
 /// cheap to move, and deliberately has no mutation API. The one exception
@@ -156,10 +156,6 @@ class Graph {
     return {in_weights_.data() + begin, count};
   }
 
-  /// True if the builder sorted every in-neighbor list in descending weight
-  /// order (required by the index-free sorted subset sampler).
-  bool in_sorted_by_weight() const { return in_sorted_by_weight_; }
-
   /// Software-prefetch hook for `InWeightSum(v)` — the first thing the LT
   /// live-edge walk reads at each step.
   void PrefetchInWeightSum(NodeId v) const {
@@ -206,7 +202,7 @@ class Graph {
   /// Kinds of state derived from a graph by layers above graph/. Each slot
   /// holds one type, and only one accessor builds it:
   ///  * kSubsimPlan — `SubsimExpandCore::Shared` (rrset/): the SUBSIM node
-  ///    plans, plus bucket samplers on unsorted skewed graphs;
+  ///    plans, 16 bytes per node;
   ///  * kLtPlan — `LtEdgePicker::Shared` (rrset/): LT's pick records and
   ///    alias tables, or the weight-sum check that rejected the graph;
   ///  * kZeroGainOrder — `ZeroGainOrder` (coverage/): every node sorted by
@@ -252,7 +248,6 @@ class Graph {
 
   NodeId num_nodes_ = 0;
   EdgeIndex num_edges_ = 0;
-  bool in_sorted_by_weight_ = false;
 
   std::vector<EdgeIndex> out_offsets_;  // size n+1
   std::vector<NodeId> out_targets_;     // size m

@@ -31,7 +31,7 @@ Status ValidateEdges(const EdgeList& list) {
 
 }  // namespace
 
-Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) && {
+Result<Graph> GraphBuilder::Build() && {
   SUBSIM_RETURN_IF_ERROR(ValidateEdges(list_));
 
   std::vector<Edge>& edges = list_.edges;
@@ -49,7 +49,6 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) && {
   Graph g;
   g.num_nodes_ = n;
   g.num_edges_ = edges.size();
-  g.in_sorted_by_weight_ = options.sort_in_edges_by_weight;
 
   // Out-CSR via counting sort on src.
   g.out_offsets_.assign(n + 1, 0);
@@ -107,18 +106,16 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) && {
     }
   }
 
-  if (options.sort_in_edges_by_weight) {
-    // Sort each in-list by descending weight, ties by ascending source for
-    // reproducibility. Every weight of a uniform row ties, so its order is
-    // by source alone.
+  if (any_skewed) {
+    // Order each skewed row by descending weight, ties by ascending source
+    // for reproducibility; uniform rows keep insertion order.
     std::vector<std::pair<double, NodeId>> scratch;
     for (NodeId v = 0; v < n; ++v) {
       const InRowMeta& meta = g.in_row_meta_[v];
-      NodeId* sources = g.in_sources_.data() + meta.begin;
       if (meta.uniform()) {
-        std::sort(sources, sources + meta.degree);
         continue;
       }
+      NodeId* sources = g.in_sources_.data() + meta.begin;
       double* weights = g.in_weights_.data() + meta.begin;
       scratch.clear();
       for (std::uint32_t i = 0; i < meta.degree; ++i) {
@@ -151,8 +148,8 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) && {
   return g;
 }
 
-Result<Graph> BuildGraph(EdgeList list, const GraphBuildOptions& options) {
-  return GraphBuilder(std::move(list)).Build(options);
+Result<Graph> BuildGraph(EdgeList list) {
+  return GraphBuilder(std::move(list)).Build();
 }
 
 }  // namespace subsim

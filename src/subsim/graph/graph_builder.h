@@ -9,25 +9,21 @@
 
 namespace subsim {
 
-/// Options controlling CSR construction. Self-loops (u == v) are always
-/// dropped: a self-loop never changes a cascade, since the endpoint is
-/// already active when the edge would fire. Parallel (u, v) copies are
-/// always kept, each as its own edge in insertion order.
-struct GraphBuildOptions {
-  /// Sort each node's in-neighbor list by descending edge weight. Required
-  /// by the index-free sorted subset sampler (Section 3.3); harmless
-  /// otherwise. Out-lists keep insertion order.
-  bool sort_in_edges_by_weight = false;
-};
-
 /// Validates and freezes an `EdgeList` into an immutable CSR `Graph`.
+///
+/// Self-loops (u == v) are dropped: a self-loop never changes a cascade,
+/// since the endpoint is already active when the edge would fire. Parallel
+/// (u, v) copies are kept, each as its own edge. Out-rows and uniform
+/// in-rows keep insertion order; each skewed in-row (see `InRowMeta`) is
+/// ordered by weight descending, ties by source ascending, which the
+/// index-free general-IC sampler requires (paper Section 3.3).
 ///
 /// Usage:
 ///   GraphBuilder builder(num_nodes);
 ///   builder.AddEdge(u, v, p);
-///   Result<Graph> graph = std::move(builder).Build(options);
+///   Result<Graph> graph = std::move(builder).Build();
 ///
-/// or directly from an EdgeList via `BuildGraph(list, options)`.
+/// or directly from an EdgeList via `BuildGraph(list)`.
 class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId num_nodes) { list_.num_nodes = num_nodes; }
@@ -43,14 +39,14 @@ class GraphBuilder {
   /// Consumes the builder and produces the graph. Fails with
   /// InvalidArgument if an endpoint is out of range or a weight is outside
   /// [0, 1] / non-finite.
-  Result<Graph> Build(const GraphBuildOptions& options = {}) &&;
+  Result<Graph> Build() &&;
 
  private:
   EdgeList list_;
 };
 
 /// Convenience wrapper: builds a graph directly from an edge list.
-Result<Graph> BuildGraph(EdgeList list, const GraphBuildOptions& options = {});
+Result<Graph> BuildGraph(EdgeList list);
 
 }  // namespace subsim
 

@@ -142,9 +142,7 @@ Result<EdgeUpdateResult> ApplyEdgeUpdates(const Graph& graph,
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
-  GraphBuildOptions options;
-  options.sort_in_edges_by_weight = graph.in_sorted_by_weight();
-  Result<Graph> rebuilt = BuildGraph(std::move(list), options);
+  Result<Graph> rebuilt = BuildGraph(std::move(list));
   if (!rebuilt.ok()) {
     return rebuilt.status();
   }

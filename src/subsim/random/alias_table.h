@@ -11,9 +11,8 @@ namespace subsim {
 /// Walker's alias method [Walker 1977]: O(n) construction, O(1) sampling
 /// from an arbitrary discrete distribution.
 ///
-/// Used by the general-IC bucket sampler (Section 3.3 of the paper) to hop
-/// between probability buckets in O(1), and by the LT RR-set generator and
-/// graph generators for weighted node picks.
+/// Used by the LT RR-set generator and graph generators for weighted node
+/// picks.
 class AliasTable {
  public:
   AliasTable() = default;

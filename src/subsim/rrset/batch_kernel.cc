@@ -427,8 +427,8 @@ class VanillaBatchKernel final : public BatchKernelCrtp<VanillaBatchKernel> {
 /// sink and the small-degree naive policy (bulk draws) differ. Without sentinels the draws are independent of
 /// activation outcomes, so the sink merely collects candidates and the
 /// run step commits them a round later (same pipeline as the vanilla
-/// kernel). With sentinels a stop truncates the take-all/bucket emission
-/// loops, so the sink must mark inline — that path mirrors the scalar
+/// kernel). With sentinels a stop truncates the take-all emission loop,
+/// so the sink must mark inline — that path mirrors the scalar
 /// generator. The naive plan's draw count is data-independent even under
 /// sentinels — the scalar path keeps flipping coins after a stop
 /// (activations become no-ops) — so the bulk policy is unconditionally
@@ -514,8 +514,7 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
     const NodeId u = nodes[lane_head_[slot]++];
     CollectSink sink{this, &pending};
     BulkNaivePolicy naive{&draw_buf_};
-    core_.ExpandNode(graph_, u, lane_rngs_[slot], &stats_, sink, naive,
-                     &bucket_scratch_);
+    core_.ExpandNode(graph_, u, lane_rngs_[slot], &stats_, sink, naive);
     return pending.empty() && lane_head_[slot] == nodes.size();
   }
 
@@ -524,8 +523,7 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
     const NodeId u = nodes[lane_head_[slot]++];
     InlineSink sink{this, &nodes, slot, false};
     BulkNaivePolicy naive{&draw_buf_};
-    if (core_.ExpandNode(graph_, u, lane_rngs_[slot], &stats_, sink, naive,
-                         &bucket_scratch_)) {
+    if (core_.ExpandNode(graph_, u, lane_rngs_[slot], &stats_, sink, naive)) {
       MarkLaneHit(slot);
       return true;
     }
@@ -583,7 +581,6 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
   const SubsimExpandCore& core_;
   std::vector<NodeId> pending_[kMaxLanes];
   std::vector<std::uint64_t> draw_buf_;
-  std::vector<std::uint32_t> bucket_scratch_;
 };
 
 /// LT, batched. The live-edge walk is inherently sequential in its draws

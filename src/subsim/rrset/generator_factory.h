@@ -20,8 +20,8 @@ enum class GeneratorKind {
 };
 
 /// Builds, on the first call for `graph`, the immutable per-graph half of
-/// `kind`'s generators and kernels — SUBSIM's node plans and bucket
-/// samplers (`SubsimExpandCore::Shared`), LT's pick records and alias
+/// `kind`'s generators and kernels — SUBSIM's node plans
+/// (`SubsimExpandCore::Shared`), LT's pick records and alias
 /// tables (`LtEdgePicker::Shared`); vanilla IC has none — and returns the
 /// kind's verdict on the graph: kLt rejects a graph whose per-node
 /// in-weight sums exceed 1. The state is owned by `graph` and shared

@@ -17,7 +17,7 @@ namespace subsim {
 /// every in-edge of every activated node (one coin flip each); for SUBSIM
 /// it is only the geometric-skip landings — the gap between the two is the
 /// paper's Section 3 speedup. `geometric_skips` counts geometric draws in
-/// the skip kernels (uniform, sorted-bucket, and bucket-indexed paths);
+/// the skip kernels (uniform and sorted-bucket paths);
 /// `rejection_accepts` counts accepted rejection trials in the non-uniform
 /// kernels. Both stay zero for generators that use neither (vanilla, LT).
 /// `batch_chunks` and `prefetch_lines` are produced only by the batched

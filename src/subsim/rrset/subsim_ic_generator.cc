@@ -1,12 +1,14 @@
 #include "subsim/rrset/subsim_ic_generator.h"
 
+#include <algorithm>
+#include <functional>
+
 namespace subsim {
 
 SubsimExpandCore::SubsimExpandCore(const Graph& graph,
                                    NodeId naive_fallback_degree) {
   constructions_.fetch_add(1, std::memory_order_relaxed);
   const NodeId n = graph.num_nodes();
-  const bool bucket_strategy = !graph.in_sorted_by_weight();
   meta_.assign(n, PlanMeta{});
 
   for (NodeId v = 0; v < n; ++v) {
@@ -44,14 +46,11 @@ SubsimExpandCore::SubsimExpandCore(const Graph& graph,
       continue;
     }
     set_plan(NodePlan::kGeneral);
-    if (bucket_strategy) {
-      if (bucket_samplers_.empty()) {
-        bucket_samplers_.resize(n);
-      }
-      const auto weights = graph.InWeights(v);
-      bucket_samplers_[v] = std::make_unique<BucketSubsetSampler>(
-          std::vector<double>(weights.begin(), weights.end()));
-    }
+    // SampleSortedSubset's precondition, which the builder establishes.
+    SUBSIM_DCHECK(std::is_sorted(graph.InWeights(v).begin(),
+                                 graph.InWeights(v).end(),
+                                 std::greater<double>()),
+                  "skewed in-row not in descending weight order");
   }
 }
 
@@ -115,7 +114,7 @@ bool SubsimIcGenerator::Generate(Rng& rng, std::vector<NodeId>* out) {
     SubsimExpandCore::ScalarNaivePolicy naive;
     while (head < queue_.size()) {
       if (core_->ExpandNode(graph_, queue_[head++], rng, &stats_, sink,
-                            naive, &bucket_scratch_)) {
+                            naive)) {
         hit = true;
         break;
       }

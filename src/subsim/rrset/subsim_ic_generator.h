@@ -9,7 +9,6 @@
 #include "subsim/graph/graph.h"
 #include "subsim/random/geometric.h"
 #include "subsim/rrset/rr_generator.h"
-#include "subsim/sampling/bucket_sampler.h"
 #include "subsim/sampling/inline_sampling.h"
 #include "subsim/util/bit_vector.h"
 #include "subsim/util/prefetch.h"
@@ -24,9 +23,9 @@ namespace subsim {
 /// The core is the immutable, per-graph half of a SUBSIM generator: built
 /// once per graph (`Shared`) and read concurrently by every worker, fill,
 /// store and query of that graph. Everything mutable — visited marks,
-/// queues, RNG lanes, the bucket path's index scratch — belongs to the
-/// caller. The plans hold row positions and parameters, not the graph, so
-/// every call that reads adjacency takes the graph it was built from.
+/// queues, RNG lanes — belongs to the caller. The plans hold row positions
+/// and parameters, not the graph, so every call that reads adjacency takes
+/// the graph it was built from.
 ///
 /// `ExpandNode` samples the in-neighbors of one dequeued node, invoking
 /// `sink.Activate(w)` for every sampled in-neighbor in the plan's emission
@@ -34,20 +33,16 @@ namespace subsim {
 ///   * `void Activate(NodeId w)` — activation attempt; must be a no-op
 ///     once the traversal has stopped;
 ///   * `bool stopped() const` — true after a sentinel activation.
-/// Draw-order contract (what makes kernels interchangeable): the naive and
-/// skip plans keep drawing to their natural end even after a stop (their
-/// draw counts are data-independent of activation outcomes), while the
-/// take-all and bucket emission loops break on stop without further draws
+/// Draw-order contract (what makes kernels interchangeable): the naive,
+/// skip and sorted plans keep drawing to their natural end even after a
+/// stop (their draw counts are data-independent of activation outcomes),
+/// while the take-all emission loop breaks on stop without further draws
 /// — exactly the scalar generator's historical behavior.
 ///
 /// Nodes whose in-weights are *not* all equal (general IC, paper Section
-/// 3.3) are sampled by a strategy the graph decides:
-///   * weight-sorted graphs (`sort_in_edges_by_weight`) use the index-free
-///     `SampleSortedSubset`: O(1 + mu + log d) per activated node, zero
-///     preprocessing;
-///   * other graphs get a per-node `BucketSubsetSampler` built with the
-///     plans: O(1 + mu) per activated node after O(m) preprocessing
-///     (Lemma 5), paid once per graph as the paper charges it.
+/// 3.3) are sampled by the index-free `SampleSortedSubset`: O(1 + mu +
+/// log d) per activated node, with no per-row preprocessing, because the
+/// builder orders every skewed row by descending weight.
 ///
 /// `NaivePolicy` lets a kernel substitute how the small-degree Bernoulli
 /// plan realizes its coin flips. Two hooks, both of which must consume
@@ -59,10 +54,10 @@ namespace subsim {
 ///     never read (the batched kernel additionally bulk-draws the coins).
 class SubsimExpandCore {
  public:
-  /// Plans every node of `graph`. Cost: O(n), plus O(m) over skew-weighted
-  /// nodes when the graph is not weight-sorted. `naive_fallback_degree` =
-  /// 0 disables the small-degree fallback (tests use this to force the
-  /// skip kernels). Library code uses `Shared` instead.
+  /// Plans every node of `graph` in one O(n) pass, 16 bytes per node.
+  /// `naive_fallback_degree` = 0 disables the small-degree fallback (tests
+  /// use this to force the skip kernels). Library code uses `Shared`
+  /// instead.
   SubsimExpandCore(const Graph& graph, NodeId naive_fallback_degree);
 
   /// The graph's shared core with the default naive fallback, built on the
@@ -104,12 +99,9 @@ class SubsimExpandCore {
   }
 
   /// Expands `u` over `graph` (the graph the core was built from).
-  /// `bucket_scratch` is the caller's buffer for the bucket strategy's
-  /// sampled indices.
   template <class Sink, class NaivePolicy>
   bool ExpandNode(const Graph& graph, NodeId u, Rng& rng, RrGenStats* stats,
-                  Sink& sink, NaivePolicy&& naive,
-                  std::vector<std::uint32_t>* bucket_scratch) const {
+                  Sink& sink, NaivePolicy&& naive) const {
     const PlanMeta& pm = meta_[u];
     const auto sources = graph.InSourcesAt(pm.begin, pm.degree);
     switch (static_cast<NodePlan>(pm.plan)) {
@@ -147,31 +139,14 @@ class SubsimExpandCore {
             &stats->geometric_skips);
         return sink.stopped();
       case NodePlan::kGeneral:
-        break;
-    }
-
-    if (graph.in_sorted_by_weight()) {
-      SampleSortedSubset(
-          graph.InWeightsAt(pm.begin, pm.degree), rng,
-          [&](std::uint32_t i) {
-            ++stats->edges_examined;
-            sink.Activate(sources[i]);
-          },
-          &stats->geometric_skips, &stats->rejection_accepts);
-      return sink.stopped();
-    }
-
-    // Bucket strategy: the sampler emits into scratch, then we activate.
-    bucket_scratch->clear();
-    bucket_samplers_[u]->Sample(rng, bucket_scratch,
-                                &stats->geometric_skips,
-                                &stats->rejection_accepts);
-    for (std::uint32_t i : *bucket_scratch) {
-      ++stats->edges_examined;
-      sink.Activate(sources[i]);
-      if (sink.stopped()) {
-        return true;
-      }
+        SampleSortedSubset(
+            graph.InWeightsAt(pm.begin, pm.degree), rng,
+            [&](std::uint32_t i) {
+              ++stats->edges_examined;
+              sink.Activate(sources[i]);
+            },
+            &stats->geometric_skips, &stats->rejection_accepts);
+        return sink.stopped();
     }
     return false;
   }
@@ -205,7 +180,7 @@ class SubsimExpandCore {
     kSmallNaiveUniform,  // short uniform in-list: per-edge coins, shared p
     kUniformSkip,        // equal weights in (0, 1): geometric skips
     kTakeAll,            // equal weights >= 1: every in-neighbor activates
-    kGeneral,            // skewed weights: sorted or bucket, per graph
+    kGeneral,            // skewed weights, sorted descending: index-free
   };
 
   /// Packed per-node plan descriptor: plan tag, CSR position, and the
@@ -224,9 +199,6 @@ class SubsimExpandCore {
   static_assert(sizeof(PlanMeta) == 16, "PlanMeta must pack 4 per line");
 
   std::vector<PlanMeta> meta_;
-  /// Bucket samplers for kGeneral nodes, indexed by node. Empty unless the
-  /// graph is unsorted and has at least one kGeneral node.
-  std::vector<std::unique_ptr<BucketSubsetSampler>> bucket_samplers_;
 
   static inline std::atomic<std::uint64_t> constructions_{0};
 };
@@ -236,8 +208,8 @@ class SubsimExpandCore {
 /// For a dequeued node whose in-edges share one probability p (WC, Uniform
 /// IC, and WC-variant below the min{} clamp), in-neighbors are selected by
 /// geometric skips — expected cost O(1 + d_in * p) instead of the vanilla
-/// O(d_in). Nodes with skewed in-weights use the general-IC strategy the
-/// graph's in-edge order selects (see `SubsimExpandCore`). Per-node
+/// O(d_in). Nodes with skewed in-weights use the index-free sorted
+/// general-IC sampler (see `SubsimExpandCore`). Per-node
 /// `1/log(1-p)` constants are precomputed so the hot loop performs one
 /// log() per geometric draw.
 class SubsimIcGenerator final : public RrGenerator {
@@ -287,7 +259,6 @@ class SubsimIcGenerator final : public RrGenerator {
   bool has_sentinels_ = false;
   bool stop_ = false;  // set when a sentinel activates mid-expansion
   std::vector<NodeId> queue_;
-  std::vector<std::uint32_t> bucket_scratch_;
 };
 
 }  // namespace subsim

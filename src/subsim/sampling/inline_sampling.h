@@ -12,17 +12,20 @@ namespace subsim {
 /// Independent subset sampling (paper Section 3.1): given h elements with
 /// inclusion probabilities p_0..p_{h-1}, draw a random subset where element
 /// i appears independently with probability p_i. These allocation-free
-/// kernels, plus the stateful `BucketSubsetSampler` (bucket_sampler.h), are
-/// the library's only subset-sampling API; the RR-set generators call them
-/// directly on the hot path. With mu = sum of the probabilities:
+/// kernels are the library's only subset-sampling API; the RR-set
+/// generators call them directly on the hot path. With mu = sum of the
+/// probabilities:
 ///  * `SampleUniformSubsetSkips` — equal probabilities, O(1 + mu)
 ///                                  (Lemma 3);
 ///  * `SampleSubsetNaive`        — one coin per element, O(h) (the vanilla
 ///                                  baseline);
 ///  * `SampleSortedSubset`       — non-increasing probabilities, index-free,
-///                                  O(1 + mu + log h) (Section 3.3);
-///  * `BucketSubsetSampler`      — arbitrary probabilities, O(h) build,
-///                                  O(1 + mu) per sample (Lemma 5).
+///                                  O(1 + mu + log h) (Section 3.3); SUBSIM
+///                                  samples every skewed in-row with it.
+/// The paper's indexed bucket method (Lemma 5, O(1 + mu) after an O(h)
+/// build) is not kept: measured on the Figure 2 workloads it was slower
+/// than the sorted kernel and cost O(m) memory per graph (EXPERIMENTS.md,
+/// "one general-IC sampler").
 ///
 /// Each kernel invokes `emit(i)` for every sampled index i (in increasing
 /// order). `Emit` may return void.
@@ -72,8 +75,8 @@ void SampleSubsetNaive(std::span<const double> probs, Rng& rng, Emit&& emit) {
 /// at position pos with probability probs[pos] / bucket_max. Expected cost
 /// O(1 + mu + log h).
 ///
-/// Requires probs to be non-increasing; the graph builder's
-/// `sort_in_edges_by_weight` option establishes this.
+/// Requires probs to be non-increasing; the graph builder orders every
+/// skewed in-row this way.
 ///
 /// `geometric_draws` and `rejection_accepts`, when non-null, accumulate the
 /// kernel's geometric samples and accepted rejection trials.

@@ -114,15 +114,13 @@ TEST(GraphBuilderTest, SelfLoopsRemovedByDefault) {
 }
 
 TEST(GraphBuilderTest, SortInEdgesByWeightDescending) {
+  // The default build orders a skewed row by weight, descending.
   GraphBuilder builder(4);
   builder.AddEdge(0, 3, 0.2);
   builder.AddEdge(1, 3, 0.9);
   builder.AddEdge(2, 3, 0.5);
-  GraphBuildOptions options;
-  options.sort_in_edges_by_weight = true;
-  Result<Graph> graph = std::move(builder).Build(options);
+  Result<Graph> graph = std::move(builder).Build();
   ASSERT_TRUE(graph.ok());
-  EXPECT_TRUE(graph->in_sorted_by_weight());
   const auto weights = graph->InWeights(3);
   ASSERT_EQ(weights.size(), 3u);
   EXPECT_DOUBLE_EQ(weights[0], 0.9);
@@ -149,10 +147,11 @@ TEST(GraphBuilderTest, UniformInWeightsDetection) {
 
 std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-// Every weight model x sort on/off on a BA graph: the edge list survives a
-// round trip bit for bit, and each in-row (sources, weights read through
-// `InMeta` or `InWeights`, weight sum) matches a reference CSR built
-// straight from the edge list.
+// Every weight model on a BA graph: the edge list survives a round trip
+// bit for bit, and each in-row (sources, weights read through `InMeta` or
+// `InWeights`, weight sum) matches a reference CSR built straight from the
+// edge list: a skewed row in (weight desc, source asc) order, a uniform
+// row in insertion order.
 TEST(GraphBuilderTest, ToEdgeListRoundTrips) {
   const WeightModel kModels[] = {
       WeightModel::kWeightedCascade, WeightModel::kUniformIc,
@@ -161,72 +160,67 @@ TEST(GraphBuilderTest, ToEdgeListRoundTrips) {
       WeightModel::kLinearThreshold,
   };
   for (const WeightModel model : kModels) {
-    for (const bool sort : {false, true}) {
-      SCOPED_TRACE(std::string(WeightModelName(model)) +
-                   (sort ? " sorted" : " unsorted"));
-      Result<EdgeList> generated = GenerateBarabasiAlbert(300, 3, true, 5);
-      ASSERT_TRUE(generated.ok());
-      EdgeList original = std::move(generated).value();
-      WeightModelParams params;
-      params.wc_variant_theta = 2.0;  // clamps some rows at 1
-      params.seed = 23;
-      ASSERT_TRUE(AssignWeights(model, params, &original).ok());
-      GraphBuildOptions options;
-      options.sort_in_edges_by_weight = sort;
-      Result<Graph> graph = BuildGraph(original, options);
-      ASSERT_TRUE(graph.ok());
+    SCOPED_TRACE(WeightModelName(model));
+    Result<EdgeList> generated = GenerateBarabasiAlbert(300, 3, true, 5);
+    ASSERT_TRUE(generated.ok());
+    EdgeList original = std::move(generated).value();
+    WeightModelParams params;
+    params.wc_variant_theta = 2.0;  // clamps some rows at 1
+    params.seed = 23;
+    ASSERT_TRUE(AssignWeights(model, params, &original).ok());
+    Result<Graph> graph = BuildGraph(original);
+    ASSERT_TRUE(graph.ok());
 
-      // ToEdgeList returns the input multiset, weights bit for bit.
-      const auto key = [](const Edge& e) {
-        return std::tuple(e.src, e.dst, Bits(e.weight));
-      };
-      const auto by_key = [&](const Edge& a, const Edge& b) {
-        return key(a) < key(b);
-      };
-      EdgeList round = graph->ToEdgeList();
-      EXPECT_EQ(round.num_nodes, original.num_nodes);
-      std::vector<Edge> expected = original.edges;
-      std::sort(expected.begin(), expected.end(), by_key);
-      std::sort(round.edges.begin(), round.edges.end(), by_key);
-      ASSERT_EQ(round.edges.size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(key(round.edges[i]), key(expected[i]));
-      }
+    // ToEdgeList returns the input multiset, weights bit for bit.
+    const auto key = [](const Edge& e) {
+      return std::tuple(e.src, e.dst, Bits(e.weight));
+    };
+    const auto by_key = [&](const Edge& a, const Edge& b) {
+      return key(a) < key(b);
+    };
+    EdgeList round = graph->ToEdgeList();
+    EXPECT_EQ(round.num_nodes, original.num_nodes);
+    std::vector<Edge> expected = original.edges;
+    std::sort(expected.begin(), expected.end(), by_key);
+    std::sort(round.edges.begin(), round.edges.end(), by_key);
+    ASSERT_EQ(round.edges.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(key(round.edges[i]), key(expected[i]));
+    }
 
-      // Reference CSR: in-edges in edge-list order, then (weight desc,
-      // source asc) when sorting is on.
-      std::vector<std::vector<std::pair<double, NodeId>>> rows(
-          original.num_nodes);
-      for (const Edge& e : original.edges) {
-        rows[e.dst].emplace_back(e.weight, e.src);
+    // Reference CSR: in-edges in edge-list order, then (weight desc,
+    // source asc) on skewed rows.
+    std::vector<std::vector<std::pair<double, NodeId>>> rows(
+        original.num_nodes);
+    for (const Edge& e : original.edges) {
+      rows[e.dst].emplace_back(e.weight, e.src);
+    }
+    for (NodeId v = 0; v < original.num_nodes; ++v) {
+      auto& row = rows[v];
+      const bool uniform = std::all_of(
+          row.begin(), row.end(),
+          [&](const auto& p) { return p.first == row.front().first; });
+      if (!uniform) {
+        std::sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
+          if (a.first != b.first) return a.first > b.first;
+          return a.second < b.second;
+        });
       }
-      for (NodeId v = 0; v < original.num_nodes; ++v) {
-        auto& row = rows[v];
-        if (sort) {
-          std::sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
-            if (a.first != b.first) return a.first > b.first;
-            return a.second < b.second;
-          });
-        }
-        ASSERT_EQ(graph->InDegree(v), row.size());
-        const auto sources = graph->InNeighbors(v);
-        ASSERT_EQ(sources.size(), row.size());
-        const InRowMeta& meta = graph->InMeta(v);
-        const bool uniform = std::all_of(
-            row.begin(), row.end(),
-            [&](const auto& p) { return p.first == row.front().first; });
-        ASSERT_EQ(meta.uniform(), uniform) << "node " << v;
-        const auto weights =
-            uniform ? std::span<const double>{} : graph->InWeights(v);
-        double sum = 0.0;
-        for (std::size_t i = 0; i < row.size(); ++i) {
-          EXPECT_EQ(sources[i], row[i].second) << "node " << v;
-          const double w = uniform ? meta.uniform_weight : weights[i];
-          EXPECT_EQ(Bits(w), Bits(row[i].first)) << "node " << v;
-          sum += row[i].first;
-        }
-        EXPECT_EQ(Bits(graph->InWeightSum(v)), Bits(sum)) << "node " << v;
+      ASSERT_EQ(graph->InDegree(v), row.size());
+      const auto sources = graph->InNeighbors(v);
+      ASSERT_EQ(sources.size(), row.size());
+      const InRowMeta& meta = graph->InMeta(v);
+      ASSERT_EQ(meta.uniform(), uniform) << "node " << v;
+      const auto weights =
+          uniform ? std::span<const double>{} : graph->InWeights(v);
+      double sum = 0.0;
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        EXPECT_EQ(sources[i], row[i].second) << "node " << v;
+        const double w = uniform ? meta.uniform_weight : weights[i];
+        EXPECT_EQ(Bits(w), Bits(row[i].first)) << "node " << v;
+        sum += row[i].first;
       }
+      EXPECT_EQ(Bits(graph->InWeightSum(v)), Bits(sum)) << "node " << v;
     }
   }
 }

@@ -232,7 +232,7 @@ void ExpectSameEdges(const EdgeList& actual, const EdgeList& expected) {
 }
 
 // Small dense multigraphs, so most batches hit parallel copies and many
-// deletes empty a row; every other trial builds weight-sorted in-rows.
+// deletes empty a row.
 TEST(ApplyEdgeUpdatesTest, MatchesLinearScanReferenceOnMultigraphs) {
   constexpr double kWeights[] = {0.125, 0.25, 0.5, 0.75};
   Rng rng(20260417);
@@ -251,9 +251,7 @@ TEST(ApplyEdgeUpdatesTest, MatchesLinearScanReferenceOnMultigraphs) {
         list.edges.push_back(Edge{src, dst, kWeights[rng.UniformInt(4)]});
       }
     }
-    GraphBuildOptions options;
-    options.sort_in_edges_by_weight = trial % 2 == 1;
-    Result<Graph> base = BuildGraph(list, options);
+    Result<Graph> base = BuildGraph(list);
     ASSERT_TRUE(base.ok());
 
     UpdateBatch batch;
@@ -287,13 +285,33 @@ TEST(ApplyEdgeUpdatesTest, MatchesLinearScanReferenceOnMultigraphs) {
       continue;
     }
     ++applied;
-    Result<Graph> expected = BuildGraph(ref.edited, options);
+    Result<Graph> expected = BuildGraph(ref.edited);
     ASSERT_TRUE(expected.ok());
     ExpectSameEdges(updated->graph.ToEdgeList(), expected->ToEdgeList());
     EXPECT_EQ(updated->dirty_nodes, ref.dirty_nodes) << "trial " << trial;
   }
   // The sweep must exercise successful edits, not just rejections.
   EXPECT_GT(applied, 200u);
+}
+
+// A weight change that makes a uniform in-row skewed: the successor graph
+// orders the row by weight, descending, as every build does.
+TEST(ApplyEdgeUpdatesTest, RowTurnedSkewedComesOutSorted) {
+  const Graph base = FanGraph();
+  ASSERT_TRUE(base.InMeta(3).uniform());
+  UpdateBatch batch;
+  batch.ops.push_back(EdgeOp{EdgeOpKind::kSetWeight, 1, 3, 0.25});
+  Result<EdgeUpdateResult> updated = ApplyEdgeUpdates(base, batch);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  const Graph& graph = updated->graph;
+  ASSERT_FALSE(graph.InMeta(3).uniform());
+  const auto sources = graph.InNeighbors(3);
+  const auto weights = graph.InWeights(3);
+  ASSERT_EQ(sources.size(), 2u);
+  EXPECT_EQ(sources[0], 2u);
+  EXPECT_EQ(sources[1], 1u);
+  EXPECT_EQ(weights[0], 0.5);
+  EXPECT_EQ(weights[1], 0.25);
 }
 
 TEST(ParseGraphUpdateRequestTest, ParsesFullBatch) {

@@ -152,9 +152,9 @@ TEST(ParallelFillStressTest, ConcurrentFillsShareGraphSafely) {
   RaceFills(StressGraph(), GeneratorKind::kSubsimIc);
 
   // The first fills on a fresh graph also race the lazy build of its
-  // shared sampling state (Graph::Derived): SUBSIM's plans with one bucket
-  // sampler per skewed row (exponential weights, unsorted in-rows) and
-  // LT's pick records with their alias tables.
+  // shared sampling state (Graph::Derived): SUBSIM's plans over skewed
+  // rows (exponential weights) and LT's pick records with their alias
+  // tables.
   for (GeneratorKind kind : {GeneratorKind::kVanillaIc,
                              GeneratorKind::kSubsimIc, GeneratorKind::kLt}) {
     SCOPED_TRACE(GeneratorKindName(kind));
@@ -164,7 +164,6 @@ TEST(ParallelFillStressTest, ConcurrentFillsShareGraphSafely) {
         AssignWeights(WeightModel::kExponential, {}, &list.value()).ok());
     Result<Graph> fresh = BuildGraph(std::move(list).value());
     ASSERT_TRUE(fresh.ok());
-    ASSERT_FALSE(fresh->in_sorted_by_weight());
     RaceFills(*fresh, kind);
   }
 }

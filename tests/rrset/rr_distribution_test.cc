@@ -69,7 +69,7 @@ void ExpectFrequenciesMatch(const std::vector<double>& freq,
   }
 }
 
-Graph SmallSkewedGraph(bool sorted_in_edges) {
+Graph SmallSkewedGraph() {
   // 6 nodes, 10 edges, assorted weights exercising every sampling plan:
   // uniform rows, skewed rows, a weight-1 edge and a weight-0 edge.
   EdgeList list;
@@ -77,9 +77,7 @@ Graph SmallSkewedGraph(bool sorted_in_edges) {
   list.edges = {{0, 1, 0.8}, {2, 1, 0.8},  {1, 2, 0.5},  {3, 2, 0.2},
                 {4, 2, 0.1}, {2, 3, 1.0},  {4, 3, 0.35}, {5, 4, 0.6},
                 {0, 5, 0.0}, {3, 5, 0.45}};
-  GraphBuildOptions options;
-  options.sort_in_edges_by_weight = sorted_in_edges;
-  Result<Graph> graph = BuildGraph(std::move(list), options);
+  Result<Graph> graph = BuildGraph(std::move(list));
   EXPECT_TRUE(graph.ok());
   return std::move(graph).value();
 }
@@ -87,7 +85,7 @@ Graph SmallSkewedGraph(bool sorted_in_edges) {
 constexpr int kTrials = 300000;
 
 TEST(RrDistributionTest, VanillaMatchesExactInfluence) {
-  const Graph graph = SmallSkewedGraph(false);
+  const Graph graph = SmallSkewedGraph();
   VanillaIcGenerator generator(graph);
   const auto freq =
       MembershipFrequencies(generator, graph.num_nodes(), kTrials, 1);
@@ -95,19 +93,9 @@ TEST(RrDistributionTest, VanillaMatchesExactInfluence) {
                          "vanilla");
 }
 
-TEST(RrDistributionTest, SubsimBucketMatchesExactInfluence) {
-  // Unsorted build: skewed rows use the per-node bucket samplers.
-  const Graph graph = SmallSkewedGraph(false);
-  SubsimIcGenerator generator(graph, /*naive_fallback_degree=*/0);
-  const auto freq =
-      MembershipFrequencies(generator, graph.num_nodes(), kTrials, 2);
-  ExpectFrequenciesMatch(freq, ExactMembershipProbabilities(graph), kTrials,
-                         "subsim-bucket");
-}
-
 TEST(RrDistributionTest, SubsimSortedMatchesExactInfluence) {
   // Weight-sorted build: skewed rows use the index-free sorted kernel.
-  const Graph graph = SmallSkewedGraph(true);
+  const Graph graph = SmallSkewedGraph();
   SubsimIcGenerator generator(graph, /*naive_fallback_degree=*/0);
   const auto freq =
       MembershipFrequencies(generator, graph.num_nodes(), kTrials, 3);

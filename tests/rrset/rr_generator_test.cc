@@ -17,12 +17,9 @@ namespace subsim {
 namespace {
 
 Graph WeightedGraph(EdgeList list, WeightModel model,
-                    WeightModelParams params = {},
-                    bool sort_in_edges = false) {
+                    WeightModelParams params = {}) {
   EXPECT_TRUE(AssignWeights(model, params, &list).ok());
-  GraphBuildOptions options;
-  options.sort_in_edges_by_weight = sort_in_edges;
-  Result<Graph> graph = BuildGraph(std::move(list), options);
+  Result<Graph> graph = BuildGraph(std::move(list));
   EXPECT_TRUE(graph.ok());
   return std::move(graph).value();
 }

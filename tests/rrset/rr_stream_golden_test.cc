@@ -24,23 +24,18 @@ namespace {
 /// The graph axis. WC pins the uniform-row fast paths; the others pin
 /// streams that read per-edge in-weights (skewed rows).
 enum class GoldenGraph {
-  kWc,                // every in-row uniform
-  kTrivalency,        // skewed rows, unsorted: SUBSIM's bucket strategy
-  kTrivalencySorted,  // same edges, weight-sorted: sorted index-free
-  kExponential,       // skewed rows summing to 1: LT alias tables
+  kWc,           // every in-row uniform
+  kTrivalency,   // skewed rows: SUBSIM's sorted index-free sampler
+  kExponential,  // skewed rows summing to 1: LT alias tables
 };
 
 Graph BuildGoldenGraph(GoldenGraph which) {
   Result<EdgeList> list = GenerateBarabasiAlbert(1200, 4, true, 7);
   EXPECT_TRUE(list.ok());
   WeightModel model = WeightModel::kWeightedCascade;
-  GraphBuildOptions options;
   switch (which) {
     case GoldenGraph::kWc:
       break;
-    case GoldenGraph::kTrivalencySorted:
-      options.sort_in_edges_by_weight = true;
-      [[fallthrough]];
     case GoldenGraph::kTrivalency:
       model = WeightModel::kTrivalency;
       break;
@@ -51,7 +46,7 @@ Graph BuildGoldenGraph(GoldenGraph which) {
   WeightModelParams params;
   params.seed = 11;
   EXPECT_TRUE(AssignWeights(model, params, &list.value()).ok());
-  Result<Graph> graph = BuildGraph(std::move(list).value(), options);
+  Result<Graph> graph = BuildGraph(std::move(list).value());
   EXPECT_TRUE(graph.ok());
   return std::move(graph).value();
 }
@@ -60,7 +55,6 @@ const Graph& SharedGraph(GoldenGraph which) {
   static const Graph* const kGraphs[] = {
       new Graph(BuildGoldenGraph(GoldenGraph::kWc)),
       new Graph(BuildGoldenGraph(GoldenGraph::kTrivalency)),
-      new Graph(BuildGoldenGraph(GoldenGraph::kTrivalencySorted)),
       new Graph(BuildGoldenGraph(GoldenGraph::kExponential)),
   };
   return *kGraphs[static_cast<int>(which)];
@@ -124,8 +118,6 @@ std::string CaseName(const ::testing::TestParamInfo<GoldenCase>& info) {
       return KindName(info.param.kind);
     case GoldenGraph::kTrivalency:
       return std::string("trivalency_") + KindName(info.param.kind);
-    case GoldenGraph::kTrivalencySorted:
-      return std::string("trivalency_sorted_") + KindName(info.param.kind);
     case GoldenGraph::kExponential:
       return std::string("exponential_") + KindName(info.param.kind);
   }
@@ -161,13 +153,11 @@ INSTANTIATE_TEST_SUITE_P(
     SkewedWeights, RrStreamGoldenTest,
     ::testing::Values(
         GoldenCase{GoldenGraph::kTrivalency, GeneratorKind::kVanillaIc,
-                   4141061750704798110ull},
+                   11058420350337226886ull},
         GoldenCase{GoldenGraph::kTrivalency, GeneratorKind::kSubsimIc,
-                   15815248151580297896ull},
-        GoldenCase{GoldenGraph::kTrivalencySorted, GeneratorKind::kSubsimIc,
-                   14848219013295013618ull},
+                   11829104392577524652ull},
         GoldenCase{GoldenGraph::kExponential, GeneratorKind::kLt,
-                   5603004423958823258ull}),
+                   8796951554699504084ull}),
     CaseName);
 
 }  // namespace

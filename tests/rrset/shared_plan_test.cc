@@ -1,5 +1,5 @@
-// The per-graph sampling state contract: SUBSIM's node plans (with bucket
-// samplers on unsorted skewed graphs) and LT's pick records are built once
+// The per-graph sampling state contract: SUBSIM's node plans and LT's pick
+// records are built once
 // per graph, on first use, and shared by every generator, kernel, fill,
 // store and solve over that graph; a moved graph keeps its state; a new
 // graph gets its own. Revised-Greedy's zero-gain order follows the same
@@ -29,9 +29,9 @@
 namespace subsim {
 namespace {
 
-/// Exponential weights, each in-row normalized to sum 1, in-edges left in
-/// input order: SUBSIM takes the bucket-sampler path on every skewed row,
-/// and the graph is a valid LT instance whose skewed rows get alias tables.
+/// Exponential weights, each in-row normalized to sum 1: SUBSIM takes the
+/// sorted general-IC path on every skewed row, and the graph is a valid LT
+/// instance whose skewed rows get alias tables.
 Graph SkewedGraph(std::uint64_t seed) {
   Result<EdgeList> list = GenerateBarabasiAlbert(1500, 6, false, seed);
   EXPECT_TRUE(list.ok());
@@ -41,7 +41,6 @@ Graph SkewedGraph(std::uint64_t seed) {
       AssignWeights(WeightModel::kExponential, params, &list.value()).ok());
   Result<Graph> graph = BuildGraph(std::move(list).value());
   EXPECT_TRUE(graph.ok());
-  EXPECT_FALSE(graph->in_sorted_by_weight());
   return std::move(graph).value();
 }
 

@@ -38,7 +38,7 @@ std::vector<double> Frequencies(RrGenerator& generator, NodeId n, int trials,
 TEST(TakeAllDistributionTest, WeightOneEdgesMatchExactInfluence) {
   // Mixed graph: node 2's in-edges are clamped to 1 (kTakeAll), node 4's
   // are fractional-uniform (kUniformSkip), node 5's are skewed (kGeneral,
-  // bucket-sampled on this unsorted build).
+  // the sorted index-free sampler).
   EdgeList list;
   list.num_nodes = 6;
   list.edges = {{0, 2, 1.0}, {1, 2, 1.0}, {2, 4, 0.4}, {3, 4, 0.4},

@@ -1,20 +1,17 @@
 // Statistical correctness of every subset-sampling kernel: each element's
 // empirical inclusion frequency must match its specified probability, and
 // sampling of distinct elements must be (pairwise) independent. These are
-// the properties the SUBSIM analysis (Lemma 3 / Lemma 5) relies on.
+// the properties the SUBSIM analysis (Lemma 3 / Section 3.3) relies on.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
 #include <functional>
-#include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "subsim/random/geometric.h"
-#include "subsim/sampling/bucket_sampler.h"
 #include "subsim/sampling/inline_sampling.h"
 
 namespace subsim {
@@ -23,7 +20,6 @@ namespace {
 enum class Kernel {
   kNaive,      // SampleSubsetNaive
   kGeometric,  // SampleUniformSubsetSkips; all probabilities equal, < 1
-  kBucket,     // BucketSubsetSampler
   kSorted,     // SampleSortedSubset; probabilities non-increasing
 };
 
@@ -49,12 +45,6 @@ DrawFn MakeDraw(Kernel kernel, const std::vector<double>& probs) {
         SampleUniformSubsetSkips(
             h, inv_log_q, rng, [out](std::uint32_t i) { out->push_back(i); });
       };
-    case Kernel::kBucket: {
-      const auto sampler = std::make_shared<BucketSubsetSampler>(probs);
-      return [sampler](Rng& rng, std::vector<std::uint32_t>* out) {
-        sampler->Sample(rng, out);
-      };
-    }
     case Kernel::kSorted:
       return [probs](Rng& rng, std::vector<std::uint32_t>* out) {
         SampleSortedSubset(probs, rng,
@@ -71,16 +61,12 @@ std::vector<StatCase> StatCases() {
                                           0.2,  0.12, 0.05, 0.02, 0.01};
   const std::vector<double> mixed = {0.02, 0.9, 0.001, 0.45, 0.25,
                                      0.13, 0.7, 0.08,  0.3,  0.6};
-  const std::vector<double> with_extremes = {1.0, 0.5, 0.0, 0.25, 1.0, 0.0};
 
   return {
       {"naive/uniform", Kernel::kNaive, uniform_small},
       {"naive/mixed", Kernel::kNaive, mixed},
       {"geometric/uniform", Kernel::kGeometric, uniform_small},
       {"geometric/tiny", Kernel::kGeometric, uniform_tiny},
-      {"bucket/mixed", Kernel::kBucket, mixed},
-      {"bucket/descending", Kernel::kBucket, descending},
-      {"bucket/extremes", Kernel::kBucket, with_extremes},
       {"sorted/descending", Kernel::kSorted, descending},
   };
 }
@@ -172,32 +158,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-// The sampled-count distribution should also match across kernels: compare
-// the mean subset size of the bucket sampler against the naive kernel on
-// the same probabilities (both estimate mu).
-TEST(SamplerCrossValidationTest, BucketAndNaiveAgreeOnMeanSize) {
-  const std::vector<double> probs = {0.02, 0.9, 0.001, 0.45, 0.25,
-                                     0.13, 0.7, 0.08,  0.3,  0.6};
-
-  constexpr int kTrials = 200000;
-  auto mean_size = [&](Kernel kernel, std::uint64_t seed) {
-    const DrawFn draw = MakeDraw(kernel, probs);
-    Rng rng(seed);
-    std::vector<std::uint32_t> out;
-    std::uint64_t total = 0;
-    for (int t = 0; t < kTrials; ++t) {
-      out.clear();
-      draw(rng, &out);
-      total += out.size();
-    }
-    return static_cast<double>(total) / kTrials;
-  };
-
-  const double mu = std::accumulate(probs.begin(), probs.end(), 0.0);
-  EXPECT_NEAR(mean_size(Kernel::kNaive, 1), mu, 0.02);
-  EXPECT_NEAR(mean_size(Kernel::kBucket, 2), mu, 0.02);
-}
 
 }  // namespace
 }  // namespace subsim

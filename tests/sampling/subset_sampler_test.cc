@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "subsim/random/geometric.h"
-#include "subsim/sampling/bucket_sampler.h"
 
 namespace subsim {
 namespace {
@@ -51,65 +50,6 @@ TEST(GeometricSamplerTest, IndicesInRangeAndStrictlyIncreasing) {
       }
     }
   }
-}
-
-TEST(BucketSamplerTest, HandlesMixedMagnitudes) {
-  BucketSubsetSampler sampler({0.9, 0.5, 0.1, 0.01, 0.001, 1e-6});
-  EXPECT_GE(sampler.num_buckets(), 4u);
-  Rng rng(6);
-  std::vector<std::uint32_t> out;
-  for (int i = 0; i < 1000; ++i) {
-    out.clear();
-    sampler.Sample(rng, &out);
-    std::set<std::uint32_t> unique(out.begin(), out.end());
-    EXPECT_EQ(unique.size(), out.size()) << "duplicate emission";
-    for (std::uint32_t v : out) {
-      EXPECT_LT(v, 6u);
-    }
-  }
-}
-
-TEST(BucketSamplerTest, AllZeroProbabilitiesYieldNothing) {
-  BucketSubsetSampler sampler({0.0, 0.0, 0.0});
-  Rng rng(7);
-  std::vector<std::uint32_t> out;
-  sampler.Sample(rng, &out);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(BucketSamplerTest, CertainElementsAlwaysSampled) {
-  BucketSubsetSampler sampler({1.0, 0.0, 1.0});
-  Rng rng(8);
-  std::vector<std::uint32_t> out;
-  for (int i = 0; i < 50; ++i) {
-    out.clear();
-    sampler.Sample(rng, &out);
-    std::sort(out.begin(), out.end());
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0], 0u);
-    EXPECT_EQ(out[1], 2u);
-  }
-}
-
-TEST(BucketSamplerTest, CountingLeavesStreamUnchanged) {
-  const BucketSubsetSampler sampler(
-      {0.02, 0.9, 0.001, 0.45, 0.25, 0.13, 0.7, 0.08, 0.3, 0.6});
-  Rng plain_rng(12);
-  Rng counted_rng(12);
-  std::vector<std::uint32_t> plain;
-  std::vector<std::uint32_t> counted;
-  std::uint64_t geometric_draws = 0;
-  std::uint64_t rejection_accepts = 0;
-  for (int i = 0; i < 1000; ++i) {
-    sampler.Sample(plain_rng, &plain);
-    sampler.Sample(counted_rng, &counted, &geometric_draws,
-                   &rejection_accepts);
-  }
-  EXPECT_EQ(plain, counted);
-  EXPECT_EQ(plain_rng.NextU64(), counted_rng.NextU64());
-  EXPECT_GT(geometric_draws, 0u);
-  EXPECT_GT(rejection_accepts, 0u);
-  EXPECT_LE(rejection_accepts, counted.size());
 }
 
 TEST(SortedSamplerTest, SamplesValidIndices) {
