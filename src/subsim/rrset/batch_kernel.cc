@@ -1,15 +1,16 @@
 #include "subsim/rrset/batch_kernel.h"
 
-#include <algorithm>
 #include <bit>
+#include <cstdlib>
+#include <limits>
 #include <utility>
 
-#include "subsim/rrset/epoch_marks.h"
 #include "subsim/rrset/lt_generator.h"
 #include "subsim/rrset/subsim_ic_generator.h"
 #include "subsim/rrset/vanilla_ic_generator.h"
 #include "subsim/util/bit_vector.h"
 #include "subsim/util/check.h"
+#include "subsim/util/prefetch.h"
 
 namespace subsim {
 
@@ -19,14 +20,13 @@ namespace {
 /// kernels.
 ///
 /// The kernel keeps up to `kMaxLanes` RR sets in flight at once, each in
-/// a lane slot with its own substream RNG, frontier scratch, and visited
-/// epoch over the shared stamp array (`EpochMarks`; see `MarkLane` for how
-/// inter-lane stamp collisions stay exact). Live slots advance round-robin
-/// — one pipeline step per visit — so a cache line one lane prefetched
-/// streams in while dozens of other lanes execute. On graphs larger than cache this memory-level
-/// parallelism, not the instruction count, is where the batched kernel's
-/// speedup comes from: the scalar path serializes cache misses along each
-/// set's BFS chain. Because WC-style set sizes are heavy-tailed, a slot
+/// a lane slot with its own substream RNG, frontier scratch, and bit of
+/// the shared per-node lane masks (see `MarkLane`). Live slots advance
+/// round-robin — one pipeline step per visit — so a cache line one lane
+/// prefetched streams in while dozens of other lanes execute. On graphs
+/// larger than cache this memory-level parallelism, not the instruction
+/// count, is where the batched kernel's speedup comes from: the scalar
+/// path serializes cache misses along each set's BFS chain. Because WC-style set sizes are heavy-tailed, a slot
 /// is reseeded with the chunk's next set index the moment its set
 /// finishes — without refill the few giant sets would drain the lane pool
 /// and run alone, serialized again.
@@ -34,13 +34,13 @@ namespace {
 /// Every step is shaped so a visit never demand-loads a line it
 /// prefetched in the same visit:
 ///  * seed — materialize the substream, take the root draw, prefetch the
-///    root's visited stamp and offset entry;
+///    root's lane mask and offset entry;
 ///  * root-commit (next visit) — mark and append the root against those
 ///    now-resident lines, prefetch its adjacency row;
 ///  * run steps (kernel-specific) — commit the previous visit's
-///    discoveries against stamps prefetched a full round earlier, then
+///    discoveries against masks prefetched a full round earlier, then
 ///    expand one frontier node whose row has had at least a round in
-///    flight, recording new candidates and prefetching their stamps and
+///    flight, recording new candidates and prefetching their masks and
 ///    offset entries.
 ///
 /// Interleaving cannot perturb the streams: a lane only ever draws from
@@ -51,7 +51,9 @@ class BatchKernelBase : public BatchRrKernel {
  public:
   explicit BatchKernelBase(const Graph& graph) : graph_(graph) {
     SUBSIM_CHECK(graph.num_nodes() > 0, "cannot sample from empty graph");
-    marks_.Resize(graph.num_nodes());
+    lane_marks_.reset(static_cast<LaneMask*>(
+        std::calloc(graph.num_nodes(), sizeof(LaneMask))));
+    SUBSIM_CHECK(lane_marks_ != nullptr, "lane mask allocation failed");
     sentinel_.Resize(graph.num_nodes());
   }
 
@@ -67,15 +69,20 @@ class BatchKernelBase : public BatchRrKernel {
   void ResetStats() final { stats_ = RrGenStats{}; }
 
  protected:
-  /// Live lanes per kernel: sized to the scheduler's 64-bit live mask.
-  /// A full round of visits (~64 × tens of ns) comfortably out-waits a
-  /// DRAM miss, which is all the prefetch pipeline needs.
-  static constexpr std::size_t kMaxLanes = 64;
+  /// One bit per lane: a node's visited state and the scheduler's live
+  /// set are both a `LaneMask`.
+  using LaneMask = std::uint32_t;
+
+  /// Live lanes per kernel: one per bit of `LaneMask`, so the visited
+  /// state stays 4 bytes per node. A full round of visits (~32 × tens of
+  /// ns) still out-waits a DRAM miss, which is all the prefetch pipeline
+  /// needs.
+  static constexpr std::size_t kMaxLanes =
+      std::numeric_limits<LaneMask>::digits;
 
   enum LaneState : std::uint8_t { kRootCommit = 0, kRun = 1 };
 
-  /// Resets the per-chunk context (set table, mark generation, refill
-  /// cursor).
+  /// Resets the per-chunk context (set table, refill cursor).
   void BeginChunk(std::uint64_t base_seed, std::uint64_t first_index,
                   std::size_t count) {
     ++stats_.batch_chunks;
@@ -87,7 +94,6 @@ class BatchKernelBase : public BatchRrKernel {
     set_offset_.resize(count);
     set_size_.resize(count);
     set_hit_.assign(count, 0);
-    first_epoch_ = marks_.BeginSets(static_cast<std::uint32_t>(count));
   }
 
   /// Assigns the next set index to `slot`: substream, root draw, and the
@@ -108,11 +114,10 @@ class BatchKernelBase : public BatchRrKernel {
         lane_rngs_[slot].UniformInt(graph_.num_nodes()));
     lane_root_[slot] = root;
     lane_head_[slot] = 0;
-    lane_epoch_[slot] = first_epoch_ + static_cast<std::uint32_t>(set);
     lane_state_[slot] = kRootCommit;
     slot_nodes_[slot].clear();
     PrefetchSeedMeta(root);
-    marks_.Prefetch(root);
+    PrefetchMark(root);
   }
 
   /// Prefetches the per-node descriptor line the root-commit visit will
@@ -122,30 +127,22 @@ class BatchKernelBase : public BatchRrKernel {
   /// dispatch cost is noise.
   virtual void PrefetchSeedMeta(NodeId root) { graph_.PrefetchInMeta(root); }
 
-  /// Exact visited test-and-set for `slot`'s current set. The shared stamp
-  /// array is a one-entry cache, not a truth table: our own epoch is a
-  /// definite yes, a stamp below the chunk's first epoch is a definite no
-  /// (dead era), and a foreign live stamp — another in-flight set touched
-  /// `v`, or claimed it after this set did — is resolved against the
-  /// lane's own node list, which is exact. The scan is the cold path twice
-  /// over: it takes two sets colliding on one node to reach it, and it is
-  /// bounded by the RR-set size, which the paper's premise keeps tiny. In
-  /// exchange the hot path keeps one 4-byte stamp per node, small enough
-  /// to stay cache-resident next to the CSR.
+  /// Visited test-and-set for `slot`'s current set: bit `slot` of `v`'s
+  /// lane mask. Each in-flight set owns its bit, so the test is exact
+  /// however many sets share `v`, and a large set costs one load and store
+  /// per mark like a small one. Returns true if `v` was newly marked.
   bool MarkLane(std::size_t slot, NodeId v) {
-    const std::uint32_t epoch = lane_epoch_[slot];
-    const std::uint32_t stamp = marks_.Stamp(v);
-    if (stamp == epoch) {
+    const LaneMask bit = LaneMask{1} << slot;
+    LaneMask& mask = lane_marks_[v];
+    if ((mask & bit) != 0) {
       return false;
     }
-    bool member = false;
-    if (stamp >= first_epoch_) {
-      const std::vector<NodeId>& nodes = slot_nodes_[slot];
-      member = std::find(nodes.begin(), nodes.end(), v) != nodes.end();
-    }
-    marks_.Overwrite(v, epoch);
-    return !member;
+    mask |= bit;
+    return true;
   }
+
+  /// Prefetches `v`'s lane mask for a `MarkLane` a round from now.
+  void PrefetchMark(NodeId v) const { PrefetchRead(lane_marks_.get() + v); }
 
   /// Marks and appends the root against the lines the seed visit
   /// prefetched. Returns true when the set is already complete (sentinel
@@ -162,9 +159,19 @@ class BatchKernelBase : public BatchRrKernel {
     return false;
   }
 
-  /// Records the finished slot's set into the chunk arena.
+  /// Records the finished slot's set into the chunk arena and clears the
+  /// lane's bit on every node it marked, so the next set seeded into the
+  /// slot starts from an empty mark, and the masks are all zero whenever
+  /// no set is in flight. Every mark appends its node to the lane's list,
+  /// so the list is exactly the nodes to clear.
   void FinishSlot(std::size_t slot) {
     const std::vector<NodeId>& nodes = slot_nodes_[slot];
+    const LaneMask bit = LaneMask{1} << slot;
+    for (const NodeId v : nodes) {
+      SUBSIM_DCHECK((lane_marks_[v] & bit) != 0,
+                    "finished RR set holds a node its lane never marked");
+      lane_marks_[v] &= ~bit;
+    }
     const std::uint32_t set = lane_set_[slot];
     set_offset_[set] = arena_.size();
     set_size_[set] = static_cast<std::uint32_t>(nodes.size());
@@ -188,9 +195,16 @@ class BatchKernelBase : public BatchRrKernel {
 
   void MarkLaneHit(std::size_t slot) { set_hit_[lane_set_[slot]] = 1; }
 
+  struct FreeDeleter {
+    void operator()(LaneMask* p) const { std::free(p); }
+  };
+
   const Graph& graph_;
   RrGenStats stats_;
-  EpochMarks marks_;
+  // One lane mask per node, calloc-backed: where the allocator maps fresh
+  // zero pages, a fill faults in only the pages its traversals reach
+  // instead of clearing n words per kernel.
+  std::unique_ptr<LaneMask[], FreeDeleter> lane_marks_;
   BitVector sentinel_;
   bool has_sentinels_ = false;
 
@@ -199,7 +213,6 @@ class BatchKernelBase : public BatchRrKernel {
   std::uint32_t lane_set_[kMaxLanes] = {};
   NodeId lane_root_[kMaxLanes] = {};
   std::uint32_t lane_head_[kMaxLanes] = {};  // next frontier index
-  std::uint32_t lane_epoch_[kMaxLanes] = {};
   std::uint8_t lane_state_[kMaxLanes] = {};
   std::vector<NodeId> slot_nodes_[kMaxLanes];  // frontier + output, FIFO
 
@@ -213,7 +226,6 @@ class BatchKernelBase : public BatchRrKernel {
   std::uint64_t first_index_ = 0;
   std::size_t chunk_count_ = 0;
   std::size_t next_set_ = 0;
-  std::uint32_t first_epoch_ = 0;
 };
 
 /// CRTP scheduler: drives `Derived::Step` over the live-slot bitmask with
@@ -239,8 +251,8 @@ class BatchKernelCrtp : public BatchKernelBase {
     self->OnChunkStart();
 
     const std::size_t lanes = count < kMaxLanes ? count : kMaxLanes;
-    std::uint64_t live =
-        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    LaneMask live =
+        lanes == kMaxLanes ? ~LaneMask{0} : (LaneMask{1} << lanes) - 1;
     for (std::size_t slot = 0; slot < lanes; ++slot) {
       SeedSlot(slot);
     }
@@ -252,7 +264,7 @@ class BatchKernelCrtp : public BatchKernelBase {
     // matters for the output bytes — only each lane's own FIFO order
     // does.
     while (live != 0) {
-      std::uint64_t round = live;
+      LaneMask round = live;
       while (round != 0) {
         const unsigned slot = static_cast<unsigned>(std::countr_zero(round));
         round &= round - 1;
@@ -266,7 +278,7 @@ class BatchKernelCrtp : public BatchKernelBase {
         if (next_set_ < chunk_count_) {
           SeedSlot(slot);
         } else {
-          live &= ~(std::uint64_t{1} << slot);
+          live &= ~(LaneMask{1} << slot);
         }
       }
     }
@@ -296,7 +308,7 @@ std::size_t CountConditionalDraws(std::span<const double> probs) {
 /// Vanilla IC, batched. Two edge-expansion paths:
 ///  * no sentinels — the scalar loop never stops mid-list and activation
 ///    outcomes never change the draw stream, so a run step first commits
-///    the previous visit's coin-pass targets (stamps prefetched a round
+///    the previous visit's coin-pass targets (masks prefetched a round
 ///    ago), then expands one frontier node with bulk-drawn coins
 ///    (`NextU64Batch`), deferring the new targets to the next visit. A
 ///    node appended by this visit's commit is not expanded until the next
@@ -388,10 +400,10 @@ class VanillaBatchKernel final : public BatchKernelCrtp<VanillaBatchKernel> {
   }
 
   /// Records a coin-pass target for the next visit's commit and prefetches
-  /// the two lines that commit will touch (visited stamp, row descriptor).
+  /// the two lines that commit will touch (lane mask, row descriptor).
   void Discover(std::vector<NodeId>& pending, NodeId w) {
     pending.push_back(w);
-    marks_.Prefetch(w);
+    PrefetchMark(w);
     graph_.PrefetchInMeta(w);
   }
 
@@ -466,7 +478,7 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
     std::vector<NodeId>* pending;
     void Activate(NodeId w) {
       pending->push_back(w);
-      kernel->marks_.Prefetch(w);
+      kernel->PrefetchMark(w);
       kernel->core_.PrefetchPlan(w);
     }
     bool stopped() const { return false; }
@@ -587,7 +599,7 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
 /// (each step's pick decides whether there is a next step), so everything
 /// here is memory-level parallelism: dozens of walks advance round-robin
 /// through a two-phase pipeline. The pick phase draws the next candidate
-/// from resident data and prefetches the candidate's stamp and its pick
+/// from resident data and prefetches the candidate's lane mask and its pick
 /// descriptor (weight sum, row position, alias marker); the commit phase
 /// (a round later) marks it, appends it, and prefetches its in-source row
 /// for the following pick — never its in-weights, which the pick does not
@@ -632,7 +644,7 @@ class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
       return true;  // dead end
     }
     lane_candidate_[slot] = next;
-    marks_.Prefetch(next);
+    PrefetchMark(next);
     picker_.PrefetchPick(next);
     lane_pick_[slot] = 1;
     return false;

@@ -44,12 +44,13 @@ struct BatchChunkSink {
 ///    node per visit, so each lane's prefetched adjacency row streams in
 ///    while dozens of other lanes execute (memory-level parallelism, the
 ///    dominant win on graphs larger than cache);
-///  * epoch-stamped visited marks — one shared `uint32_t` stamp array,
-///    one epoch per in-flight set, no per-set clearing (`EpochMarks`);
-///    inter-lane stamp collisions resolve against the lane's own node
-///    list, so membership stays exact;
+///  * per-lane visited masks — one shared `uint32_t` per node, one bit
+///    per in-flight set (hence 32 lanes), so a visited test is one exact
+///    load/test/store however large the sets grow or however many share
+///    a node; a finished set clears its bit on the nodes it recorded, so
+///    the masks are all zero between chunks and need no reset;
 ///  * lane refill: a slot that finishes its set immediately reseeds with
-///    the chunk's next index (prefetching the new root's stamp and
+///    the chunk's next index (prefetching the new root's mask and
 ///    descriptor lines first), so the heavy tail of WC set sizes cannot
 ///    drain the lane pool into serial execution;
 ///  * bulk inline RNG draws (`Rng::NextU64Batch`) for unconditional

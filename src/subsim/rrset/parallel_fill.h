@@ -25,8 +25,8 @@ enum class FillKernel {
   kAuto,
   /// One scalar `RrGenerator::Generate` call per set (the reference).
   kScalar,
-  /// Frontier-batched chunk kernel (`BatchRrKernel`): epoch-stamped
-  /// visited marks, SoA slice-as-queue output, bulk RNG draws, CSR
+  /// Frontier-batched chunk kernel (`BatchRrKernel`): per-lane visited
+  /// masks, SoA slice-as-queue output, bulk RNG draws, CSR
   /// prefetch. See docs/rr_generation.md.
   kBatched,
 };

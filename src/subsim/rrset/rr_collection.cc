@@ -39,7 +39,7 @@ void RrCollection::IndexNewSets() {
   // down to zero, so no merge allocates or clears them. Sharing the
   // offsets' allocation keeps a collection's per-node memory one block: a
   // separate 32 MB count array on an 8M-node graph moved glibc's mmap
-  // threshold on free, and the next fill re-faulted its generator's stamp
+  // threshold on free, and the next fill re-faulted its kernel's visited-mark
   // pages (`bench_micro_kernels --smoke`).
   std::uint64_t* const counts = offsets + n + 1;
   const auto unit = [](std::size_t v) {

@@ -7,6 +7,7 @@
 // batched kernel without changing a single published number). CI runs
 // this binary in Release and ASan+UBSan with SUBSIM_TEST_THREADS=1 and
 // =4 appended to the default sweep.
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "subsim/graph/generators.h"
 #include "subsim/graph/graph_builder.h"
 #include "subsim/graph/weight_models.h"
+#include "subsim/rrset/batch_kernel.h"
+#include "subsim/rrset/generator_factory.h"
 #include "subsim/rrset/parallel_fill.h"
 
 namespace subsim {
@@ -47,6 +50,28 @@ Graph SkewedGraph() {
   return std::move(graph).value();
 }
 
+// High influence, HIST's regime: RR sets average hundreds of nodes, so
+// the batched kernel's in-flight sets share many of the nodes they visit.
+// The IC kinds read WC-variant weights (theta = 1.5, supercritical on this
+// graph). LT caps a node's in-weights at a sum of 1, so it reads WC
+// weights on a denser directed graph, where a live-edge walk runs until
+// it revisits a node.
+Graph HighInfluenceGraph(GeneratorKind kind) {
+  const bool lt = kind == GeneratorKind::kLt;
+  Result<EdgeList> list = lt ? GenerateErdosRenyi(40000, 400000, 29)
+                             : GenerateBarabasiAlbert(3000, 4, true, 7);
+  EXPECT_TRUE(list.ok());
+  WeightModelParams params;
+  params.wc_variant_theta = 1.5;
+  EXPECT_TRUE(AssignWeights(lt ? WeightModel::kLinearThreshold
+                               : WeightModel::kWcVariant,
+                            params, &list.value())
+                  .ok());
+  Result<Graph> graph = BuildGraph(std::move(list).value());
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
 const Graph& SharedWcGraph() {
   static const Graph* const kGraph = new Graph(WcGraph());
   return *kGraph;
@@ -55,6 +80,17 @@ const Graph& SharedWcGraph() {
 const Graph& SharedSkewedGraph() {
   static const Graph* const kGraph = new Graph(SkewedGraph());
   return *kGraph;
+}
+
+const Graph& SharedHighInfluenceGraph(GeneratorKind kind) {
+  if (kind == GeneratorKind::kLt) {
+    static const Graph* const kLtGraph =
+        new Graph(HighInfluenceGraph(GeneratorKind::kLt));
+    return *kLtGraph;
+  }
+  static const Graph* const kIcGraph =
+      new Graph(HighInfluenceGraph(GeneratorKind::kSubsimIc));
+  return *kIcGraph;
 }
 
 std::vector<unsigned> ThreadSweep() {
@@ -99,12 +135,22 @@ void ExpectIdentical(const RrCollection& a, const RrCollection& b) {
   }
 }
 
-std::vector<NodeId> EveryEleventhNode(const Graph& graph) {
+std::vector<NodeId> EveryNthNode(const Graph& graph, NodeId n) {
   std::vector<NodeId> sentinels;
-  for (NodeId v = 0; v < graph.num_nodes(); v += 11) {
+  for (NodeId v = 0; v < graph.num_nodes(); v += n) {
     sentinels.push_back(v);
   }
   return sentinels;
+}
+
+std::vector<NodeId> EveryEleventhNode(const Graph& graph) {
+  return EveryNthNode(graph, 11);
+}
+
+// Sparse enough that many high-influence sets still grow to hundreds of
+// nodes before a sentinel stops them.
+std::vector<NodeId> SparseSentinels(const Graph& graph) {
+  return EveryNthNode(graph, 499);
 }
 
 class KernelEquivalenceTest : public ::testing::TestWithParam<GeneratorKind> {
@@ -160,6 +206,87 @@ TEST_P(KernelEquivalenceTest, BatchedMatchesScalarWithSentinelsSkewed) {
                                         FillKernel::kBatched, threads,
                                         sentinels));
   }
+}
+
+TEST_P(KernelEquivalenceTest, BatchedMatchesScalarOnHighInfluenceGraph) {
+  const Graph& graph = SharedHighInfluenceGraph(GetParam());
+  const RrCollection reference =
+      FillWith(graph, GetParam(), FillKernel::kScalar, 1);
+  EXPECT_GE(reference.average_size(), 200.0);
+  for (unsigned threads : ThreadSweep()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdentical(reference,
+                    FillWith(graph, GetParam(), FillKernel::kBatched, threads));
+  }
+}
+
+TEST_P(KernelEquivalenceTest, BatchedMatchesScalarWithSentinelsHighInfluence) {
+  const Graph& graph = SharedHighInfluenceGraph(GetParam());
+  const std::vector<NodeId> sentinels = SparseSentinels(graph);
+  const RrCollection reference =
+      FillWith(graph, GetParam(), FillKernel::kScalar, 1, sentinels);
+  EXPECT_GT(reference.num_hit_sentinel(), 0u);
+  EXPECT_LT(reference.num_hit_sentinel(), reference.num_sets());
+  for (unsigned threads : ThreadSweep()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdentical(reference, FillWith(graph, GetParam(),
+                                        FillKernel::kBatched, threads,
+                                        sentinels));
+  }
+}
+
+// One kernel across many chunks, as a fill worker uses it. A set that left
+// its lane's visited bit on a node would hide that node from every later
+// set seeded into the same lane, so the chunks vary in size (fewer and
+// more sets than there are lanes) and switch sentinels on and off, and
+// every set must still match the scalar generator on its own substream.
+TEST_P(KernelEquivalenceTest, OneKernelAcrossManyChunksMatchesScalar) {
+  const Graph& graph = SharedHighInfluenceGraph(GetParam());
+  const std::vector<NodeId> sentinels = SparseSentinels(graph);
+  Result<std::unique_ptr<RrGenerator>> scalar =
+      MakeRrGenerator(GetParam(), graph);
+  ASSERT_TRUE(scalar.ok());
+  // SUBSIM-NOLINT-NEXTLINE(fill-entry-point): tests one kernel's chunk-to-chunk state
+  auto batched = BatchRrKernel::Create(GetParam(), graph);
+  ASSERT_TRUE(batched.ok());
+
+  constexpr std::uint64_t kBaseSeed = 0x5eed;
+  std::uint64_t first_index = 0;
+  std::vector<NodeId> nodes;
+  std::vector<std::uint32_t> sizes;
+  std::vector<std::uint8_t> hits;
+  std::vector<NodeId> expected;
+  std::size_t hit_sets = 0;
+  for (std::size_t chunk = 0; chunk < 24; ++chunk) {
+    SCOPED_TRACE("chunk=" + std::to_string(chunk));
+    const std::span<const NodeId> installed =
+        chunk % 3 == 1 ? std::span<const NodeId>(sentinels)
+                       : std::span<const NodeId>();
+    (*scalar)->SetSentinels(installed);
+    (*batched)->SetSentinels(installed);
+    const std::size_t count = 1 + (chunk * 37) % 97;
+    nodes.clear();
+    sizes.clear();
+    hits.clear();
+    // SUBSIM-NOLINT-NEXTLINE(fill-entry-point): tests one kernel's chunk-to-chunk state
+    (*batched)->GenerateChunk(kBaseSeed, first_index, count,
+                              {&nodes, &sizes, &hits});
+    ASSERT_EQ(sizes.size(), count);
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      Rng rng = Rng::Substream(kBaseSeed, first_index + i);
+      const bool hit = (*scalar)->Generate(rng, &expected);
+      ASSERT_EQ(sizes[i], expected.size()) << "set " << first_index + i;
+      ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                             nodes.begin() + offset))
+          << "set " << first_index + i;
+      ASSERT_EQ(hits[i] != 0, hit) << "set " << first_index + i;
+      offset += sizes[i];
+      hit_sets += hit ? 1 : 0;
+    }
+    first_index += count;
+  }
+  EXPECT_GT(hit_sets, 0u);
 }
 
 TEST_P(KernelEquivalenceTest, AutoResolvesToBatched) {

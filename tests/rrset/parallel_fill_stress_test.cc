@@ -227,8 +227,8 @@ TEST(ParallelFillStressTest, SentinelHitsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelFillStressTest, ConcurrentBatchedFillsMatchScalarReference) {
-  // The batched kernel keeps mutable per-kernel state (epoch stamps, lane
-  // scratch, chunk arena); every worker owns a private kernel, so racing
+  // The batched kernel keeps mutable per-kernel state (visited lane masks,
+  // lane scratch, chunk arena); every worker owns a private kernel, so racing
   // whole batched fills — each itself multi-threaded — on one shared graph
   // must be data-race-free under TSan and byte-identical to the scalar
   // reference computed in isolation.
