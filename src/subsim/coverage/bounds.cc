@@ -1,6 +1,5 @@
 #include "subsim/coverage/bounds.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "subsim/util/check.h"
@@ -34,29 +33,9 @@ double OpimUpperBound(double coverage_upper, std::uint64_t num_sets,
 
 double CoverageUpperBoundFromGreedy(const CoverageGreedyResult& greedy,
                                     std::uint32_t k) {
-  // i = 0 term, maxMC evaluated exactly.
-  double best = static_cast<double>(greedy.top_k_singleton_sum);
-
-  // i >= 1 terms relaxed via the next greedy gain. For the final prefix
-  // the max remaining marginal is unknown but cannot exceed the last gain
-  // (gains are non-increasing); it is exactly zero once every considered
-  // set is covered.
-  const std::size_t steps = greedy.gains.size();
-  const bool exhausted = greedy.total_coverage() == greedy.considered_sets;
-  for (std::size_t i = 1; i <= steps; ++i) {
-    const double next_gain =
-        i < steps ? static_cast<double>(greedy.gains[i])
-                  : (exhausted ? 0.0
-                               : static_cast<double>(greedy.gains.back()));
-    const double candidate =
-        static_cast<double>(greedy.coverage_prefix[i - 1]) +
-        static_cast<double>(k) * next_gain;
-    best = std::min(best, candidate);
-  }
-
-  // Λᵘ can never be below the coverage the greedy itself achieved.
-  best = std::max(best, static_cast<double>(greedy.total_coverage()));
-  return best;
+  SUBSIM_CHECK(k == greedy.upper_bound_top_count,
+               "k differs from the top count greedy summed");
+  return static_cast<double>(greedy.coverage_upper_bound);
 }
 
 }  // namespace subsim

@@ -35,12 +35,10 @@ double OpimUpperBound(double coverage_upper, std::uint64_t num_sets,
 ///
 ///   Λᵘ = min_i ( Λ(S_i*) + Σ_{v ∈ maxMC(S_i*, k)} Λ(v | S_i*) ).
 ///
-/// This implementation evaluates the i = 0 term exactly (sum of the k
-/// largest singleton coverages) and relaxes the i >= 1 terms to
-/// Λ(S_i*) + k · g_{i+1}, where g_{i+1} is the (i+1)-th greedy gain — a
-/// valid over-estimate of the top-k marginal sum because greedy gains
-/// dominate all remaining marginals. The result is therefore never below
-/// the paper's exact Λᵘ (the bound stays sound, at slightly more RR sets).
+/// Every term is exact: `RunCoverageGreedy` keeps each node's marginal and
+/// records the minimum as `greedy.coverage_upper_bound`, which this
+/// returns. `k` must be the top count that greedy summed
+/// (`greedy.upper_bound_top_count`).
 double CoverageUpperBoundFromGreedy(const CoverageGreedyResult& greedy,
                                     std::uint32_t k);
 

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,13 +57,64 @@ struct ApproxHeapEntry {
 /// dominated candidates without an exact recount.
 constexpr double kHllMarginSigmas = 3.0;
 
+/// Sum of the `count` largest node marginals, which only ever fall by one:
+/// the Σ maxMC term of Eq. (2) at every greedy prefix. A histogram of the
+/// marginal values keeps each decrement to two branch-free writes, and
+/// `Sum` walks it down from the largest value still held. Under exact
+/// greedy with no excluded node gaining, the largest marginal after a
+/// selection is the next gain, so the walks of one call together cost at
+/// most its coverage plus one level per selection.
+class TopMarginalSum {
+ public:
+  /// `positive` holds every node of positive marginal, each at most
+  /// `max_marginal`; all other nodes are at 0 and never counted.
+  TopMarginalSum(std::span<const HeapEntry> positive,
+                 std::uint32_t max_marginal, std::uint32_t count)
+      : nodes_at_(static_cast<std::size_t>(max_marginal) + 1, 0),
+        count_(count),
+        max_(max_marginal) {
+    for (const HeapEntry& entry : positive) {
+      ++nodes_at_[entry.marginal];
+    }
+  }
+
+  std::uint64_t Sum() {
+    while (max_ > 0 && nodes_at_[max_] == 0) {
+      --max_;
+    }
+    std::uint64_t sum = 0;
+    std::uint64_t left = count_;
+    for (std::uint64_t value = max_; value > 0 && left > 0; --value) {
+      const std::uint64_t take =
+          std::min<std::uint64_t>(left, nodes_at_[value]);
+      sum += take * value;
+      left -= take;
+    }
+    return sum;
+  }
+
+  /// One node's marginal fell from `from` (>= 1) to `from - 1`.
+  void Decrement(std::uint32_t from) {
+    --nodes_at_[from];
+    ++nodes_at_[from - 1];
+  }
+
+ private:
+  std::vector<std::uint32_t> nodes_at_;  // nodes_at_[x]: nodes of marginal x
+  std::uint64_t count_;
+  std::uint64_t max_;  // no node's marginal exceeds it
+};
+
 /// Everything both selection loops share.
 struct GreedyState {
   const RrCollectionView* collection;
   const CoverageGreedyOptions* options;
   std::vector<std::uint8_t> covered;
   std::vector<std::uint8_t> selected;
-  std::vector<std::uint64_t> initial_cov;  // approx loop only
+  /// Exact Λ(v | S) for every node, excluded nodes included: the
+  /// considered, uncovered sets containing v.
+  std::vector<std::uint32_t> marginal;
+  std::optional<TopMarginalSum> top;
   std::uint32_t k = 0;
 };
 
@@ -71,31 +124,39 @@ NodeId TieBreakDegree(const CoverageGreedyOptions& options, NodeId v) {
                                          : NodeId{0};
 }
 
-/// Exact marginal of `v`: currently-uncovered sets containing it.
-std::uint64_t ExactMarginal(const GreedyState& state, NodeId v) {
-  std::uint64_t fresh = 0;
+/// Currently-uncovered sets containing `v`, recounted from its index row:
+/// what `marginal[v]` must equal.
+[[maybe_unused]] std::uint32_t RecountMarginal(const GreedyState& state,
+                                               NodeId v) {
+  std::uint32_t fresh = 0;
   for (RrId id : state.collection->SetsContaining(v)) {
-    if (!state.covered[id]) {
-      ++fresh;
-    }
+    fresh += state.covered[id] ? 0 : 1;
   }
   return fresh;
 }
 
-/// Commits `v` as the next seed: marks its sets covered and appends the
-/// (exact) gain to the result.
-void SelectSeed(GreedyState* state, NodeId v, std::uint64_t exact_gain,
-                CoverageGreedyResult* result) {
+/// Commits `v` as the next seed: marks its uncovered sets covered, takes
+/// each of their members' marginals down by one, appends the gain to the
+/// result and folds the new prefix's Eq. (2) term into the bound.
+void SelectSeed(GreedyState* state, NodeId v, CoverageGreedyResult* result) {
+  const std::uint32_t gain = state->marginal[v];
   state->selected[v] = 1;
   for (RrId id : state->collection->SetsContaining(v)) {
+    if (state->covered[id]) {
+      continue;
+    }
     state->covered[id] = 1;
+    state->collection->View(id).ForEachNode([&](NodeId u) {
+      state->top->Decrement(state->marginal[u]--);
+    });
   }
-  const std::uint64_t total =
-      (result->coverage_prefix.empty() ? 0 : result->coverage_prefix.back()) +
-      exact_gain;
+  SUBSIM_DCHECK(state->marginal[v] == 0, "seed kept a positive marginal");
+  const std::uint64_t total = result->total_coverage() + gain;
   result->seeds.push_back(v);
-  result->gains.push_back(exact_gain);
+  result->gains.push_back(gain);
   result->coverage_prefix.push_back(total);
+  result->coverage_upper_bound =
+      std::min(result->coverage_upper_bound, total + state->top->Sum());
 }
 
 /// Exact lazy greedy. `candidates` holds every selectable node with positive
@@ -110,8 +171,10 @@ void RunExactLoop(GreedyState* state, std::vector<HeapEntry> candidates,
   while (result->seeds.size() < state->k && !heap.empty()) {
     HeapEntry top = heap.top();
     heap.pop();
-    // Refresh the marginal: count currently-uncovered sets containing it.
-    const std::uint64_t fresh = ExactMarginal(*state, top.node);
+    // Refresh the key from the exact marginal kept by `SelectSeed`.
+    const std::uint64_t fresh = state->marginal[top.node];
+    SUBSIM_DCHECK(fresh == RecountMarginal(*state, top.node),
+                  "kept marginal disagrees with the index");
     if (fresh != top.marginal) {
       SUBSIM_DCHECK(fresh < top.marginal, "marginal grew — index corrupt");
       // A node whose marginal reached 0 stays at 0: it joins the tail below.
@@ -124,7 +187,7 @@ void RunExactLoop(GreedyState* state, std::vector<HeapEntry> candidates,
     // The key is fresh and was the heap maximum, so it dominates every
     // remaining stale key, hence every fresh key: an exact argmax under
     // (marginal, out-degree, id).
-    SelectSeed(state, top.node, top.marginal, result);
+    SelectSeed(state, top.node, result);
   }
 
   // Every positive marginal is spent: each unselected node now gains 0, so
@@ -167,14 +230,15 @@ void RunExactLoop(GreedyState* state, std::vector<HeapEntry> candidates,
 /// where |C| is the exact covered count (maintained anyway for committed
 /// gains) and the union estimate is one O(m) register scan, independent
 /// of how long the candidate's index list is. A popped node whose bound
-/// is dominated by the runner-up's is pushed back without touching the
-/// inverted index — that is where the sketches earn their keep. A node
-/// that survives the bound test is recounted exactly and commits only if
-/// its exact (marginal, out-degree, id) key still dominates the heap of
-/// upper bounds — so the selected sequence matches exact greedy unless a
-/// 3σ error bar is actually violated. When the bars cannot separate
+/// is dominated by the runner-up's is pushed back without reading its
+/// exact marginal. A node that survives the bound test reads it (O(1),
+/// like the exact loop's refresh) and commits only if its exact
+/// (marginal, out-degree, id) key still dominates the heap of upper
+/// bounds — so the selected sequence matches exact greedy unless a 3σ
+/// error bar is actually violated. When the bars cannot separate
 /// contenders the loop degrades gracefully into exact CELF (the extra
-/// recounts are what `coverage.hll_refinements` counts).
+/// exact reads are what `coverage.hll_refinements` counts). With exact
+/// refreshes O(1), the sketches save no work over the exact loop.
 void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
   const NodeId n = state->collection->num_graph_nodes();
   const RrCollectionView& collection = *state->collection;
@@ -214,15 +278,15 @@ void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
   std::priority_queue<ApproxHeapEntry> heap;
   for (NodeId v = 0; v < n; ++v) {
     if (!state->selected[v]) {
-      heap.push(ApproxHeapEntry{static_cast<double>(state->initial_cov[v]),
+      heap.push(ApproxHeapEntry{static_cast<double>(state->marginal[v]),
                                 TieBreakDegree(options, v), v});
     }
   }
 
   std::uint64_t covered_exact = 0;  // exact |C|: sum of committed gains
-  const auto select = [&](NodeId v, std::uint64_t exact_gain) {
-    SelectSeed(state, v, exact_gain, result);
-    covered_exact += exact_gain;
+  const auto select = [&](NodeId v) {
+    covered_exact += state->marginal[v];
+    SelectSeed(state, v, result);
     HllMerge(covered_sketch, sketch_of(v));
   };
 
@@ -233,7 +297,7 @@ void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
       continue;
     }
     if (heap.empty()) {
-      select(top.node, ExactMarginal(*state, top.node));
+      select(top.node);
       continue;
     }
     const ApproxHeapEntry& next = heap.top();
@@ -247,24 +311,24 @@ void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
         std::max(0.0, union_estimate - static_cast<double>(covered_exact)) +
             margin);
     if (ApproxHeapEntry{bound, top.out_degree, top.node} < next) {
-      // Dominated already at the bound level: push back without ever
-      // touching the inverted index. The min() keeps bounds monotone.
+      // Dominated already at the bound level: push back without reading
+      // the exact marginal. The min() keeps bounds monotone.
       top.estimate = bound;
       heap.push(top);
       continue;
     }
-    const std::uint64_t exact = ExactMarginal(*state, top.node);
+    const std::uint64_t exact = state->marginal[top.node];
     const ApproxHeapEntry exact_entry{static_cast<double>(exact),
                                       top.out_degree, top.node};
     if (!(exact_entry < next)) {
       // The exact key dominates every remaining upper bound, hence every
       // remaining exact marginal: an argmax under (marginal, out-degree,
       // id), exactly as the exact loop would have picked.
-      select(top.node, exact);
+      select(top.node);
     } else {
-      // The error bar could not separate this contender from the heap;
-      // the recount was the price of refinement. Its exact value is the
-      // tightest possible bound — re-queue under it.
+      // The error bar could not separate this contender from the heap.
+      // Its exact value is the tightest possible bound — re-queue under
+      // it.
       refinements.Increment();
       heap.push(exact_entry);
     }
@@ -313,48 +377,38 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
     state.selected[v] = 1;
   }
 
-  // Positive singleton coverages Λ({v}), excluded nodes included: they feed
-  // the exact i = 0 term of Λ^u. One pass over the considered sets counts
-  // each member's sets and makes a node a candidate the first time it is
-  // seen, so the pass costs the view's memberships, not n index rows (each
-  // a binary search on a prefix view). Nodes in no considered set gain 0
-  // throughout and never enter the heap.
+  // Singleton coverages Λ({v}), excluded nodes included: they start the
+  // exact marginals behind every term of Λ^u. One pass over the considered
+  // sets counts each member's sets and makes a node a candidate the first
+  // time it is seen, so the pass costs the view's memberships, not n index
+  // rows (each a binary search on a prefix view). Nodes in no considered
+  // set gain 0 throughout and never enter the heap.
   std::vector<HeapEntry> candidates;
-  {
-    std::vector<std::uint32_t> count(n, 0);
-    for (std::size_t id = 0; id < num_sets; ++id) {
-      if (state.covered[id]) {
-        continue;
+  state.marginal.assign(n, 0);
+  for (std::size_t id = 0; id < num_sets; ++id) {
+    if (state.covered[id]) {
+      continue;
+    }
+    collection.View(static_cast<RrId>(id)).ForEachNode([&](NodeId v) {
+      if (state.marginal[v]++ == 0) {
+        candidates.push_back(HeapEntry{0, 0, v});
       }
-      collection.View(static_cast<RrId>(id)).ForEachNode([&](NodeId v) {
-        if (count[v]++ == 0) {
-          candidates.push_back(HeapEntry{0, 0, v});
-        }
-      });
-    }
-    for (HeapEntry& entry : candidates) {
-      entry.marginal = count[entry.node];
-      entry.out_degree = TieBreakDegree(options, entry.node);
-    }
+    });
   }
-  {
-    const std::uint32_t top_count =
-        options.singleton_top_count > 0 ? options.singleton_top_count
-                                        : options.k;
-    const auto by_marginal = [](const HeapEntry& a, const HeapEntry& b) {
-      return a.marginal > b.marginal;
-    };
-    auto top_end = candidates.end();
-    if (candidates.size() > top_count) {
-      top_end = candidates.begin() + top_count;
-      std::nth_element(candidates.begin(), top_end, candidates.end(),
-                       by_marginal);
-    }
-    result.top_k_singleton_sum = 0;
-    for (auto it = candidates.begin(); it != top_end; ++it) {
-      result.top_k_singleton_sum += it->marginal;
-    }
+  std::uint32_t max_marginal = 0;
+  for (HeapEntry& entry : candidates) {
+    entry.marginal = state.marginal[entry.node];
+    entry.out_degree = TieBreakDegree(options, entry.node);
+    max_marginal = std::max(max_marginal, state.marginal[entry.node]);
   }
+
+  // The i = 0 term of Λ^u; each selection folds in the next prefix's.
+  result.upper_bound_top_count = options.singleton_top_count > 0
+                                     ? options.singleton_top_count
+                                     : options.k;
+  state.top.emplace(candidates, max_marginal, result.upper_bound_top_count);
+  result.coverage_upper_bound = state.top->Sum();
+
   std::erase_if(candidates,
                 [&](const HeapEntry& e) { return state.selected[e.node]; });
 
@@ -363,10 +417,6 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
   result.coverage_prefix.reserve(k);
 
   if (options.approx_coverage) {
-    state.initial_cov.assign(n, 0);
-    for (const HeapEntry& entry : candidates) {
-      state.initial_cov[entry.node] = entry.marginal;
-    }
     RunApproxLoop(&state, &result);
   } else {
     RunExactLoop(&state, std::move(candidates), &result);

@@ -34,9 +34,10 @@ struct CoverageGreedyOptions {
   /// so the residual greedy cannot return duplicates).
   std::span<const NodeId> excluded_nodes;
 
-  /// How many of the largest singleton coverages to sum into
-  /// `top_k_singleton_sum`. 0 means "use k". HIST phase 2 selects k - b
-  /// seeds but needs the maxMC term over the full k for Equation (2).
+  /// How many of the largest marginals each term of Λ^u sums
+  /// (`CoverageGreedyResult::upper_bound_top_count`). 0 means "use k".
+  /// HIST phase 2 selects k - b seeds but needs the maxMC term over the
+  /// full k for Equation (2).
   std::uint32_t singleton_top_count = 0;
 
   /// Approximate-coverage mode (`ImOptions::approx_coverage`): lazy-greedy
@@ -44,9 +45,10 @@ struct CoverageGreedyOptions {
   /// ids — O(2^hll_precision) per refresh instead of an inverted-index
   /// recount — with an error-adaptive exact refinement whenever the
   /// estimated best is within the sketch error bar of the runner-up.
-  /// Selected gains, `coverage_prefix`, and `top_k_singleton_sum` are
-  /// always exact (recomputed from the exact covered bitmap); only the
-  /// winner of a near-tie may differ from exact greedy. Deterministic:
+  /// Selected gains, `coverage_prefix` and `coverage_upper_bound` are
+  /// always exact (read from the kept exact
+  /// marginals); only the winner of a near-tie may differ from exact
+  /// greedy. Deterministic:
   /// sketch hashing is a fixed mixer, so runs reproduce byte-identically.
   bool approx_coverage = false;
 
@@ -73,9 +75,19 @@ struct CoverageGreedyResult {
   /// Number of RR sets the pass considered (total minus excluded).
   std::uint64_t considered_sets = 0;
 
-  /// Exact sum of the k largest singleton coverages Λ(v) — the i = 0 term
-  /// of the paper's Λ^u upper bound with maxMC evaluated exactly.
-  std::uint64_t top_k_singleton_sum = 0;
+  /// The paper's Λ^u under Equation (2), evaluated exactly over every
+  /// prefix S_i of `seeds` (i = 0 .. seeds.size()):
+  ///
+  ///   Λ^u = min_i ( Λ(S_i) + Σ_{v ∈ maxMC(S_i, c)} Λ(v | S_i) ),
+  ///
+  /// with c = `upper_bound_top_count` and maxMC ranging over every node,
+  /// `excluded_nodes` included. By submodularity each term bounds the
+  /// coverage of any c nodes, so Λ^u bounds the optimal c-set's coverage
+  /// on the considered sets.
+  std::uint64_t coverage_upper_bound = 0;
+
+  /// c above: `singleton_top_count`, or k when that is 0.
+  std::uint32_t upper_bound_top_count = 0;
 
   std::uint64_t total_coverage() const {
     return coverage_prefix.empty() ? 0 : coverage_prefix.back();
@@ -93,13 +105,21 @@ struct CoverageGreedyResult {
 /// Exact mode costs what the view holds, not what the graph holds. One
 /// pass over the considered sets' members (`RrSetView::ForEachNode`, so
 /// delta-varint sets are decoded once) counts every singleton coverage into
-/// a transient 4 B-per-node array; only the nodes it meets enter the heap
-/// (one heapify), and marginal refreshes read their index rows. Once every
-/// positive marginal is spent, the remaining zero-gain seeds are taken in
-/// (out-degree, id) order by walking a fixed order and skipping selected
-/// nodes: ids downward under Algorithm 1, the graph's `ZeroGainOrder` under
+/// a 4 B-per-node array of exact marginals; only the nodes it meets enter
+/// the heap (one heapify). Selecting a seed decodes each set it newly
+/// covers once more and takes every member's marginal down by one, so
+/// keeping all marginals exact costs O(memberships) over the call and a
+/// heap refresh is an O(1) read. The same decrements keep a histogram of
+/// marginal values (4 B per value up to the largest singleton coverage);
+/// after each selection a walk down from its largest value sums the c
+/// largest marginals, which gives every prefix's term of
+/// `coverage_upper_bound`. With no excluded node gaining, the walks cost
+/// at most the call's coverage plus k levels. Once every positive marginal
+/// is spent, the remaining zero-gain seeds are taken in (out-degree, id)
+/// order by walking a fixed order and skipping selected nodes: ids
+/// downward under Algorithm 1, the graph's `ZeroGainOrder` under
 /// Algorithm 6, so the tail costs O(k + selected). What stays O(n) is
-/// zeroing the count and selected arrays.
+/// zeroing the marginal and selected arrays.
 ///
 /// Takes a prefix view so cache-backed runs (`serve/`) can evaluate exactly
 /// the sets a cold run would have had; a plain `RrCollection` converts

@@ -1,6 +1,8 @@
 #include "subsim/coverage/reference_greedy.h"
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 #include "subsim/util/check.h"
 
@@ -48,26 +50,30 @@ CoverageGreedyResult RunReferenceCoverageGreedy(
                                            : NodeId{0};
   };
 
-  // Exact top-`singleton_top_count` singleton sum, as in the fast version.
-  {
-    const std::uint32_t top_count =
-        options.singleton_top_count > 0 ? options.singleton_top_count
-                                        : options.k;
-    std::vector<std::uint64_t> initial;
-    initial.reserve(n);
+  // Sum of the `top_count` largest marginals over every node, excluded
+  // nodes included, by a full recount: the Σ maxMC term of Λ^u.
+  const std::uint32_t top_count = options.singleton_top_count > 0
+                                      ? options.singleton_top_count
+                                      : options.k;
+  auto top_marginal_sum = [&] {
+    std::vector<std::uint64_t> marginals;
+    marginals.reserve(n);
     for (NodeId v = 0; v < n; ++v) {
-      initial.push_back(marginal(v));
+      marginals.push_back(marginal(v));
     }
-    if (initial.size() > top_count) {
-      std::nth_element(initial.begin(), initial.begin() + top_count,
-                       initial.end(), std::greater<>());
-      initial.resize(top_count);
+    if (marginals.size() > top_count) {
+      std::nth_element(marginals.begin(), marginals.begin() + top_count,
+                       marginals.end(), std::greater<>());
+      marginals.resize(top_count);
     }
-    result.top_k_singleton_sum = 0;
-    for (std::uint64_t c : initial) {
-      result.top_k_singleton_sum += c;
+    std::uint64_t sum = 0;
+    for (std::uint64_t c : marginals) {
+      sum += c;
     }
-  }
+    return sum;
+  };
+  result.upper_bound_top_count = top_count;
+  result.coverage_upper_bound = top_marginal_sum();
 
   std::uint64_t total = 0;
   std::size_t selectable = 0;
@@ -106,6 +112,8 @@ CoverageGreedyResult RunReferenceCoverageGreedy(
     result.seeds.push_back(best);
     result.gains.push_back(best_marginal);
     result.coverage_prefix.push_back(total);
+    result.coverage_upper_bound =
+        std::min(result.coverage_upper_bound, total + top_marginal_sum());
   }
   return result;
 }

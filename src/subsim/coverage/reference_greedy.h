@@ -7,7 +7,8 @@ namespace subsim {
 
 /// Textbook greedy max-coverage: recompute every node's marginal coverage
 /// with a full scan at each of the k steps — O(n + total index size) per
-/// step, no lazy evaluation, no heap. Semantically identical to
+/// step, no lazy evaluation, no heap — and Λ^u from a fresh recount of
+/// every marginal at every prefix. Semantically identical to
 /// `RunCoverageGreedy` (same options, same tie-breaks, same outputs).
 ///
 /// This exists for differential testing: the CELF implementation's

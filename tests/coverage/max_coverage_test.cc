@@ -126,13 +126,15 @@ TEST(MaxCoverageTest, ExcludeSentinelHitSets) {
   EXPECT_EQ(result.total_coverage(), 3u);
 }
 
-TEST(MaxCoverageTest, TopKSingletonSumIsExact) {
+TEST(MaxCoverageTest, UpperBoundSumsTopKMarginals) {
   const RrCollection collection = CollectionFromSets(
       4, {{0}, {0}, {0}, {1}, {1}, {2}});
   CoverageGreedyOptions options;
   options.k = 2;
   const CoverageGreedyResult result = RunCoverageGreedy(collection, options);
-  EXPECT_EQ(result.top_k_singleton_sum, 5u);  // 3 (node 0) + 2 (node 1)
+  // min(0 + (3 + 2), 3 + (2 + 1), 5 + (1 + 0)): the singleton term.
+  EXPECT_EQ(result.coverage_upper_bound, 5u);
+  EXPECT_EQ(result.upper_bound_top_count, 2u);
 }
 
 TEST(MaxCoverageTest, SingletonTopCountOverridesK) {
@@ -142,7 +144,9 @@ TEST(MaxCoverageTest, SingletonTopCountOverridesK) {
   options.k = 1;
   options.singleton_top_count = 3;
   const CoverageGreedyResult result = RunCoverageGreedy(collection, options);
-  EXPECT_EQ(result.top_k_singleton_sum, 6u);  // 3 + 2 + 1
+  // min(0 + (3 + 2 + 1), 3 + (2 + 1 + 0)).
+  EXPECT_EQ(result.coverage_upper_bound, 6u);
+  EXPECT_EQ(result.upper_bound_top_count, 3u);
 }
 
 TEST(MaxCoverageTest, KLargerThanNodesSelectsAll) {
