@@ -18,6 +18,7 @@
 //   - every post-update warm answer is bit-identical to a cold engine's
 //     answer on the updated snapshot.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -87,7 +88,8 @@ subsim::UpdateBatch MakeBatch(const subsim::Graph& graph, std::size_t count) {
 }
 
 /// Ground truth for sets_repaired: committed sets (both streams) of every
-/// cached entry that contain at least one dirty node.
+/// cached entry that contain at least one dirty node, found by scanning set
+/// members (stream 1 keeps no inverted index).
 std::uint64_t CountAffectedSets(const subsim::QueryEngine& engine,
                                 const std::string& graph_name,
                                 std::uint64_t version,
@@ -96,17 +98,18 @@ std::uint64_t CountAffectedSets(const subsim::QueryEngine& engine,
   for (const auto& [key, entry] :
        engine.cache().EntriesForGraph(graph_name, version)) {
     const subsim::SampleStore& store = *entry->store;
+    std::vector<std::uint8_t> is_dirty(store.num_graph_nodes(), 0);
+    for (const subsim::NodeId v : dirty) {
+      is_dirty[v] = 1;
+    }
     const subsim::SampleStore::ReadGuard read = store.Read();
     for (std::size_t s = 0; s < subsim::SampleStore::kNumStreams; ++s) {
       const subsim::RrCollectionView view = read.View(s, store.num_sets(s));
-      std::vector<std::uint8_t> hit(view.num_sets(), 0);
-      for (const subsim::NodeId v : dirty) {
-        for (const subsim::RrId id : view.SetsContaining(v)) {
-          hit[id] = 1;
-        }
-      }
-      for (const std::uint8_t h : hit) {
-        affected += h;
+      for (subsim::RrId id = 0; id < view.num_sets(); ++id) {
+        const std::vector<subsim::NodeId> members = view.View(id).ToVector();
+        affected += std::any_of(
+            members.begin(), members.end(),
+            [&is_dirty](subsim::NodeId v) { return is_dirty[v] != 0; });
       }
     }
   }

@@ -134,10 +134,11 @@ Result<SentinelPhase> RunSentinelSet(const Graph& graph,
                                     greedy.seeds.begin() + b);
       const double target = HistApproxTarget(k, b, eps1);
 
-      // Lines 9-12: verify on an independent sentinel-truncated R2. The
-      // rng2 cursor persists across iterations even though r2 is rebuilt,
-      // so every iteration verifies on fresh samples.
-      RrCollection r2(n, options.rr_encoding);
+      // Lines 9-12: verify on an independent sentinel-truncated R2, which
+      // is only counted and so keeps no index. The rng2 cursor persists
+      // across iterations even though r2 is rebuilt, so every iteration
+      // verifies on fresh samples.
+      RrCollection r2(n, options.rr_encoding, RrIndexing::kUnindexed);
       SUBSIM_RETURN_IF_ERROR(filler.Fill(rng2, r1.num_sets(), candidate,
                                          /*truncated=*/true, &r2));
       std::uint64_t cov = ComputeCoverage(r2, candidate);
@@ -253,7 +254,8 @@ Result<ImResult> Hist::Run(const Graph& graph,
   const double target_ratio = kOneMinusInvE - eps;
 
   RrCollection r1(n, options.rr_encoding);
-  RrCollection r2(n, options.rr_encoding);
+  // R2 is only counted (`ComputeCoverage`), so it keeps no index.
+  RrCollection r2(n, options.rr_encoding, RrIndexing::kUnindexed);
   const HistFiller filler{graph, options};
   SUBSIM_RETURN_IF_ERROR(
       filler.Fill(rng3, theta0, sentinels, phase2_truncated, &r1));

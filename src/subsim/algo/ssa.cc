@@ -45,7 +45,8 @@ Result<ImResult> Ssa::Run(const Graph& graph,
   RngStream rng1 = MakeRngStream(options.rng_seed, 1);
   RngStream rng2 = MakeRngStream(options.rng_seed, 2);
   RrCollection r1(n, options.rr_encoding);
-  RrCollection r2(n, options.rr_encoding);
+  // R2 is only counted (`ComputeCoverage`), so it keeps no index.
+  RrCollection r2(n, options.rr_encoding, RrIndexing::kUnindexed);
 
   CoverageGreedyOptions greedy_options;
   greedy_options.k = k;

@@ -91,7 +91,7 @@ Result<ImResult> TimPlus::Run(const Graph& graph,
     const std::uint64_t refine_batch = static_cast<std::uint64_t>(
         std::ceil((2.0 + eps_prime) * l * ln_n * static_cast<double>(n) /
                   (eps_prime * eps_prime * kpt_star)));
-    RrCollection refine(n, options.rr_encoding);
+    RrCollection refine(n, options.rr_encoding, RrIndexing::kUnindexed);
     RngStream refine_rng = MakeRngStream(options.rng_seed, 2);
     // Cap the refinement effort; it is a heuristic tightener.
     const std::uint64_t capped =

@@ -12,6 +12,7 @@
 
 #include "subsim/coverage/hll_sketch.h"
 #include "subsim/obs/metrics.h"
+#include "subsim/util/bit_vector.h"
 #include "subsim/util/check.h"
 
 namespace subsim {
@@ -461,15 +462,22 @@ std::uint64_t ZeroGainOrderConstructions() {
 
 std::uint64_t ComputeCoverage(RrCollectionView collection,
                               std::span<const NodeId> seeds) {
-  std::vector<std::uint8_t> covered(collection.num_sets(), 0);
+  if (seeds.empty()) {
+    return 0;
+  }
+  const NodeId n = collection.num_graph_nodes();
+  BitVector is_seed(n);
+  for (const NodeId v : seeds) {
+    SUBSIM_CHECK(v < n, "seed id out of node range");
+    is_seed.Set(v);
+  }
   std::uint64_t total = 0;
-  for (NodeId v : seeds) {
-    for (RrId id : collection.SetsContaining(v)) {
-      if (!covered[id]) {
-        covered[id] = 1;
-        ++total;
-      }
-    }
+  std::vector<NodeId> scratch;
+  for (std::size_t id = 0; id < collection.num_sets(); ++id) {
+    const std::span<const NodeId> members =
+        collection.View(static_cast<RrId>(id)).Decode(&scratch);
+    total += std::any_of(members.begin(), members.end(),
+                         [&is_seed](NodeId v) { return is_seed.Get(v); });
   }
   return total;
 }

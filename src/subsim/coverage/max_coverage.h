@@ -139,7 +139,11 @@ std::span<const NodeId> ZeroGainOrder(const Graph& graph);
 std::uint64_t ZeroGainOrderConstructions();
 
 /// Λ_R(S): number of RR sets in `collection` intersecting `seeds`.
-/// O(sum of inverted-index lists of the seeds).
+/// One pass over the view's sets against an n-bit seed mask, each set
+/// stopping at its first seed: at most O(view memberships), and no
+/// inverted index is read, so validation collections can go unindexed
+/// (`RrIndexing::kUnindexed`). Every seed id must be < n (checked: the
+/// ids index the mask). Duplicate seeds count once.
 std::uint64_t ComputeCoverage(RrCollectionView collection,
                               std::span<const NodeId> seeds);
 

@@ -74,10 +74,10 @@ struct FillRequest {
 };
 
 /// Generates `request.count` RR sets and appends them to `collection` in
-/// stream-index order, then extends its inverted index once for the whole
-/// fill. The single fill entry point for the whole library. Returns
-/// OutOfRange, before generating anything, when the collection would pass
-/// `kMaxRrSets`.
+/// stream-index order, then extends its inverted index, if it keeps one,
+/// once for the whole fill. The single fill entry point for the whole
+/// library. Returns OutOfRange, before generating anything, when the
+/// collection would pass `kMaxRrSets`.
 ///
 /// Thread-count invariant: every set is generated from its own counter-based
 /// substream (`Rng::Substream`), and workers claim fixed-size index chunks

@@ -28,7 +28,7 @@ RrId RrCollection::Add(std::span<const NodeId> nodes, bool hit_sentinel) {
 void RrCollection::IndexNewSets() {
   const std::size_t first = indexed_sets_;
   const std::size_t last = num_sets();
-  if (first == last) {
+  if (!indexed() || first == last) {
     return;
   }
   const std::size_t n = num_nodes_;
@@ -98,7 +98,8 @@ void RrCollection::IndexNewSets() {
 
 std::uint64_t RrCollection::ApproxMemoryBytes() const {
   // The inverted index is exactly (n + 1) offsets, the merge counts (half a
-  // word per node) and one RrId per indexed membership. The arena is
+  // word per node) and one RrId per indexed membership, or nothing on an
+  // unindexed collection. The arena is
   // charged at its *encoded* size so the serving cache's byte budget
   // tracks real RSS for either encoding.
   return arena_bytes() + offsets_.size() * sizeof(std::uint64_t) +
@@ -119,7 +120,9 @@ void RrCollection::Clear() {
   hit_sentinel_.clear();
   hit_prefix_.assign(1, 0);
   // The merge counts past the offsets are already zero.
-  std::fill_n(index_offsets_.begin(), num_nodes_ + 1, 0);
+  if (indexed()) {
+    std::fill_n(index_offsets_.begin(), num_nodes_ + 1, 0);
+  }
   index_ids_.clear();
   indexed_sets_ = 0;
 }

@@ -96,11 +96,24 @@ class RrSetView {
   RrEncoding encoding_ = RrEncoding::kRaw;
 };
 
+/// Whether an `RrCollection` keeps a node -> set inverted index.
+enum class RrIndexing : std::uint8_t {
+  /// `IndexNewSets` merges every new set into the index, which
+  /// `SetsContaining` and greedy (`RunCoverageGreedy`) read.
+  kIndexed,
+  /// No index: `IndexNewSets` is a no-op, the index's per-node block is
+  /// never allocated, and `SetsContaining` is unavailable. For collections
+  /// that are only counted or scanned (`ComputeCoverage`), such as the
+  /// validation collections R₂ of OPIM-C, SSA and HIST.
+  kUnindexed,
+};
+
 /// Most sets one collection can hold: ids are `RrId`s, so the last id must
 /// still fit one. `FillCollection` rejects a fill that would pass it.
 inline constexpr std::size_t kMaxRrSets = std::numeric_limits<RrId>::max();
 
-/// A growable pool of reverse-reachable sets with an inverted index.
+/// A growable pool of reverse-reachable sets, by default with an inverted
+/// index.
 ///
 /// Storage is a single arena (offsets + node or byte array, selected by the
 /// `RrEncoding` passed at construction), so appending RR sets does one
@@ -111,7 +124,9 @@ inline constexpr std::size_t kMaxRrSets = std::numeric_limits<RrId>::max();
 /// sets, then `IndexNewSets()` merges the whole batch with one counting
 /// sort. The index is built the same way regardless of encoding; it is what
 /// makes the greedy max-coverage pass O(total RR size) — and why the
-/// selected seeds are identical across encodings.
+/// selected seeds are identical across encodings. A collection constructed
+/// with `RrIndexing::kUnindexed` has no index at all: greedy cannot read
+/// it, but counting coverage on it (`ComputeCoverage`) scans the sets.
 ///
 /// Collections also record, per set, whether its generation was truncated
 /// by a sentinel hit (Algorithm 5). Such sets are covered by the sentinel
@@ -126,12 +141,17 @@ inline constexpr std::size_t kMaxRrSets = std::numeric_limits<RrId>::max();
 class RrCollection {
  public:
   explicit RrCollection(NodeId num_nodes,
-                        RrEncoding encoding = RrEncoding::kRaw)
+                        RrEncoding encoding = RrEncoding::kRaw,
+                        RrIndexing indexing = RrIndexing::kIndexed)
       : encoding_(encoding),
+        indexing_(indexing),
         num_nodes_(num_nodes),
-        index_offsets_(static_cast<std::size_t>(num_nodes) + 1 +
-                           (static_cast<std::size_t>(num_nodes) + 1) / 2,
-                       0) {}
+        index_offsets_(
+            indexing == RrIndexing::kIndexed
+                ? static_cast<std::size_t>(num_nodes) + 1 +
+                      (static_cast<std::size_t>(num_nodes) + 1) / 2
+                : 0,
+            0) {}
 
   /// Appends one RR set to the arena and the sentinel flags. `nodes` are
   /// the members (root included, each node at most once); `hit_sentinel`
@@ -147,10 +167,13 @@ class RrCollection {
   /// ascending order. O(n + moved + new memberships) with no allocation
   /// beyond the ids' growth; rows stay ascending because every new id
   /// exceeds every indexed one. Each writer calls it once per batch, before
-  /// anything reads `SetsContaining`.
+  /// anything reads `SetsContaining`. A no-op on an unindexed collection.
   void IndexNewSets();
 
   RrEncoding encoding() const { return encoding_; }
+
+  /// False for a collection constructed with `RrIndexing::kUnindexed`.
+  bool indexed() const { return indexing_ == RrIndexing::kIndexed; }
 
   std::size_t num_sets() const { return offsets_.size() - 1; }
 
@@ -202,8 +225,12 @@ class RrCollection {
   }
 
   /// Ids of the RR sets that contain `v`, sorted ascending (sets are
-  /// appended with increasing ids). Requires an index covering every set.
+  /// appended with increasing ids). Requires an indexed collection whose
+  /// index covers every set.
   std::span<const RrId> SetsContaining(NodeId v) const {
+    SUBSIM_DCHECK(indexed(),
+                  "SetsContaining on an unindexed RrCollection: it keeps no "
+                  "inverted index (RrIndexing::kUnindexed)");
     SUBSIM_DCHECK(v < num_graph_nodes(), "node out of range");
     SUBSIM_DCHECK(indexed_sets_ == num_sets(),
                   "RR sets added but not indexed (IndexNewSets)");
@@ -224,19 +251,21 @@ class RrCollection {
                                          : byte_arena_.size();
   }
 
-  /// Approximate heap footprint in bytes (encoded arena, offsets, flags,
-  /// and the inverted index: ~12 B per node — row offsets and merge
-  /// counts — plus 4 B per indexed membership).
+  /// Approximate heap footprint in bytes: encoded arena, offsets and
+  /// flags, plus, on an indexed collection, the inverted index: ~12 B per
+  /// node (row offsets and merge counts) and 4 B per indexed membership.
+  /// An unindexed collection has no per-node term.
   /// Used by the serving cache's byte-budget eviction; charges the
   /// *encoded* arena so a delta-encoded store spends proportionally less
   /// budget than a raw one.
   std::uint64_t ApproxMemoryBytes() const;
 
-  /// Removes all sets but keeps the node capacity and encoding.
+  /// Removes all sets but keeps the node capacity, encoding and indexing.
   void Clear();
 
  private:
   RrEncoding encoding_;
+  RrIndexing indexing_;
   /// Per-set boundaries into the active arena: node offsets into `arena_`
   /// for kRaw, byte offsets into `byte_arena_` for kDeltaVarint.
   std::vector<std::uint64_t> offsets_{0};
@@ -257,6 +286,7 @@ class RrCollection {
   /// index_ids_[index_offsets_[v], index_offsets_[v + 1]), ascending.
   /// Past the n + 1 offsets, the same allocation holds `IndexNewSets`'
   /// per-node counts, two 32-bit counts per word, all zero between merges.
+  /// Empty on an unindexed collection.
   std::vector<std::uint64_t> index_offsets_;
   std::vector<RrId> index_ids_;
   std::size_t indexed_sets_ = 0;

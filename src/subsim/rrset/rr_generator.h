@@ -62,7 +62,8 @@ class RrGenerator {
   virtual const char* name() const = 0;
 
   /// Generates `count` RR sets, appends them to `collection` and indexes
-  /// them (`RrCollection::IndexNewSets`) once at the end. With a
+  /// them (`RrCollection::IndexNewSets`, a no-op on an unindexed
+  /// collection) once at the end. With a
   /// metrics registry attached to `obs`, the fill's `RrGenStats` delta is
   /// flushed to the `rr.*` counters and every set size is observed into the
   /// `rr.set_size` histogram (see docs/observability.md); the RNG stream is

@@ -1,10 +1,12 @@
 #include "subsim/rrset/sample_store.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "subsim/rrset/parallel_fill.h"
 #include "subsim/rrset/rr_generator.h"
+#include "subsim/util/bit_vector.h"
 
 namespace subsim {
 
@@ -15,8 +17,10 @@ SampleStore::SampleStore(const Graph& graph, GeneratorKind kind,
       kind_(kind),
       num_nodes_(graph.num_nodes()),
       options_(options),
-      streams_{Stream(graph.num_nodes(), options.encoding, streams[0]),
-               Stream(graph.num_nodes(), options.encoding, streams[1])} {}
+      streams_{Stream(graph.num_nodes(), options.encoding, streams[0],
+                      RrIndexing::kIndexed),
+               Stream(graph.num_nodes(), options.encoding, streams[1],
+                      RrIndexing::kUnindexed)} {}
 
 Result<std::unique_ptr<SampleStore>> SampleStore::Create(
     const Graph& graph, GeneratorKind kind,
@@ -72,41 +76,36 @@ Result<std::unique_ptr<SampleStore>> SampleStore::CreateRepaired(
 
   const RrGenStats stats_before = (*generator)->stats();
   RepairStats repair;
+  // A set replays identically unless it visited a node whose in-row
+  // changed; ids past the node range name no member.
+  BitVector dirty(source.num_nodes_);
+  for (const NodeId v : dirty_nodes) {
+    if (v < source.num_nodes_) {
+      dirty.Set(v);
+    }
+  }
+  const auto is_dirty = [&dirty](NodeId v) { return dirty.Get(v); };
   std::vector<NodeId> scratch;
   std::vector<NodeId> decode_scratch;
-  std::vector<std::uint8_t> needs_regen;
   const WriterMutexLock repaired_lock(repaired->mu_);
   for (std::size_t s = 0; s < kNumStreams; ++s) {
     const RrCollection& from = source.streams_[s].collection;
     const std::size_t num_sets = from.num_sets();
-    // The inverted index turns the mutation frontier into the exact id set
-    // to regenerate: a set replays identically unless it visited a node
-    // whose in-row changed.
-    needs_regen.assign(num_sets, 0);
-    for (const NodeId v : dirty_nodes) {
-      if (v >= source.num_nodes_) {
-        continue;
-      }
-      for (const RrId id : from.SetsContaining(v)) {
-        needs_regen[id] = 1;
-      }
-    }
     RrCollection& to = repaired->streams_[s].collection;
     const std::uint64_t base_seed = source.streams_[s].rng.base_seed;
     for (std::size_t i = 0; i < num_sets; ++i) {
-      if (needs_regen[i]) {
+      // Bulk-decode the set through the view: for raw arenas a zero-copy
+      // span, for delta arenas a decode into the reused scratch, from which
+      // Add re-encodes the (already sorted) members to identical bytes.
+      const std::span<const NodeId> members =
+          from.View(static_cast<RrId>(i)).Decode(&decode_scratch);
+      if (std::any_of(members.begin(), members.end(), is_dirty)) {
         Rng set_rng = Rng::Substream(base_seed, i);
         const bool hit = (*generator)->Generate(set_rng, &scratch);
         to.Add(scratch, hit);
         ++repair.sets_repaired;
       } else {
-        // Bulk-decode the kept set through the view; for raw arenas this
-        // is the old zero-copy span, for delta arenas it decodes into the
-        // reused scratch and Add re-encodes the (already sorted) members
-        // to identical bytes.
-        const RrSetView kept = from.View(static_cast<RrId>(i));
-        to.Add(kept.Decode(&decode_scratch),
-               from.HitSentinel(static_cast<RrId>(i)));
+        to.Add(members, from.HitSentinel(static_cast<RrId>(i)));
         ++repair.sets_kept;
       }
     }

@@ -28,6 +28,11 @@ namespace subsim {
 /// generated instead of resampling, and any query evaluating a prefix sees
 /// exactly what a cold run with that many sets would have seen.
 ///
+/// Stream 0 is the selection stream greedy reads (R₁), so it keeps the
+/// inverted index. Stream 1 is only counted (OPIM-C's validation R₂, via
+/// `ComputeCoverage`), so it is `RrIndexing::kUnindexed`: its fills merge
+/// no index and it holds no per-node bytes.
+///
 /// Concurrency: appends happen under an exclusive (writer) lock and commit
 /// their new length to an atomic watermark; reads take a shared lock
 /// (`Read`) and may only view prefixes at or below the watermark, so any
@@ -95,9 +100,11 @@ class SampleStore {
   /// is a pure function of `(graph in-rows it reads, Substream(base, i))`.
   /// A committed set containing no dirty node therefore replays
   /// bit-identically on `graph` and is copied; every other set is
-  /// regenerated from its own substream (found via the collection's
-  /// node->RR-id inverted index, cost proportional to the affected sets).
-  /// The result is byte-identical to the cold rebuild at any thread count.
+  /// regenerated from its own substream. The copy loop, which decodes every
+  /// set anyway, tests each member against an n-bit mask of `dirty_nodes`
+  /// (ids out of the node range are ignored), so both streams take one
+  /// path whether or not they are indexed. The result is byte-identical to
+  /// the cold rebuild at any thread count.
   ///
   /// `source` is read under its shared lock (concurrent queries keep
   /// serving it); the repaired store continues both streams at the exact
@@ -193,8 +200,9 @@ class SampleStore {
     /// `next_index` always equals `collection.num_sets()`.
     RngStream rng;
 
-    Stream(NodeId num_nodes, RrEncoding encoding, RngStream stream)
-        : collection(num_nodes, encoding), rng(stream) {}
+    Stream(NodeId num_nodes, RrEncoding encoding, RngStream stream,
+           RrIndexing indexing)
+        : collection(num_nodes, encoding, indexing), rng(stream) {}
   };
 
   SampleStore(const Graph& graph, GeneratorKind kind,

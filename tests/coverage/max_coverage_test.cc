@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "subsim/graph/graph_builder.h"
+#include "subsim/random/rng.h"
 
 namespace subsim {
 namespace {
@@ -182,6 +187,97 @@ TEST(ComputeCoverageTest, OverlappingSeedsNotDoubleCounted) {
   const RrCollection collection = CollectionFromSets(3, {{0, 1}, {0, 1}});
   const std::vector<NodeId> seeds = {0, 1};
   EXPECT_EQ(ComputeCoverage(collection, seeds), 2u);
+}
+
+/// Λ_R(S) recounted from the inverted index: mark every set in each seed's
+/// row, count the marks.
+std::uint64_t IndexRecount(RrCollectionView view,
+                           std::span<const NodeId> seeds) {
+  std::vector<std::uint8_t> covered(view.num_sets(), 0);
+  std::uint64_t total = 0;
+  for (const NodeId v : seeds) {
+    for (const RrId id : view.SetsContaining(v)) {
+      if (!covered[id]) {
+        covered[id] = 1;
+        ++total;
+      }
+    }
+  }
+  return total;
+}
+
+TEST(ComputeCoverageTest, ScanEqualsIndexRecount) {
+  // Sets of 0-11 members, some empty, every fourth sentinel-truncated and
+  // then holding node 0 (as HIST's truncated sets hold the sentinel they
+  // hit); node kNodes - 1 is in no set.
+  constexpr NodeId kNodes = 60;
+  std::vector<NodeId> every_node(kNodes);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    every_node[v] = v;
+  }
+  Rng seed_rng(3);
+  std::vector<std::vector<NodeId>> seed_lists = {
+      {}, {0}, {5}, {5, 5, 5}, {3, 9, 3, 40, 9}, {kNodes - 1}, every_node};
+  for (int i = 0; i < 20; ++i) {
+    std::vector<NodeId> seeds(1 + seed_rng.UniformInt(8));
+    for (NodeId& v : seeds) {
+      v = static_cast<NodeId>(seed_rng.UniformInt(kNodes));  // may repeat
+    }
+    seed_lists.push_back(std::move(seeds));
+  }
+
+  for (const RrEncoding encoding :
+       {RrEncoding::kRaw, RrEncoding::kDeltaVarint}) {
+    SCOPED_TRACE(RrEncodingName(encoding));
+    RrCollection indexed(kNodes, encoding);
+    RrCollection unindexed(kNodes, encoding, RrIndexing::kUnindexed);
+    Rng rng(17);
+    for (int i = 0; i < 300; ++i) {
+      const bool hit = i % 4 == 0;
+      std::vector<NodeId> set;
+      if (hit) {
+        set.push_back(0);
+      }
+      const std::size_t size = static_cast<std::size_t>(rng.UniformInt(12));
+      while (set.size() < size) {
+        const NodeId v = static_cast<NodeId>(rng.UniformInt(kNodes - 1));
+        if (std::find(set.begin(), set.end(), v) == set.end()) {
+          set.push_back(v);
+        }
+      }
+      indexed.Add(set, hit);
+      unindexed.Add(set, hit);
+    }
+    indexed.IndexNewSets();
+    unindexed.IndexNewSets();
+
+    for (const std::size_t prefix :
+         {std::size_t{1}, indexed.num_sets() / 2, indexed.num_sets()}) {
+      SCOPED_TRACE("prefix " + std::to_string(prefix));
+      std::uint64_t nonempty = 0;
+      for (RrId id = 0; id < prefix; ++id) {
+        nonempty += indexed.View(id).empty() ? 0 : 1;
+      }
+      for (const std::vector<NodeId>& seeds : seed_lists) {
+        SCOPED_TRACE("seeds " + std::to_string(seeds.size()));
+        const std::uint64_t expected =
+            IndexRecount(indexed.Prefix(prefix), seeds);
+        EXPECT_EQ(ComputeCoverage(indexed.Prefix(prefix), seeds), expected);
+        EXPECT_EQ(ComputeCoverage(unindexed.Prefix(prefix), seeds),
+                  expected);
+      }
+      // Every node covers every set that has a member.
+      EXPECT_EQ(ComputeCoverage(unindexed.Prefix(prefix), every_node),
+                nonempty);
+    }
+  }
+}
+
+TEST(ComputeCoverageDeathTest, RejectsSeedOutOfNodeRange) {
+  const RrCollection collection = CollectionFromSets(4, {{0, 1}, {3}});
+  const std::vector<NodeId> seeds = {1, 4};
+  EXPECT_DEATH(ComputeCoverage(collection, seeds),
+               "seed id out of node range");
 }
 
 }  // namespace

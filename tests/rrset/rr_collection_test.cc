@@ -370,5 +370,77 @@ TEST(RrCollectionTest, ApproxMemoryBytesGrowsWithContent) {
   EXPECT_EQ(collection.num_hit_sentinel(), 0u);
 }
 
+// ---- Unindexed collections. ----
+
+/// Exact footprint of an unindexed collection: arena, set offsets (plus
+/// the membership prefix for delta), sentinel flags and their prefix.
+std::uint64_t ExpectedSetBytes(const RrCollection& collection) {
+  const std::uint64_t sets = collection.num_sets();
+  const std::uint64_t offsets =
+      (sets + 1) * sizeof(std::uint64_t) *
+      (collection.encoding() == RrEncoding::kRaw ? 1 : 2);
+  return collection.arena_bytes() + offsets + sets * sizeof(std::uint8_t) +
+         (sets + 1) * sizeof(std::uint32_t);
+}
+
+TEST(RrCollectionTest, UnindexedHoldsOnlyItsSets) {
+  // On 100K nodes the index's per-node block alone is 1.2 MB, so any
+  // per-node term would dwarf the sets below.
+  constexpr NodeId kNodes = 100000;
+  for (const RrEncoding encoding :
+       {RrEncoding::kRaw, RrEncoding::kDeltaVarint}) {
+    SCOPED_TRACE(RrEncodingName(encoding));
+    RrCollection indexed(kNodes, encoding);
+    RrCollection unindexed(kNodes, encoding, RrIndexing::kUnindexed);
+    EXPECT_TRUE(indexed.indexed());
+    EXPECT_FALSE(unindexed.indexed());
+    EXPECT_EQ(unindexed.ApproxMemoryBytes(), ExpectedSetBytes(unindexed));
+    Rng rng(7);
+    for (int batch = 0; batch < 5; ++batch) {
+      for (int i = 0; i < 50; ++i) {
+        std::vector<NodeId> set;
+        const std::size_t size = static_cast<std::size_t>(rng.UniformInt(12));
+        while (set.size() < size) {
+          const NodeId v = static_cast<NodeId>(rng.UniformInt(kNodes));
+          if (std::find(set.begin(), set.end(), v) == set.end()) {
+            set.push_back(v);
+          }
+        }
+        const bool hit = rng.UniformInt(4) == 0;
+        indexed.Add(set, hit);
+        unindexed.Add(set, hit);
+      }
+      indexed.IndexNewSets();
+      unindexed.IndexNewSets();  // a no-op
+      EXPECT_EQ(unindexed.ApproxMemoryBytes(), ExpectedSetBytes(unindexed));
+      EXPECT_EQ(indexed.ApproxMemoryBytes(), ExpectedMemoryBytes(indexed));
+    }
+    ASSERT_EQ(unindexed.num_sets(), indexed.num_sets());
+    EXPECT_EQ(unindexed.arena_bytes(), indexed.arena_bytes());
+    EXPECT_EQ(unindexed.num_hit_sentinel(), indexed.num_hit_sentinel());
+    for (RrId id = 0; id < indexed.num_sets(); ++id) {
+      ASSERT_EQ(unindexed.View(id).ToVector(), indexed.View(id).ToVector())
+          << "set " << id;
+      ASSERT_EQ(unindexed.HitSentinel(id), indexed.HitSentinel(id));
+    }
+    unindexed.Clear();
+    EXPECT_EQ(unindexed.ApproxMemoryBytes(), ExpectedSetBytes(unindexed));
+  }
+}
+
+TEST(RrCollectionDeathTest, UnindexedSetsContainingNamesTheMissingIndex) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "SUBSIM_DCHECK is compiled out of NDEBUG builds";
+#endif
+  RrCollection collection(4, RrEncoding::kRaw, RrIndexing::kUnindexed);
+  const std::vector<NodeId> set = {0, 1};
+  collection.Add(set, false);
+  collection.IndexNewSets();
+  EXPECT_DEATH(collection.SetsContaining(1),
+               "SetsContaining on an unindexed RrCollection");
+  EXPECT_DEATH(collection.Prefix(1).SetsContaining(1),
+               "SetsContaining on an unindexed RrCollection");
+}
+
 }  // namespace
 }  // namespace subsim

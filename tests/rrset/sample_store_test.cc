@@ -165,6 +165,36 @@ TEST(SampleStoreTest, ReportsGraphAndGeneratorIdentity) {
   EXPECT_GT((*store)->ApproxMemoryBytes(), empty_bytes);
 }
 
+TEST(SampleStoreTest, OnlyStreamZeroHoldsAnIndex) {
+  // Greedy reads stream 0, so it is indexed; stream 1 is only counted, so
+  // the store charges it for its sets alone, with no per-node term.
+  const Graph graph = SmallWcGraph();
+  Result<std::unique_ptr<SampleStore>> store = SampleStore::Create(
+      graph, GeneratorKind::kVanillaIc, MakeStreams(4));
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->EnsureSets(0, 300).ok());
+  ASSERT_TRUE((*store)->EnsureSets(1, 200).ok());
+
+  std::array<RrCollection, SampleStore::kNumStreams> direct = {
+      RrCollection(graph.num_nodes()), RrCollection(graph.num_nodes())};
+  for (std::size_t s = 0; s < SampleStore::kNumStreams; ++s) {
+    RngStream rng = MakeRngStream(4, s + 1);
+    FillRequest request;
+    request.kind = GeneratorKind::kVanillaIc;
+    request.graph = &graph;
+    request.rng = &rng;
+    request.count = (*store)->num_sets(s);
+    ASSERT_TRUE(FillCollection(request, &direct[s]).ok());
+  }
+  const std::uint64_t sets1 = direct[1].num_sets();
+  const std::uint64_t stream1_set_bytes =
+      direct[1].arena_bytes() + (sets1 + 1) * sizeof(std::uint64_t) +
+      sets1 * sizeof(std::uint8_t) + (sets1 + 1) * sizeof(std::uint32_t);
+  EXPECT_EQ((*store)->ApproxMemoryBytes(),
+            sizeof(SampleStore) + direct[0].ApproxMemoryBytes() +
+                stream1_set_bytes);
+}
+
 TEST(SampleStoreTest, StoresNeverContainSentinelHits) {
   // Plain generators never truncate, and the store DCHECKs the invariant;
   // verify through the public API that nothing is flagged.
