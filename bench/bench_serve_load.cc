@@ -14,8 +14,9 @@
 //      generate ~one cold run's worth of RR sets, not K of them.
 //   4. overload + degradation: a deliberately tiny server (1 worker, 1
 //      queue slot) under a burst must shed with 429 + Retry-After within
-//      the expected ceiling, and a 1 ms `deadline_ms` query must come
-//      back degraded with the achieved bound annotated (or be shed).
+//      the expected ceiling, and 1 ms `deadline_ms` OPIM-C and HIST
+//      queries must come back with the achieved bound annotated (or be
+//      shed). An `algo=ssa` query, which keeps no deadline, must get 400.
 //
 // Any violated assertion exits non-zero, so CI can run this under
 // `--smoke` (smaller counts, same checks) as a regression gate.
@@ -39,6 +40,7 @@
 #include "subsim/serve/graph_registry.h"
 #include "subsim/serve/query.h"
 #include "subsim/serve/query_engine.h"
+#include "subsim/util/math.h"
 
 namespace {
 
@@ -355,6 +357,29 @@ int main(int argc, char** argv) {
         degraded->body.find("\"achieved_eps\":") != std::string::npos;
     Check(was_shed || was_degraded,
           "deadline: 1ms budget answers degraded with achieved bound");
+
+    // HIST keeps the budget too. Its answer carries `achieved_eps`, and
+    // `deadline_hit` unless the bound it reached already meets epsilon.
+    constexpr double kHistEps = 0.1;
+    const auto hist = client.Post(
+        "/v1/select_seeds",
+        "graph=bench algo=hist k=8 eps=" + std::to_string(kHistEps) +
+            " seed=998 generator=subsim deadline_ms=1");
+    const bool hist_shed = hist.ok() && hist->status_code == 429;
+    const bool hist_answered =
+        hist.ok() && hist->status_code == 200 &&
+        hist->body.find("\"achieved_eps\":") != std::string::npos &&
+        (ScrapeNumber(hist->body, "approx_ratio") >=
+             subsim::kOneMinusInvE - kHistEps ||
+         hist->body.find("\"deadline_hit\":true") != std::string::npos);
+    Check(hist_shed || hist_answered,
+          "deadline: 1ms hist budget answers with achieved bound");
+
+    // Algorithms that keep no deadline are refused at the engine.
+    const auto unserved = client.Post(
+        "/v1/select_seeds", "graph=bench algo=ssa k=8 eps=0.1 seed=997");
+    Check(unserved.ok() && unserved->status_code == 400,
+          "serve: algo=ssa is refused with 400");
   }
 
   // --- Final scrape: the SLO gauges moved ----------------------------

@@ -73,6 +73,8 @@ struct HistFiller {
 struct SentinelPhase {
   std::vector<NodeId> sentinels;
   PhaseStats stats;
+  /// The deadline expired at a line-16 boundary; `sentinels` is empty.
+  bool deadline_hit = false;
 };
 
 /// Algorithm 7: SentinelSet(G, k, eps1, delta1).
@@ -164,8 +166,16 @@ Result<SentinelPhase> RunSentinelSet(const Graph& graph,
       fallback = std::move(candidate);
     }
 
-    // Line 16: double R1 and retry.
+    // Line 16: double R1 and retry. This doubling boundary is phase 1's
+    // only deadline check. An expired budget ends the phase with no
+    // sentinels (b = 0), so a degraded run never takes the b >= k exit,
+    // which reports no bounds: phase 2 certifies the whole seed set.
     if (i < i_max) {
+      if (options.deadline.Expired()) {
+        phase.stats.Absorb(r1);
+        phase.deadline_hit = true;
+        return phase;
+      }
       SUBSIM_RETURN_IF_ERROR(
           filler.Fill(rng1, r1.num_sets(), {}, /*truncated=*/false, &r1));
     }
@@ -227,6 +237,7 @@ Result<ImResult> Hist::Run(const Graph& graph,
   const std::uint32_t b = static_cast<std::uint32_t>(sentinels.size());
 
   ImResult result;
+  result.deadline_hit = phase1.deadline_hit;
   result.sentinel_size = b;
   result.phase1_rr_sets = phase1.stats.rr_sets;
   if (metrics != nullptr) {
@@ -298,6 +309,12 @@ Result<ImResult> Hist::Run(const Graph& graph,
     result.influence_lower_bound = lower;
     result.optimal_upper_bound = upper;
     result.approx_ratio = upper > 0.0 ? lower / upper : 0.0;
+    // As in OPIM-C: each round's bounds hold within delta2 / (3 * i_max),
+    // budgeted for all i_max rounds up front, and they are sound for any
+    // sentinel set (the upper bound covers OPT over all k-sets, the lower
+    // bound the returned seeds), so any round's slack may be reported.
+    result.achieved_epsilon =
+        std::max(0.0, kOneMinusInvE - result.approx_ratio);
     result.estimated_spread = static_cast<double>(cov2) *
                               static_cast<double>(n) /
                               static_cast<double>(r2.num_sets());
@@ -310,6 +327,11 @@ Result<ImResult> Hist::Run(const Graph& graph,
 
     // Lines 10-12.
     if (result.approx_ratio > target_ratio || i == i_max) {
+      break;
+    }
+    // Round boundary, as in OPIM-C: the first round always completes.
+    if (options.deadline.Expired()) {
+      result.deadline_hit = true;
       break;
     }
     SUBSIM_RETURN_IF_ERROR(

@@ -24,6 +24,11 @@ namespace subsim {
 /// usual (1 - 1/e - eps) guarantee with probability 1 - delta
 /// (eps and delta split evenly across phases).
 ///
+/// A set `ImOptions::deadline` is checked at both phases' doubling
+/// boundaries. Expiry in phase 1 drops the sentinels; expiry in phase 2
+/// stops after the current round. Either way the run returns k seeds with
+/// phase-2 bounds and `achieved_epsilon`, and sets `deadline_hit`.
+///
 /// Combine with `ImOptions::generator = kSubsimIc` for the paper's
 /// HIST+SUBSIM variant.
 class Hist final : public ImAlgorithm {

@@ -72,11 +72,14 @@ struct ImOptions {
 
   /// Optional execution budget (serving deadline). Unset (the default)
   /// costs nothing and changes nothing. When set, the doubling algorithms
-  /// (OPIM-C, IMM) check it at round boundaries only: the first round
-  /// always completes, so a degraded run still returns seeds, and the sets
-  /// evaluated are always an exact prefix of the un-budgeted run's sample
-  /// stream — the response is annotated with the achieved `(epsilon,
-  /// delta)` instead of failing. See `ImResult::deadline_hit`.
+  /// (OPIM-C, IMM, HIST) check it at round boundaries only: the first round
+  /// always completes, so a degraded run still returns seeds, annotated
+  /// with the achieved `(epsilon, delta)` instead of failing. For OPIM-C
+  /// and IMM the sets evaluated are an exact prefix of the un-budgeted
+  /// run's sample stream. HIST checks it at both phases' doubling
+  /// boundaries; an expiry in phase 1 drops the sentinels (b = 0), so its
+  /// phase 2 certifies the whole seed set. SSA, CELF and the degree
+  /// heuristics ignore it. See `ImResult::deadline_hit`.
   Deadline deadline;
 
   /// Resolves delta == 0 to 1/n.
@@ -114,11 +117,13 @@ struct ImResult {
   /// still a valid greedy solution over the committed sample prefix, and
   /// `achieved_epsilon` reports the certified slack actually reached.
   bool deadline_hit = false;
-  /// The epsilon actually certified at the run's delta: for OPIM-C,
-  /// `(1 - 1/e) - approx_ratio` from the last completed round's bounds;
-  /// for IMM, the epsilon the phase-2 sample-size formula yields when
-  /// inverted at the number of sets actually evaluated. Equals at most the
-  /// requested epsilon on a full-budget run; larger on a degraded one.
+  /// The epsilon actually certified at the run's delta: for OPIM-C and
+  /// HIST, `(1 - 1/e) - approx_ratio` (floored at 0) from the last
+  /// completed round's bounds (HIST's phase 2; 0 when its phase 1 already
+  /// returned all k seeds); for IMM, the epsilon the phase-2 sample-size
+  /// formula yields when inverted at the number of sets actually
+  /// evaluated. Equals at most the requested epsilon on a full-budget run;
+  /// larger on a degraded one.
   double achieved_epsilon = 0.0;
 
   /// OPIM-C and IMM only: how many of the `num_rr_sets` evaluated this run
@@ -139,8 +144,8 @@ struct ImResult {
   }
 };
 
-/// Interface implemented by the nine algorithms `MakeImAlgorithm` builds:
-/// the RIS family (IMM, TIM+, OPIM-C, SSA, HIST), Monte Carlo CELF greedy
+/// Interface implemented by the eight algorithms `MakeImAlgorithm` builds:
+/// the RIS family (IMM, OPIM-C, SSA, HIST), Monte Carlo CELF greedy
 /// (`celf-mc`), and the three degree heuristics (max-degree,
 /// single-discount, degree-discount).
 class ImAlgorithm {

@@ -6,7 +6,6 @@
 #include "subsim/algo/opim_c.h"
 #include "subsim/algo/ssa.h"
 #include "subsim/algo/degree_heuristics.h"
-#include "subsim/algo/tim_plus.h"
 
 namespace subsim {
 
@@ -20,9 +19,6 @@ Result<std::unique_ptr<ImAlgorithm>> MakeImAlgorithm(
   }
   if (name == "ssa") {
     return std::unique_ptr<ImAlgorithm>(new Ssa());
-  }
-  if (name == "tim+") {
-    return std::unique_ptr<ImAlgorithm>(new TimPlus());
   }
   if (name == "hist") {
     return std::unique_ptr<ImAlgorithm>(new Hist());
@@ -46,9 +42,9 @@ Result<std::unique_ptr<ImAlgorithm>> MakeImAlgorithm(
 }
 
 std::vector<std::string> ImAlgorithmNames() {
-  return {"imm",     "tim+",            "opim-c",
-          "ssa",     "hist",            "celf-mc",
-          "max-degree", "single-discount", "degree-discount"};
+  return {"imm",     "opim-c",     "ssa",
+          "hist",    "celf-mc",    "max-degree",
+          "single-discount", "degree-discount"};
 }
 
 }  // namespace subsim

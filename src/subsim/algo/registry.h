@@ -10,10 +10,12 @@
 
 namespace subsim {
 
-/// Instantiates an IM algorithm by name: "imm", "opim-c", "ssa", "hist",
-/// or "celf-mc". ("subsim" and "hist+subsim" are "opim-c" / "hist" with
-/// `ImOptions::generator = kSubsimIc` — the generator is an option, not an
-/// algorithm.)
+/// Instantiates an IM algorithm by name: the RIS algorithms "imm",
+/// "opim-c", "ssa" and "hist", Monte Carlo CELF greedy "celf-mc", or the
+/// degree heuristics "max-degree", "single-discount" and
+/// "degree-discount". ("subsim" and "hist+subsim" are "opim-c" / "hist"
+/// with `ImOptions::generator = kSubsimIc` — the generator is an option,
+/// not an algorithm.)
 Result<std::unique_ptr<ImAlgorithm>> MakeImAlgorithm(const std::string& name);
 
 /// Names accepted by `MakeImAlgorithm`.

@@ -24,6 +24,8 @@ namespace subsim {
 /// (or approx).
 struct SelectSeedsQuery {
   std::string graph;
+  /// One of the served algorithms: "imm", "opim-c" or "hist" (the engine
+  /// refuses any other name with InvalidArgument).
   std::string algo = "opim-c";
   std::uint32_t k = 50;
   double epsilon = 0.1;
@@ -60,8 +62,8 @@ Result<SelectSeedsQuery> ParseSelectSeedsQuery(std::string_view line);
 
 /// Per-query accounting the engine fills in alongside the result.
 struct QueryStats {
-  /// Whether this query's (graph, algo, generator, seed) could use the
-  /// sketch cache at all (false for HIST and other non-reusable algorithms).
+  /// Whether this query's algorithm could use the sketch cache at all
+  /// (false for HIST, whose sets are never reusable).
   bool cache_eligible = false;
   /// Whether a cached store pre-existed this query.
   bool cache_hit = false;

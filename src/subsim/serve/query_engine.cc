@@ -1,9 +1,12 @@
 #include "subsim/serve/query_engine.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +26,27 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// The algorithms the engine serves: the three that honour
+/// `ImOptions::deadline` (docs/serving.md). The rest of the registry
+/// (SSA, CELF, the degree heuristics) would overrun a query's budget.
+constexpr std::array<std::string_view, 3> kServedAlgorithms = {
+    "imm", "opim-c", "hist"};
+
+Status CheckServedAlgorithm(const std::string& name) {
+  if (std::find(kServedAlgorithms.begin(), kServedAlgorithms.end(), name) !=
+      kServedAlgorithms.end()) {
+    return Status::Ok();
+  }
+  std::string message =
+      "algorithm '" + name + "' is not served; served algorithms:";
+  for (const std::string_view served : kServedAlgorithms) {
+    message += ' ';
+    message += served;
+    message += served == kServedAlgorithms.back() ? "" : ",";
+  }
+  return Status::InvalidArgument(std::move(message));
 }
 
 Deadline DeadlineFromQuery(const SelectSeedsQuery& query) {
@@ -280,6 +304,12 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
     return std::move(response);
   };
 
+  // One check for every front end (HTTP, batch, Submit, Execute): only
+  // the algorithms that keep a deadline are served.
+  if (Status served = CheckServedAlgorithm(query.algo); !served.ok()) {
+    return finish(std::move(served));
+  }
+
   // A budget fully consumed before execution starts is shed here — running
   // anyway would only make the caller's overload worse. Budgets that
   // expire mid-run degrade at a round boundary instead (ImOptions).
@@ -307,7 +337,7 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   options.deadline = deadline;
 
   if (!(*algorithm)->SupportsSampleReuse()) {
-    // Cache-incompatible (HIST et al.): fresh, private sampling.
+    // Cache-incompatible (HIST): fresh, private sampling.
     Result<ImResult> result = (*algorithm)->Run(*snapshot->graph, options);
     if (!result.ok()) {
       return finish(result.status());

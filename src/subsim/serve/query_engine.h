@@ -26,9 +26,12 @@ struct QueryEngineOptions {
 };
 
 /// Executes `SelectSeedsQuery`s on a worker pool, routing reuse-capable
-/// algorithms (OPIM-C, IMM) through a shared `RrSketchCache` and falling
-/// back to fresh sampling for the rest (HIST's sentinel-truncated sets are
-/// never cached, so they can never leak into another query's evaluation).
+/// algorithms (OPIM-C, IMM) through a shared `RrSketchCache` and running
+/// HIST on fresh sampling (its sentinel-truncated sets are never cached,
+/// so they can never leak into another query's evaluation). Those three,
+/// the algorithms that honour a deadline, are the only ones served: any
+/// other `algo` fails with `kInvalidArgument` before a graph or cache
+/// entry is touched.
 ///
 /// Every query runs against the graph snapshot pinned by its cache entry
 /// (or fetched from the registry on the fallback path), so registry

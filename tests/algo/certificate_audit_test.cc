@@ -4,7 +4,10 @@
 // seed set's spread are exact by enumeration, run OPIM-C, HIST and SSA
 // over many seeds and check that the share of runs failing a claim is
 // consistent with delta: a failure count that a Binomial(runs, delta)
-// reaches with probability below 1e-6 fails the test.
+// reaches with probability below 1e-6 fails the test. OPIM-C and HIST are
+// also audited deadline-degraded (`Deadline::AlreadyExpired()`): a run
+// cut at its first round boundary must still hold the bounds it reports
+// and the slack it claims in `achieved_epsilon`.
 //
 // `CertificateAuditTest` is the fast subset every ctest run includes;
 // `CertificateAuditSweep` (ctest `algo_certificate_audit_sweep`, label
@@ -24,6 +27,7 @@
 #include "subsim/algo/registry.h"
 #include "subsim/eval/exact_spread.h"
 #include "subsim/graph/graph_builder.h"
+#include "subsim/util/deadline.h"
 #include "subsim/util/math.h"
 
 namespace subsim {
@@ -73,18 +77,26 @@ double BinomialUpperTail(int runs, int failures, double p) {
 struct AuditCounts {
   int certified = 0;       // runs that reported an upper bound
   int with_sentinels = 0;  // HIST runs whose phase 1 kept sentinels
+  int deadline_hits = 0;   // runs that stopped on the deadline
 };
+
+/// Whether the audited runs get the full budget or an expired deadline.
+enum class Budget { kFull, kExpired };
 
 /// Runs `algorithm` on `graph` for seeds 1..`runs`. A run fails if its
 /// upper bound is below OPT, its lower bound is above its seeds' exact
 /// spread, or that spread is below (1 - 1/e - epsilon) · OPT; all three
-/// hold together with probability at least 1 - delta. Checks the failure
-/// count against delta.
+/// hold together with probability at least 1 - delta. Under
+/// `Budget::kExpired` a certified run is held to the slack it reports,
+/// `achieved_epsilon`, in place of epsilon. Checks the failure count
+/// against delta.
 AuditCounts AuditCertificate(const Graph& graph, const std::string& algorithm,
                              std::uint32_t k, double epsilon, double delta,
-                             int runs) {
-  SCOPED_TRACE(::testing::Message() << algorithm << " k " << k << " eps "
-                                    << epsilon << " delta " << delta);
+                             int runs, Budget budget = Budget::kFull) {
+  const bool degraded = budget == Budget::kExpired;
+  SCOPED_TRACE(::testing::Message()
+               << algorithm << " k " << k << " eps " << epsilon << " delta "
+               << delta << (degraded ? " degraded" : ""));
   AuditCounts counts;
   const Result<ExactOptimum> optimum = ExactOptimalSeedSetIc(graph, k);
   EXPECT_TRUE(optimum.ok()) << optimum.status().ToString();
@@ -98,6 +110,9 @@ AuditCounts AuditCertificate(const Graph& graph, const std::string& algorithm,
   options.k = k;
   options.epsilon = epsilon;
   options.delta = delta;
+  if (degraded) {
+    options.deadline = Deadline::AlreadyExpired();
+  }
   int failures = 0;
   std::map<std::vector<NodeId>, double> spreads;  // seed sets repeat
   for (int seed = 1; seed <= runs; ++seed) {
@@ -123,10 +138,13 @@ AuditCounts AuditCertificate(const Graph& graph, const std::string& algorithm,
     const bool certified = result->optimal_upper_bound > 0.0;
     counts.certified += certified ? 1 : 0;
     counts.with_sentinels += result->sentinel_size > 0 ? 1 : 0;
+    counts.deadline_hits += result->deadline_hit ? 1 : 0;
+    const double slack =
+        degraded && certified ? result->achieved_epsilon : epsilon;
     const bool failed =
         (certified && (result->optimal_upper_bound < optimum->spread ||
                        result->influence_lower_bound > spread + 1e-9)) ||
-        spread < (kOneMinusInvE - epsilon) * optimum->spread - 1e-9;
+        spread < (kOneMinusInvE - slack) * optimum->spread - 1e-9;
     failures += failed ? 1 : 0;
   }
   EXPECT_GE(BinomialUpperTail(runs, failures, delta), 1e-6)
@@ -162,29 +180,65 @@ TEST(CertificateAuditTest, HistCertificateHoldsAgainstExactOpt) {
   EXPECT_GT(truncated.with_sentinels, 0);
 }
 
+TEST(CertificateAuditTest, DegradedOpimCCertificateHoldsAgainstExactOpt) {
+  const AuditCounts counts = AuditCertificate(TwoHubGraph(), "opim-c", 1, 0.3,
+                                              0.05, 60, Budget::kExpired);
+  EXPECT_EQ(counts.certified, 60);
+  EXPECT_GT(counts.deadline_hits, 0);
+}
+
+TEST(CertificateAuditTest, DegradedHistCertificateHoldsAgainstExactOpt) {
+  // k = 1: phase 2 alone, cut after its first round.
+  const AuditCounts plain = AuditCertificate(TwoHubGraph(), "hist", 1, 0.3,
+                                             0.05, 60, Budget::kExpired);
+  EXPECT_EQ(plain.certified, 60);
+  EXPECT_GT(plain.deadline_hits, 0);
+  // k = 3: the sentinel phase runs, and an expiry at its first doubling
+  // boundary drops the sentinels, so phase 2 certifies all three seeds.
+  const AuditCounts sentinel = AuditCertificate(DenseGraph(), "hist", 3, 0.3,
+                                                0.05, 60, Budget::kExpired);
+  EXPECT_EQ(sentinel.certified, 60);
+  EXPECT_GT(sentinel.deadline_hits, 0);
+}
+
 class CertificateAuditSweep
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, Budget>> {
+};
 
 TEST_P(CertificateAuditSweep, CertificateHoldsAgainstExactOpt) {
-  const auto [algorithm, graph_index] = GetParam();
+  const auto [algorithm, graph_index, budget] = GetParam();
   const Graph graph = graph_index == 0 ? TwoHubGraph() : DenseGraph();
   for (const std::uint32_t k : {1u, 2u, 3u}) {
     for (const double delta : {0.05, 0.3}) {
-      AuditCertificate(graph, algorithm, k, 0.2, delta, 400);
+      AuditCertificate(graph, algorithm, k, 0.2, delta, 400, budget);
     }
   }
 }
 
+/// The sweep's cases: every algorithm on both graphs at full budget, plus
+/// a degraded axis for OPIM-C and HIST (SSA ignores deadlines).
+std::vector<CertificateAuditSweep::ParamType> SweepCases() {
+  std::vector<CertificateAuditSweep::ParamType> cases;
+  for (const std::string algorithm : {"opim-c", "hist", "ssa"}) {
+    for (const int graph_index : {0, 1}) {
+      cases.emplace_back(algorithm, graph_index, Budget::kFull);
+      if (algorithm != "ssa") {
+        cases.emplace_back(algorithm, graph_index, Budget::kExpired);
+      }
+    }
+  }
+  return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Algorithms, CertificateAuditSweep,
-    ::testing::Combine(::testing::Values("opim-c", "hist", "ssa"),
-                       ::testing::Values(0, 1)),
+    Algorithms, CertificateAuditSweep, ::testing::ValuesIn(SweepCases()),
     [](const auto& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + (std::get<1>(info.param) == 0 ? "_two_hub" : "_dense");
+      return name + (std::get<1>(info.param) == 0 ? "_two_hub" : "_dense") +
+             (std::get<2>(info.param) == Budget::kExpired ? "_degraded" : "");
     });
 
 }  // namespace

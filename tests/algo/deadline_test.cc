@@ -1,8 +1,8 @@
-// Deadline-budgeted degradation contract (docs/serving.md): OPIM-C and
-// IMM check the budget only at round boundaries, always finish round one,
-// and a degraded run evaluates an exact prefix of the un-budgeted run's
-// sample stream. `Deadline::AlreadyExpired()` makes the "budget gone"
-// case deterministic — no clock, no flakiness.
+// Deadline-budgeted degradation contract (docs/serving.md): OPIM-C, IMM
+// and HIST check the budget only at round boundaries, always finish round
+// one, and a degraded run still reports seeds with a certified bound.
+// `Deadline::AlreadyExpired()` makes the "budget gone" case deterministic
+// — no clock, no flakiness.
 
 #include <gtest/gtest.h>
 
@@ -115,7 +115,7 @@ TEST_P(DeadlineDegradationTest, AchievedEpsilonTracksFullRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, DeadlineDegradationTest,
-                         ::testing::Values("opim-c", "imm"));
+                         ::testing::Values("opim-c", "imm", "hist"));
 
 TEST(DeadlineTest, SentinelSemantics) {
   const Deadline unset;

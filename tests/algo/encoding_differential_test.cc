@@ -71,7 +71,7 @@ TEST_P(EncodingDifferentialTest, SeedsInvariantUnderEncoding) {
 INSTANTIATE_TEST_SUITE_P(
     AlgoByGeneratorByThreads, EncodingDifferentialTest,
     ::testing::Combine(
-        ::testing::Values("imm", "tim+", "opim-c", "ssa", "hist"),
+        ::testing::Values("imm", "opim-c", "ssa", "hist"),
         ::testing::Values(GeneratorKind::kVanillaIc,
                           GeneratorKind::kSubsimIc),
         ::testing::Values(1u, 8u)),

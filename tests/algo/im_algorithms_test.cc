@@ -141,7 +141,7 @@ TEST_P(ImAlgorithmTest, SubsimGeneratorGivesSameGuaranteeDifferentCost) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ImAlgorithmTest,
-                         ::testing::Values("imm", "tim+", "opim-c", "ssa", "hist",
+                         ::testing::Values("imm", "opim-c", "ssa", "hist",
                                            "celf-mc"),
                          [](const auto& info) {
                            std::string name = info.param;

@@ -57,6 +57,15 @@ expect_in_output "run prints monte-carlo spread" "monte-carlo spread"
 check "run degree heuristic" 0 \
   "$CLI" run --in="$WORK/wc.txt" --algo=degree-discount --k=5
 
+# `run` keeps every registry algorithm, including the ones the serving
+# engine refuses because they keep no deadline.
+check "run ssa" 0 \
+  "$CLI" run --in="$WORK/wc.txt" --algo=ssa --k=5 --eps=0.2 --seed=3
+expect_in_output "run ssa prints seeds" "seeds:"
+check "run celf-mc" 0 \
+  "$CLI" run --in="$WORK/wc.txt" --algo=celf-mc --k=2
+expect_in_output "run celf-mc prints seeds" "seeds:"
+
 # --- observability: run --metrics-json golden schema ---
 check "run emits metrics json" 0 \
   "$CLI" run --in="$WORK/wc.txt" --algo=opim-c --k=5 --eps=0.2 \
@@ -185,6 +194,12 @@ check "batch reports parse errors per line" 0 \
   sh -c "echo 'graph=wc k=oops' | '$CLI' batch --graph=wc='$WORK/wc.txt'"
 expect_in_output "bad query line yields error json" '"ok":false'
 
+check "batch refuses an algorithm that keeps no deadline" 0 \
+  sh -c "echo 'graph=wc algo=celf-mc k=2' | '$CLI' batch --graph=wc='$WORK/wc.txt'"
+expect_in_output "unserved algorithm yields error json" '"ok":false'
+expect_in_output "unserved algorithm error names the served ones" \
+  'served algorithms: imm, opim-c, hist'
+
 # --- serving: the HTTP front end and the update client ---
 # `serve` announces its ephemeral port on stdout; curl drives the routes
 # and `subsim_cli update` posts edge batches. SIGTERM must drain and exit 0.
@@ -290,6 +305,8 @@ check "unknown command shows usage" 2 "$CLI" frobnicate
 check "generate requires --out" 1 "$CLI" generate --type=ba --nodes=100
 check "unknown algorithm rejected" 1 \
   "$CLI" run --in="$WORK/wc.txt" --algo=bogus
+check "deleted tim+ algorithm rejected" 1 \
+  "$CLI" run --in="$WORK/wc.txt" --algo=tim+
 check "missing file is an error" 1 "$CLI" stats --in=/nonexistent/g.txt
 check "malformed flag rejected" 1 "$CLI" stats -in=x
 check "bad k rejected" 1 "$CLI" run --in="$WORK/wc.txt" --k=0

@@ -68,7 +68,7 @@ TEST_P(ApproximationGuaranteeTest, SeedsAchieveCertifiedFractionOfOpt) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ApproximationGuaranteeTest,
-                         ::testing::Values("imm", "tim+", "opim-c", "ssa", "hist",
+                         ::testing::Values("imm", "opim-c", "ssa", "hist",
                                            "celf-mc"),
                          [](const auto& info) {
                            std::string name = info.param;
@@ -156,7 +156,7 @@ TEST(EndToEndTest, AllAlgorithmsAgreeOnEasyInstance) {
   Result<Graph> graph = BuildGraph(std::move(list));
   ASSERT_TRUE(graph.ok());
 
-  for (const char* name : {"imm", "tim+", "opim-c", "ssa", "hist"}) {
+  for (const char* name : {"imm", "opim-c", "ssa", "hist"}) {
     const auto algorithm = MakeImAlgorithm(name);
     ASSERT_TRUE(algorithm.ok());
     ImOptions options;

@@ -146,6 +146,14 @@ TEST_F(ServeAppServerTest, BadInputsGetFourHundreds) {
   ASSERT_TRUE(bad_query.ok());
   EXPECT_EQ(bad_query->status_code, 400);
 
+  // The engine serves only the algorithms that keep a deadline.
+  const auto unserved_algo =
+      client.Post("/v1/select_seeds", "graph=g algo=ssa k=3");
+  ASSERT_TRUE(unserved_algo.ok());
+  EXPECT_EQ(unserved_algo->status_code, 400) << unserved_algo->body;
+  EXPECT_NE(unserved_algo->body.find("\"ok\":false"), std::string::npos)
+      << unserved_algo->body;
+
   const auto unknown_graph =
       client.Post("/v1/select_seeds", "graph=missing k=3");
   ASSERT_TRUE(unknown_graph.ok());

@@ -150,8 +150,7 @@ TEST_P(AlgorithmInvarianceTest, SelectedSeedsIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRrAlgorithms, AlgorithmInvarianceTest,
-                         ::testing::Values("imm", "tim+", "opim-c", "ssa",
-                                           "hist"),
+                         ::testing::Values("imm", "opim-c", "ssa", "hist"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {

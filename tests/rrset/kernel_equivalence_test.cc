@@ -345,8 +345,7 @@ TEST_P(AlgorithmKernelEquivalenceTest, SelectedSeedsIdenticalAcrossKernels) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRrAlgorithms, AlgorithmKernelEquivalenceTest,
-                         ::testing::Values("imm", "tim+", "opim-c", "ssa",
-                                           "hist"),
+                         ::testing::Values("imm", "opim-c", "ssa", "hist"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {

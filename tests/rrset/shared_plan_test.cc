@@ -156,7 +156,7 @@ TEST(SharedPlanTest, MovedGraphKeepsItsStateAndFillsIdentically) {
 }
 
 TEST(SharedPlanTest, EachSolveBuildsAGraphsPlanOnceAtAnyThreadCount) {
-  for (const std::string name : {"opim-c", "imm", "tim+", "ssa", "hist"}) {
+  for (const std::string name : {"opim-c", "imm", "ssa", "hist"}) {
     for (GeneratorKind kind : {GeneratorKind::kSubsimIc, GeneratorKind::kLt}) {
       for (unsigned threads : {1u, 4u}) {
         SCOPED_TRACE(name + " " + GeneratorKindName(kind) + " threads " +

@@ -1,12 +1,14 @@
 // End-to-end tests for the serving engine: warm results must be
 // bit-identical to cold ones, concurrent queries must share one cache
-// safely (this is the TSan acceptance test), and non-reusable algorithms
-// must bypass the cache entirely.
+// safely (this is the TSan acceptance test), non-reusable algorithms
+// must bypass the cache entirely, and only the algorithms that keep a
+// deadline are served.
 
 #include "subsim/serve/query_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <string>
@@ -451,6 +453,69 @@ TEST_F(QueryEngineTest, DeadlineDegradedRunIsAPrefixOfTheFullRun) {
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(warm->seeds, cold->seeds);
   EXPECT_EQ(warm->num_rr_sets, cold->num_rr_sets);
+}
+
+TEST_F(QueryEngineTest, FullBudgetOpimCReportsItsSlackWithoutDeadlineHit) {
+  // `achieved_epsilon` is the certified slack of every certified run, not
+  // a degradation marker: only `deadline_hit` marks degradation.
+  QueryEngine engine(&registry_);
+  const SelectSeedsQuery query = BaseQuery("g");
+  const QueryResponse response = engine.Execute(query);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_FALSE(response.result.deadline_hit);
+  EXPECT_GT(response.result.achieved_epsilon, 0.0);
+  EXPECT_LE(response.result.achieved_epsilon, query.epsilon);
+  const std::string json = FormatQueryResponseJson(response);
+  EXPECT_NE(json.find("\"achieved_eps\":"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"deadline_hit\""), std::string::npos) << json;
+}
+
+TEST(QueryEngineServedAlgorithmsTest, OnlyDeadlineKeepingAlgorithmsAreServed) {
+  // A graph whose full-budget runs take far longer than 1 ms.
+  Result<EdgeList> list = GenerateBarabasiAlbert(20000, 4, false, 3);
+  ASSERT_TRUE(list.ok());
+  ASSERT_TRUE(
+      AssignWeights(WeightModel::kWeightedCascade, {}, &list.value()).ok());
+  Result<Graph> graph = BuildGraph(std::move(list).value());
+  ASSERT_TRUE(graph.ok());
+  GraphRegistry registry;
+  ASSERT_TRUE(registry.Register("big", std::move(graph).value()).ok());
+
+  const std::vector<std::string> served = {"imm", "opim-c", "hist"};
+  for (const std::string& name : ImAlgorithmNames()) {
+    SCOPED_TRACE(name);
+    QueryEngine engine(&registry);
+    SelectSeedsQuery query;
+    query.graph = "big";
+    query.algo = name;
+    query.k = 50;
+    query.epsilon = 0.05;
+    query.generator = GeneratorKind::kSubsimIc;
+    QueryEngine::ExecContext ctx;
+    ctx.deadline = Deadline::AfterMillis(1);
+    const QueryResponse response = engine.Execute(query, ctx);
+
+    if (std::find(served.begin(), served.end(), name) == served.end()) {
+      EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+          << response.status.ToString();
+      EXPECT_NE(response.status.message().find("imm, opim-c, hist"),
+                std::string::npos)
+          << response.status.ToString();
+      EXPECT_EQ(engine.cache().num_entries(), 0u);
+      EXPECT_EQ(response.result.num_rr_sets, 0u);
+      const MetricsSnapshot metrics = engine.metrics().Snapshot();
+      const auto sets = metrics.counters.find("rr.sets_generated");
+      EXPECT_TRUE(sets == metrics.counters.end() || sets->second == 0u);
+      continue;
+    }
+    if (response.status.code() == StatusCode::kDeadlineExceeded) {
+      continue;  // shed before execution: also keeps the budget
+    }
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_TRUE(response.result.deadline_hit);
+    EXPECT_GT(response.result.achieved_epsilon, 0.0);
+    EXPECT_EQ(response.result.seeds.size(), query.k);
+  }
 }
 
 TEST(QueryParseTest, RoundTripsThroughEngine) {

@@ -8,8 +8,9 @@
 //   weight    --in=FILE --model=wc|uniform|wc-variant|exponential|weibull|
 //             trivalency|lt [--p=P] [--theta=T] [--seed=S] --out=FILE
 //   stats     --in=FILE
-//   run       --in=FILE --algo=imm|opim-c|ssa|hist|celf-mc [--k=K]
-//             [--eps=E] [--generator=vanilla|subsim|lt] [--seed=S]
+//   run       --in=FILE --algo=imm|opim-c|ssa|hist|celf-mc|max-degree|
+//             single-discount|degree-discount [--k=K] [--eps=E]
+//             [--generator=vanilla|subsim|lt] [--seed=S]
 //             [--threads=N] [--kernel=auto|scalar|batched]
 //             [--rr-encoding=raw|delta] [--approx-coverage]
 //             [--evaluate[=SIMS]] [--metrics-json=FILE]
@@ -26,6 +27,8 @@
 // `batch` is the offline path: it executes one query per input line
 // concurrently on a worker pool (see src/subsim/serve/query.h for the line
 // grammar) and prints one JSON result line per query, in input order.
+// `batch` and `serve` run only imm, opim-c and hist, the algorithms that
+// keep a query's deadline; any other algo answers "ok":false (HTTP 400).
 // `serve` is the HTTP/1.1 front end (POST /v1/select_seeds,
 // POST /v1/update_graph, POST /v1/remove_graph, GET /healthz,
 // GET /metricsz — docs/serving.md); queries run on its --http-workers.
