@@ -443,16 +443,19 @@ double TimeGreedySeconds(RrCollectionView sets,
 /// small fraction of greedy over all of them — Algorithm 1 at k = 50, and
 /// Revised-Greedy at k = 2000, which runs the 64-set prefix far into the
 /// zero-gain tail. A pass that reads every node's index row, or sorts
-/// every node for the tail, costs as much on the prefix as on the store.
+/// every node for the tail, costs as much on the prefix as on the store;
+/// zeroing fresh 5 B-per-node scratch arrays costs a few percent of it.
 /// The zero-gain order is built once per graph, before the timed calls.
 /// On a 4-vCPU Xeon VM the min-per-rep ratios read 0.61x and 2.92x with
-/// such a pass and 0.03-0.04x with the pass over the view's sets, where
-/// what is left of a 64-set call is zeroing 5 bytes per node (~4.6 ms).
-/// Revised-Greedy's bar is looser, for noise room on shared runners: the
-/// per-node reading it must catch sits 29x above it.
+/// such a pass, 0.03-0.04x with the pass over the view's sets and fresh
+/// zeroed arrays (4.0-4.6 ms of a 64-set call), and 0.001x and
+/// 0.002-0.003x (0.07-0.15 ms) with the per-thread workspace, which a
+/// call resets only where it touched it, and the banded heap.
+/// Revised-Greedy's bar is looser, for noise room on shared runners;
+/// zeroing per call reads 1.7x above it, and 3.7x above Algorithm 1's.
 bool RunGreedyGuards(const Graph& graph, int reps) {
-  constexpr double kMaxPlainRatio = 0.05;
-  constexpr double kMaxRevisedRatio = 0.10;
+  constexpr double kMaxPlainRatio = 0.01;
+  constexpr double kMaxRevisedRatio = 0.02;
   constexpr std::size_t kStoreSets = 400000;
   constexpr std::size_t kPrefixSets = 64;
   RrCollection sets(graph.num_nodes());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -64,20 +63,34 @@ constexpr double kHllMarginSigmas = 3.0;
 /// `Sum` walks it down from the largest value still held. Under exact
 /// greedy with no excluded node gaining, the largest marginal after a
 /// selection is the next gain, so the walks of one call together cost at
-/// most its coverage plus one level per selection.
+/// most its coverage plus one level per selection. The same histogram
+/// picks the thresholds of the lazy heap's bands.
 class TopMarginalSum {
  public:
-  /// `positive` holds every node of positive marginal, each at most
-  /// `max_marginal`; all other nodes are at 0 and never counted.
-  TopMarginalSum(std::span<const HeapEntry> positive,
-                 std::uint32_t max_marginal, std::uint32_t count)
-      : nodes_at_(static_cast<std::size_t>(max_marginal) + 1, 0),
-        count_(count),
-        max_(max_marginal) {
-    for (const HeapEntry& entry : positive) {
-      ++nodes_at_[entry.marginal];
+  explicit TopMarginalSum(std::uint32_t count) : count_(count) {}
+
+  /// Counts one node of positive marginal `value`; every node not added
+  /// is at 0 and never counted.
+  void Add(std::uint32_t value) {
+    if (value >= nodes_at_.size()) {
+      nodes_at_.resize(static_cast<std::size_t>(value) + 1, 0);
+      max_ = value;
     }
+    ++nodes_at_[value];
   }
+
+  /// One node's marginal rose from `from` to `from + 1`: `Add` for a
+  /// count still being taken.
+  void Increment(std::uint32_t from) {
+    if (from + 1 >= nodes_at_.size()) {
+      nodes_at_.resize(static_cast<std::size_t>(from) + 2, 0);
+      max_ = from + 1;
+    }
+    --nodes_at_[from];
+    ++nodes_at_[from + 1];
+  }
+
+  std::uint32_t max() const { return static_cast<std::uint32_t>(max_); }
 
   std::uint64_t Sum() {
     while (max_ > 0 && nodes_at_[max_] == 0) {
@@ -94,6 +107,19 @@ class TopMarginalSum {
     return sum;
   }
 
+  /// The largest value T >= 1 with at least `nodes` marginals >= T, or 1
+  /// when fewer than `nodes` marginals are positive.
+  std::uint32_t Threshold(std::uint64_t nodes) const {
+    std::uint64_t seen = 0;
+    for (std::uint64_t value = max_; value > 1; --value) {
+      seen += nodes_at_[value];
+      if (seen >= nodes) {
+        return static_cast<std::uint32_t>(value);
+      }
+    }
+    return 1;
+  }
+
   /// One node's marginal fell from `from` (>= 1) to `from - 1`.
   void Decrement(std::uint32_t from) {
     --nodes_at_[from];
@@ -101,20 +127,59 @@ class TopMarginalSum {
   }
 
  private:
-  std::vector<std::uint32_t> nodes_at_;  // nodes_at_[x]: nodes of marginal x
+  /// nodes_at_[x]: nodes of marginal x, for x >= 1. nodes_at_[0] is
+  /// never read (and wraps as `Increment` takes nodes off it).
+  std::vector<std::uint32_t> nodes_at_;
   std::uint64_t count_;
-  std::uint64_t max_;  // no node's marginal exceeds it
+  std::uint64_t max_ = 0;  // no node's marginal exceeds it
 };
+
+/// `GreedyWorkspace::flags` bits.
+constexpr std::uint8_t kSelected = 1;  // a seed, or in `excluded_nodes`
+constexpr std::uint8_t kAdmitted = 2;  // has entered the lazy heap
+
+/// Per-thread greedy scratch, sized to the largest graph the thread has run
+/// greedy on and all zero between calls: each call resets the entries it
+/// touched, so a call on a small view pays nothing per graph node.
+struct GreedyWorkspace {
+  std::vector<std::uint32_t> marginal;
+  std::vector<std::uint8_t> flags;
+  /// Sparse singleton pass only: every node of positive singleton
+  /// coverage, in first-seen order.
+  std::vector<NodeId> touched;
+};
+
+GreedyWorkspace& ThreadWorkspace(NodeId n) {
+  thread_local GreedyWorkspace workspace;
+  if (workspace.marginal.size() < n) {
+    workspace.marginal.resize(n, 0);
+    workspace.flags.resize(n, 0);
+  }
+  return workspace;
+}
+
+/// Counting one membership of the view (the sparse singleton pass, resets
+/// included) costs about as much as reading this many nodes' index row
+/// lengths (the dense pass): 14-26 against 3-7 ns on the 1M-node vanilla WC
+/// graph, 31-49 against 5-9 ns on the 8M-node one, so the passes break even
+/// at 0.13-0.26 memberships per node (EXPERIMENTS.md "PR 29").
+constexpr std::uint64_t kNodesPerMembership = 6;
 
 /// Everything both selection loops share.
 struct GreedyState {
   const RrCollectionView* collection;
   const CoverageGreedyOptions* options;
   std::vector<std::uint8_t> covered;
-  std::vector<std::uint8_t> selected;
   /// Exact Λ(v | S) for every node, excluded nodes included: the
   /// considered, uncovered sets containing v.
-  std::vector<std::uint32_t> marginal;
+  std::span<std::uint32_t> marginal;
+  std::span<std::uint8_t> flags;
+  /// Nodes of positive singleton coverage, when the sparse pass found
+  /// them; after the dense pass (`dense`) every node is a candidate.
+  std::span<const NodeId> touched;
+  bool dense = false;
+  /// Every node a heap band has admitted.
+  std::vector<NodeId> admitted;
   std::optional<TopMarginalSum> top;
   std::uint32_t k = 0;
 };
@@ -136,12 +201,77 @@ NodeId TieBreakDegree(const CoverageGreedyOptions& options, NodeId v) {
   return fresh;
 }
 
+/// Singleton coverages Λ({v}) of the considered sets, excluded nodes
+/// included: they start the exact marginals behind every term of Λ^u, and
+/// fill the histogram of marginal values. Two passes give the same counts.
+/// The sparse pass counts every membership of the considered sets and
+/// lists each node the first time it is seen. The dense pass starts every
+/// node from its index row length and takes back the memberships of the
+/// sets the view does not consider: sets past its prefix and sentinel-hit
+/// sets. The cheaper pass, by memberships read and nodes walked, runs.
+/// `excluded_memberships` counts the sentinel-hit sets' members.
+void CountSingletons(GreedyState* state, GreedyWorkspace* workspace,
+                     std::uint64_t excluded_memberships) {
+  const RrCollectionView& view = *state->collection;
+  const RrCollection& parent = view.collection();
+  const NodeId n = view.num_graph_nodes();
+  const std::size_t num_sets = view.num_sets();
+  const std::uint64_t past_memberships =
+      parent.total_nodes() - view.total_nodes();
+  const std::uint64_t considered_memberships =
+      view.total_nodes() - excluded_memberships;
+  state->dense =
+      n + kNodesPerMembership * (past_memberships + excluded_memberships) <
+      kNodesPerMembership * considered_memberships;
+
+  std::span<std::uint32_t> marginal = state->marginal;
+  if (!state->dense) {
+    std::vector<NodeId>& touched = workspace->touched;
+    for (std::size_t id = 0; id < num_sets; ++id) {
+      if (state->covered[id]) {
+        continue;
+      }
+      view.View(static_cast<RrId>(id)).ForEachNode([&](NodeId v) {
+        const std::uint32_t from = marginal[v]++;
+        if (from == 0) {
+          touched.push_back(v);
+        }
+        state->top->Increment(from);
+      });
+    }
+    state->touched = touched;
+    return;
+  }
+
+  for (NodeId v = 0; v < n; ++v) {
+    marginal[v] = static_cast<std::uint32_t>(parent.SetsContaining(v).size());
+  }
+  const auto take_back = [&](RrId id) {
+    parent.View(id).ForEachNode([&](NodeId u) { --marginal[u]; });
+  };
+  for (std::size_t id = num_sets; id < parent.num_sets(); ++id) {
+    take_back(static_cast<RrId>(id));
+  }
+  if (excluded_memberships > 0) {
+    for (std::size_t id = 0; id < num_sets; ++id) {
+      if (state->covered[id]) {
+        take_back(static_cast<RrId>(id));
+      }
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (marginal[v] > 0) {
+      state->top->Add(marginal[v]);
+    }
+  }
+}
+
 /// Commits `v` as the next seed: marks its uncovered sets covered, takes
 /// each of their members' marginals down by one, appends the gain to the
 /// result and folds the new prefix's Eq. (2) term into the bound.
 void SelectSeed(GreedyState* state, NodeId v, CoverageGreedyResult* result) {
   const std::uint32_t gain = state->marginal[v];
-  state->selected[v] = 1;
+  state->flags[v] |= kSelected;
   for (RrId id : state->collection->SetsContaining(v)) {
     if (state->covered[id]) {
       continue;
@@ -160,18 +290,61 @@ void SelectSeed(GreedyState* state, NodeId v, CoverageGreedyResult* result) {
       std::min(result->coverage_upper_bound, total + state->top->Sum());
 }
 
-/// Exact lazy greedy. `candidates` holds every selectable node with positive
-/// singleton coverage; nodes outside it have marginal 0 for the whole pass.
-void RunExactLoop(GreedyState* state, std::vector<HeapEntry> candidates,
-                  CoverageGreedyResult* result) {
+/// Exact lazy greedy over a banded heap. Only the selectable nodes whose
+/// marginal reached the current threshold T have entered the heap; every
+/// other node's marginal is below T, since marginals only fall. So while
+/// the heap's top key is at least T it dominates every node outside, and
+/// the next band (about four times as many nodes, by the marginal
+/// histogram) is admitted only when the top falls below T. The order is
+/// strict and total, so the pops are the ones a heap of every positive
+/// node would make.
+void RunExactLoop(GreedyState* state, CoverageGreedyResult* result) {
   const NodeId n = state->collection->num_graph_nodes();
   const CoverageGreedyOptions& options = *state->options;
 
-  std::priority_queue<HeapEntry> heap(std::less<HeapEntry>(),
-                                      std::move(candidates));
-  while (result->seeds.size() < state->k && !heap.empty()) {
-    HeapEntry top = heap.top();
-    heap.pop();
+  std::vector<HeapEntry> heap;
+  std::uint32_t threshold = state->top->max() + 1;  // nothing admitted yet
+  std::uint64_t band = 4 * static_cast<std::uint64_t>(state->k) + 256;
+  const auto admit_band = [&] {
+    const std::uint32_t next =
+        std::min(threshold - 1, state->top->Threshold(band));
+    band *= 4;
+    // Every node not yet admitted has marginal < threshold. The band at
+    // threshold 1 is the last, so no later scan needs its nodes flagged.
+    const auto admit = [&](NodeId v) {
+      const std::uint32_t marginal = state->marginal[v];
+      if (marginal >= next && state->flags[v] == 0) {
+        if (next > 1) {
+          state->flags[v] = kAdmitted;
+          state->admitted.push_back(v);
+        }
+        heap.push_back(HeapEntry{marginal, TieBreakDegree(options, v), v});
+      }
+    };
+    if (state->dense) {
+      for (NodeId v = 0; v < n; ++v) {
+        admit(v);
+      }
+    } else {
+      for (NodeId v : state->touched) {
+        admit(v);
+      }
+    }
+    threshold = next;
+    std::make_heap(heap.begin(), heap.end());
+  };
+
+  while (result->seeds.size() < state->k) {
+    while (threshold > 1 &&
+           (heap.empty() || heap.front().marginal < threshold)) {
+      admit_band();
+    }
+    if (heap.empty()) {
+      break;
+    }
+    std::pop_heap(heap.begin(), heap.end());
+    HeapEntry top = heap.back();
+    heap.pop_back();
     // Refresh the key from the exact marginal kept by `SelectSeed`.
     const std::uint64_t fresh = state->marginal[top.node];
     SUBSIM_DCHECK(fresh == RecountMarginal(*state, top.node),
@@ -181,13 +354,15 @@ void RunExactLoop(GreedyState* state, std::vector<HeapEntry> candidates,
       // A node whose marginal reached 0 stays at 0: it joins the tail below.
       if (fresh > 0) {
         top.marginal = fresh;
-        heap.push(top);
+        heap.push_back(top);
+        std::push_heap(heap.begin(), heap.end());
       }
       continue;
     }
     // The key is fresh and was the heap maximum, so it dominates every
-    // remaining stale key, hence every fresh key: an exact argmax under
-    // (marginal, out-degree, id).
+    // remaining stale key, hence every fresh key, and is at least the
+    // threshold every node outside the heap is below: an exact argmax
+    // under (marginal, out-degree, id).
     SelectSeed(state, top.node, result);
   }
 
@@ -201,7 +376,7 @@ void RunExactLoop(GreedyState* state, std::vector<HeapEntry> candidates,
   }
   const std::uint64_t total = result->total_coverage();
   const auto take = [&](NodeId v) {
-    if (state->selected[v]) {
+    if (state->flags[v] & kSelected) {
       return;
     }
     result->seeds.push_back(v);
@@ -278,7 +453,7 @@ void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
 
   std::priority_queue<ApproxHeapEntry> heap;
   for (NodeId v = 0; v < n; ++v) {
-    if (!state->selected[v]) {
+    if ((state->flags[v] & kSelected) == 0) {
       heap.push(ApproxHeapEntry{static_cast<double>(state->marginal[v]),
                                 TieBreakDegree(options, v), v});
     }
@@ -294,7 +469,7 @@ void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
   while (result->seeds.size() < state->k && !heap.empty()) {
     ApproxHeapEntry top = heap.top();
     heap.pop();
-    if (state->selected[top.node]) {
+    if (state->flags[top.node] & kSelected) {
       continue;
     }
     if (heap.empty()) {
@@ -347,71 +522,55 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
   SUBSIM_CHECK(!options.tie_break_by_out_degree ||
                    options.graph->num_nodes() == n,
                "options.graph must be the graph the RR sets were drawn on");
+  for (NodeId v : options.excluded_nodes) {
+    SUBSIM_CHECK(v < n, "excluded node out of range");
+  }
   const std::size_t num_sets = collection.num_sets();
   const std::uint32_t k =
       std::min<std::uint64_t>(options.k, static_cast<std::uint64_t>(n));
 
   CoverageGreedyResult result;
 
+  GreedyWorkspace& workspace = ThreadWorkspace(n);
   GreedyState state;
   state.collection = &collection;
   state.options = &options;
   state.k = k;
+  state.marginal = std::span<std::uint32_t>(workspace.marginal).first(n);
+  state.flags = std::span<std::uint8_t>(workspace.flags).first(n);
+  SUBSIM_DCHECK(std::all_of(state.marginal.begin(), state.marginal.end(),
+                            [](std::uint32_t m) { return m == 0; }) &&
+                    std::all_of(state.flags.begin(), state.flags.end(),
+                                [](std::uint8_t f) { return f == 0; }),
+                "greedy workspace not reset by its last call");
 
   // Which RR sets participate. Excluded sets (sentinel hits) are treated as
   // pre-covered so they never contribute to marginals.
   state.covered.assign(num_sets, 0);
   std::uint64_t considered = num_sets;
+  std::uint64_t excluded_memberships = 0;
   if (options.exclude_sentinel_hit_sets) {
     for (std::size_t id = 0; id < num_sets; ++id) {
       if (collection.HitSentinel(static_cast<RrId>(id))) {
         state.covered[id] = 1;
         --considered;
+        excluded_memberships += collection.View(static_cast<RrId>(id)).size();
       }
     }
   }
   result.considered_sets = considered;
 
-  state.selected.assign(n, 0);
   for (NodeId v : options.excluded_nodes) {
-    SUBSIM_CHECK(v < n, "excluded node out of range");
-    state.selected[v] = 1;
-  }
-
-  // Singleton coverages Λ({v}), excluded nodes included: they start the
-  // exact marginals behind every term of Λ^u. One pass over the considered
-  // sets counts each member's sets and makes a node a candidate the first
-  // time it is seen, so the pass costs the view's memberships, not n index
-  // rows (each a binary search on a prefix view). Nodes in no considered
-  // set gain 0 throughout and never enter the heap.
-  std::vector<HeapEntry> candidates;
-  state.marginal.assign(n, 0);
-  for (std::size_t id = 0; id < num_sets; ++id) {
-    if (state.covered[id]) {
-      continue;
-    }
-    collection.View(static_cast<RrId>(id)).ForEachNode([&](NodeId v) {
-      if (state.marginal[v]++ == 0) {
-        candidates.push_back(HeapEntry{0, 0, v});
-      }
-    });
-  }
-  std::uint32_t max_marginal = 0;
-  for (HeapEntry& entry : candidates) {
-    entry.marginal = state.marginal[entry.node];
-    entry.out_degree = TieBreakDegree(options, entry.node);
-    max_marginal = std::max(max_marginal, state.marginal[entry.node]);
+    state.flags[v] = kSelected;
   }
 
   // The i = 0 term of Λ^u; each selection folds in the next prefix's.
   result.upper_bound_top_count = options.singleton_top_count > 0
                                      ? options.singleton_top_count
                                      : options.k;
-  state.top.emplace(candidates, max_marginal, result.upper_bound_top_count);
+  state.top.emplace(result.upper_bound_top_count);
+  CountSingletons(&state, &workspace, excluded_memberships);
   result.coverage_upper_bound = state.top->Sum();
-
-  std::erase_if(candidates,
-                [&](const HeapEntry& e) { return state.selected[e.node]; });
 
   result.seeds.reserve(k);
   result.gains.reserve(k);
@@ -420,8 +579,28 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
   if (options.approx_coverage) {
     RunApproxLoop(&state, &result);
   } else {
-    RunExactLoop(&state, std::move(candidates), &result);
+    RunExactLoop(&state, &result);
   }
+
+  // Leave the workspace all zero for the thread's next call.
+  if (state.dense) {
+    std::fill(state.marginal.begin(), state.marginal.end(), 0);
+    std::fill(state.flags.begin(), state.flags.end(), 0);
+  } else {
+    for (NodeId v : state.touched) {
+      state.marginal[v] = 0;
+    }
+    for (NodeId v : state.admitted) {
+      state.flags[v] = 0;
+    }
+  }
+  for (NodeId v : options.excluded_nodes) {
+    state.flags[v] = 0;
+  }
+  for (NodeId v : result.seeds) {
+    state.flags[v] = 0;
+  }
+  workspace.touched.clear();
 
   // With fewer selectable nodes than k the pass returns them all; callers
   // treat seeds.size() as the effective k.

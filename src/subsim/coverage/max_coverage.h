@@ -102,24 +102,34 @@ struct CoverageGreedyResult {
 /// order — so the selected sequence is identical to the textbook greedy,
 /// including the out-degree tie-break, at a fraction of the cost.
 ///
-/// Exact mode costs what the view holds, not what the graph holds. One
-/// pass over the considered sets' members (`RrSetView::ForEachNode`, so
-/// delta-varint sets are decoded once) counts every singleton coverage into
-/// a 4 B-per-node array of exact marginals; only the nodes it meets enter
-/// the heap (one heapify). Selecting a seed decodes each set it newly
-/// covers once more and takes every member's marginal down by one, so
-/// keeping all marginals exact costs O(memberships) over the call and a
-/// heap refresh is an O(1) read. The same decrements keep a histogram of
-/// marginal values (4 B per value up to the largest singleton coverage);
-/// after each selection a walk down from its largest value sums the c
-/// largest marginals, which gives every prefix's term of
-/// `coverage_upper_bound`. With no excluded node gaining, the walks cost
-/// at most the call's coverage plus k levels. Once every positive marginal
-/// is spent, the remaining zero-gain seeds are taken in (out-degree, id)
-/// order by walking a fixed order and skipping selected nodes: ids
-/// downward under Algorithm 1, the graph's `ZeroGainOrder` under
-/// Algorithm 6, so the tail costs O(k + selected). What stays O(n) is
-/// zeroing the marginal and selected arrays.
+/// Exact mode costs what it selects. The singleton coverages come from the
+/// cheaper of two passes: on a sparse view, one pass over the considered
+/// sets' members (`RrSetView::ForEachNode`, so delta-varint sets are
+/// decoded once) counts them and lists the nodes it meets; on a dense view
+/// (many memberships per node), each node starts from its index row length
+/// and the members of the sets the view does not consider (past its prefix,
+/// or sentinel-hit) are taken back. The heap is banded: a histogram of
+/// marginal values gives a threshold T with about 4k + 256 nodes at or
+/// above it, only those nodes enter the heap (their out-degree read then),
+/// and the next band, about four times larger, is admitted only when the
+/// heap's top key falls below T. Every node outside has marginal < T, so
+/// the pops are those of a heap holding every node. Selecting a seed
+/// decodes each set it newly covers once more and takes every member's
+/// marginal down by one, so keeping all marginals exact costs
+/// O(memberships) over the call and a heap refresh is an O(1) read. The
+/// same decrements keep the histogram current; after each selection a walk
+/// down from its largest value sums the c largest marginals, which gives
+/// every prefix's term of `coverage_upper_bound`. With no excluded node
+/// gaining, the walks cost at most the call's coverage plus k levels. Once
+/// every positive marginal is spent, the remaining zero-gain seeds are
+/// taken in (out-degree, id) order by walking a fixed order and skipping
+/// selected nodes: ids downward under Algorithm 1, the graph's
+/// `ZeroGainOrder` under Algorithm 6, so the tail costs O(k + selected).
+/// The marginals and selected flags (5 B per node) live in a per-thread
+/// workspace sized to the largest graph the thread has run greedy on; it
+/// is all zero between calls, and a call resets only the entries it
+/// touched (all of them after a dense pass, which is O(n) anyway). So a
+/// call on a short view costs that view, whatever n is.
 ///
 /// Takes a prefix view so cache-backed runs (`serve/`) can evaluate exactly
 /// the sets a cold run would have had; a plain `RrCollection` converts
