@@ -11,7 +11,10 @@
 //      exposes queueing). Same p99 bar, each request timed from its due
 //      time, so queueing and thread-start lag both count.
 //   3. shared fill: K identical cold queries launched together must
-//      generate ~one cold run's worth of RR sets, not K of them.
+//      generate ~one cold run's worth of RR sets, not K of them. Then one
+//      warm OPIM-C query repeated must return the first answer's seeds
+//      and start at the round the first run stopped at: /metricsz's
+//      `opim_c.rounds_skipped` grows by that run's rounds - 1.
 //   4. overload + degradation: a deliberately tiny server (1 worker, 1
 //      queue slot) under a burst must shed with 429 + Retry-After within
 //      the expected ceiling, and 1 ms `deadline_ms` OPIM-C and HIST
@@ -31,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "subsim/algo/theta.h"
 #include "subsim/graph/generators.h"
 #include "subsim/graph/graph_builder.h"
 #include "subsim/graph/weight_models.h"
@@ -64,6 +68,15 @@ double Quantile(std::vector<double> values, double q) {
       values.size() - 1,
       static_cast<std::size_t>(q * static_cast<double>(values.size())));
   return values[index];
+}
+
+/// The `"seeds":[...]` list of a select_seeds response, as text.
+std::string SeedsText(const std::string& json) {
+  const std::size_t begin = json.find("\"seeds\":[");
+  if (begin == std::string::npos) {
+    return "";
+  }
+  return json.substr(begin, json.find(']', begin) - begin);
 }
 
 /// Pulls `"name":<number>` out of the /metricsz JSON; 0 when absent.
@@ -282,6 +295,41 @@ int main(int argc, char** argv) {
     // bill (identical queries share one fill, they don't multiply it).
     Check(reference_sets > 0 && fan_sets <= 1.25 * reference_sets,
           "shared fill: concurrent identical queries share the fill");
+  }
+
+  // --- Phase 3b: a warm repeat starts at the certified round ---------
+  {
+    subsim::HttpClient client("127.0.0.1", port);
+    const std::string query = QueryLine(8, 303, 0.1);
+    const auto first = client.Post("/v1/select_seeds", query);
+    const auto before = client.Get("/metricsz");
+    const auto again = client.Post("/v1/select_seeds", query);
+    const auto after = client.Get("/metricsz");
+    const bool answered = first.ok() && first->status_code == 200 &&
+                          again.ok() && again->status_code == 200 &&
+                          before.ok() && after.ok();
+    Check(answered, "warm repeat: both answers and scrapes succeed");
+    if (answered) {
+      // Round i evaluates theta0 << (i - 1) sets per stream (delta = 1/n).
+      const std::uint64_t theta0 = subsim::InitialTheta(
+          1.0 / static_cast<double>(registry.GetSnapshot("bench")
+                                        ->graph->num_nodes()));
+      const double sets = ScrapeNumber(first->body, "rr_sets");
+      std::uint64_t rounds = 1;
+      while (static_cast<double>(2 * (theta0 << (rounds - 1))) < sets) {
+        ++rounds;
+      }
+      const double skipped =
+          ScrapeNumber(after->body, "opim_c.rounds_skipped") -
+          ScrapeNumber(before->body, "opim_c.rounds_skipped");
+      std::printf("warm repeat: first run %llu rounds, repeat skipped %.0f\n",
+                  static_cast<unsigned long long>(rounds), skipped);
+      Check(!SeedsText(first->body).empty() &&
+                SeedsText(first->body) == SeedsText(again->body),
+            "warm repeat: seeds equal the first answer");
+      Check(rounds > 1 && skipped == static_cast<double>(rounds - 1),
+            "warm repeat: skips every round before the certified one");
+    }
   }
 
   // --- Phase 4: overload shedding + deadline degradation -------------

@@ -80,6 +80,13 @@ struct ImOptions {
   /// boundaries; an expiry in phase 1 drops the sentinels (b = 0), so its
   /// phase 2 certifies the whole seed set. SSA, CELF and the degree
   /// heuristics ignore it. See `ImResult::deadline_hit`.
+  ///
+  /// On a store where an earlier full-budget OPIM-C run with the same
+  /// options recorded its stopping round (see `OpimC`), the first round
+  /// evaluated is that recorded round, which ends the schedule: an unspent
+  /// budget, however small, then yields the full-budget answer after one
+  /// whole final round, about half a cold run's time. A budget already
+  /// spent when the run starts evaluates round 1 only, as a cold run does.
   Deadline deadline;
 
   /// Resolves delta == 0 to 1/n.
@@ -176,9 +183,14 @@ class ImAlgorithm {
 
   /// Runs against a pre-seeded store created by `MakeSampleStore` over the
   /// same (graph, generator, rng seed): committed sets are reused and only
-  /// what the schedule still misses is generated. For sequential stores
-  /// the result is identical to a cold `Run` with the same options, no
-  /// matter what other queries the store served before.
+  /// what the schedule still misses is generated. IMM replays the cold
+  /// schedule on prefix views; OPIM-C starts at the round an earlier run
+  /// with the same options recorded in the store, if any (see `OpimC`).
+  /// Without a deadline the result is identical to a cold `Run` with the
+  /// same options (all but `seconds` and `rr_sets_generated`), no matter
+  /// what other queries the store served before. With one, a warm OPIM-C
+  /// run may return the full-budget answer where a cold run would have
+  /// degraded (see `ImOptions::deadline`).
   virtual Result<ImResult> RunWithStore(const Graph& graph,
                                         const ImOptions& options,
                                         SampleStore* store) const;

@@ -18,9 +18,21 @@ namespace subsim {
 ///
 /// Both collections live in a `SampleStore` (streams 0 = R1, 1 = R2), so a
 /// run can resume someone else's sampling: `RunWithStore` against a warm
-/// store reuses its committed sets and evaluates every round on a prefix
+/// store reuses its committed sets and evaluates each round on a prefix
 /// view of exactly the size a cold run would have had — which is why warm
 /// results are bit-identical to cold ones for a fixed rng seed.
+///
+/// A run also reuses the verdict an earlier run reached on the same store.
+/// Every full-budget run records the round it stopped at in the store's
+/// stopping-round table, keyed by (k, eps, delta after
+/// `EffectiveDelta`, approx_coverage); a deadline stop records nothing. A
+/// run whose key is recorded starts at that round: the rounds before it
+/// are pure functions of the same prefixes and options and would fail the
+/// test again, so it evaluates one round and returns the cold run's seeds,
+/// bounds and counts. `opim_c.rounds_skipped` counts the rounds not
+/// evaluated. A run whose deadline has already expired at entry ignores
+/// the table and evaluates round 1; one with an unspent budget starts at
+/// the recorded round and completes it (see `ImOptions::deadline`).
 class OpimC final : public ImAlgorithm {
  public:
   Result<ImResult> Run(const Graph& graph,

@@ -16,6 +16,52 @@ namespace subsim {
 
 namespace {
 
+/// One bit per lane: a node's visited state and the scheduler's live set
+/// are both a `LaneMask`.
+using LaneMask = std::uint32_t;
+
+/// A batched kernel's per-node scratch: the lane masks (4 B per node) and
+/// the sentinel bitmap. Both are all zero whenever no kernel is mid-chunk
+/// (`FinishSlot` clears a set's marks, `ResetTouched` the sentinels), so
+/// one thread's kernels can hand the same arrays on without clearing them:
+/// each fill builds a kernel per worker, and a fresh n-entry allocation
+/// costs an n-word memset once the allocator serves it from the heap.
+/// `FillCollection` runs worker 0 on the calling thread and starts fresh
+/// threads for the rest, so only worker 0 (all of a one-thread fill)
+/// reuses a scratch; every other worker allocates one and frees it when
+/// its thread exits.
+struct KernelScratch {
+  struct FreeDeleter {
+    void operator()(LaneMask* p) const { std::free(p); }
+  };
+
+  // calloc-backed: where the allocator maps fresh zero pages, a fill
+  // faults in only the pages its traversals reach.
+  std::unique_ptr<LaneMask[], FreeDeleter> lane_marks;
+  /// Nodes `lane_marks` and `sentinel` cover.
+  std::size_t size = 0;
+  BitVector sentinel;
+  /// A kernel on this thread holds the scratch.
+  bool lent = false;
+
+  /// Covers `n` nodes, reallocating (all zero) when the arrays are too
+  /// small; they are never shrunk.
+  void Fit(NodeId n) {
+    if (size >= n) {
+      return;
+    }
+    lane_marks.reset(static_cast<LaneMask*>(std::calloc(n, sizeof(LaneMask))));
+    SUBSIM_CHECK(lane_marks != nullptr, "lane mask allocation failed");
+    size = n;
+    sentinel = BitVector(n);
+  }
+};
+
+KernelScratch& ThreadKernelScratch() {
+  thread_local KernelScratch scratch;
+  return scratch;
+}
+
 /// Shared lane state and chunk plumbing for the interleaved batched
 /// kernels.
 ///
@@ -49,19 +95,42 @@ namespace {
 /// epilogue flushes sets in index order no matter when they finished.
 class BatchKernelBase : public BatchRrKernel {
  public:
+  /// Borrows the calling thread's `KernelScratch` unless another kernel on
+  /// this thread holds it, in which case the kernel allocates its own.
   explicit BatchKernelBase(const Graph& graph) : graph_(graph) {
     SUBSIM_CHECK(graph.num_nodes() > 0, "cannot sample from empty graph");
-    lane_marks_.reset(static_cast<LaneMask*>(
-        std::calloc(graph.num_nodes(), sizeof(LaneMask))));
-    SUBSIM_CHECK(lane_marks_ != nullptr, "lane mask allocation failed");
-    sentinel_.Resize(graph.num_nodes());
+    KernelScratch& thread_scratch = ThreadKernelScratch();
+    if (thread_scratch.lent) {
+      own_scratch_ = std::make_unique<KernelScratch>();
+      scratch_ = own_scratch_.get();
+    } else {
+      thread_scratch.lent = true;
+      scratch_ = &thread_scratch;
+    }
+    scratch_->Fit(graph.num_nodes());
+    lane_marks_ = scratch_->lane_marks.get();
+    sentinel_ = &scratch_->sentinel;
   }
 
+  /// Returns the scratch all zero: no set is in flight between chunks, so
+  /// the lane masks already are, and the sentinel bits are cleared here.
+  ~BatchKernelBase() override {
+    sentinel_->ResetTouched();
+    if (own_scratch_ == nullptr) {
+      SUBSIM_DCHECK(scratch_ == &ThreadKernelScratch(),
+                    "batched kernel destroyed off the thread that built it");
+      scratch_->lent = false;
+    }
+  }
+
+  BatchKernelBase(const BatchKernelBase&) = delete;
+  BatchKernelBase& operator=(const BatchKernelBase&) = delete;
+
   void SetSentinels(std::span<const NodeId> sentinels) final {
-    sentinel_.ResetTouched();
+    sentinel_->ResetTouched();
     has_sentinels_ = !sentinels.empty();
     for (NodeId v : sentinels) {
-      sentinel_.Set(v);
+      sentinel_->Set(v);
     }
   }
 
@@ -69,10 +138,6 @@ class BatchKernelBase : public BatchRrKernel {
   void ResetStats() final { stats_ = RrGenStats{}; }
 
  protected:
-  /// One bit per lane: a node's visited state and the scheduler's live
-  /// set are both a `LaneMask`.
-  using LaneMask = std::uint32_t;
-
   /// Live lanes per kernel: one per bit of `LaneMask`, so the visited
   /// state stays 4 bytes per node. A full round of visits (~32 × tens of
   /// ns) still out-waits a DRAM miss, which is all the prefetch pipeline
@@ -142,7 +207,7 @@ class BatchKernelBase : public BatchRrKernel {
   }
 
   /// Prefetches `v`'s lane mask for a `MarkLane` a round from now.
-  void PrefetchMark(NodeId v) const { PrefetchRead(lane_marks_.get() + v); }
+  void PrefetchMark(NodeId v) const { PrefetchRead(lane_marks_ + v); }
 
   /// Marks and appends the root against the lines the seed visit
   /// prefetched. Returns true when the set is already complete (sentinel
@@ -152,7 +217,7 @@ class BatchKernelBase : public BatchRrKernel {
     const NodeId root = lane_root_[slot];
     MarkLane(slot, root);
     slot_nodes_[slot].push_back(root);
-    if (has_sentinels_ && sentinel_.Get(root)) {
+    if (has_sentinels_ && sentinel_->Get(root)) {
       MarkLaneHit(slot);
       return true;
     }
@@ -195,17 +260,15 @@ class BatchKernelBase : public BatchRrKernel {
 
   void MarkLaneHit(std::size_t slot) { set_hit_[lane_set_[slot]] = 1; }
 
-  struct FreeDeleter {
-    void operator()(LaneMask* p) const { std::free(p); }
-  };
-
   const Graph& graph_;
   RrGenStats stats_;
-  // One lane mask per node, calloc-backed: where the allocator maps fresh
-  // zero pages, a fill faults in only the pages its traversals reach
-  // instead of clearing n words per kernel.
-  std::unique_ptr<LaneMask[], FreeDeleter> lane_marks_;
-  BitVector sentinel_;
+  // The thread's scratch, or `own_scratch_` when another kernel on this
+  // thread holds it.
+  std::unique_ptr<KernelScratch> own_scratch_;
+  KernelScratch* scratch_ = nullptr;
+  // One lane mask per node (at least; see `KernelScratch::Fit`).
+  LaneMask* lane_marks_ = nullptr;
+  BitVector* sentinel_ = nullptr;
   bool has_sentinels_ = false;
 
   // SoA lane state, reused across chunks.
@@ -416,7 +479,7 @@ class VanillaBatchKernel final : public BatchKernelCrtp<VanillaBatchKernel> {
       }
       nodes.push_back(w);
       graph_.PrefetchInMeta(w);
-      return sentinel_.Get(w);
+      return sentinel_->Get(w);
     };
     if (ExpandVanillaInEdges(graph_, u, lane_rngs_[slot],
                              &stats_.edges_examined, try_activate)) {
@@ -497,7 +560,7 @@ class SubsimBatchKernel final : public BatchKernelCrtp<SubsimBatchKernel> {
       }
       nodes->push_back(w);
       kernel->core_.PrefetchPlan(w);
-      if (kernel->sentinel_.Get(w)) {
+      if (kernel->sentinel_->Get(w)) {
         stopped_ = true;
       }
     }
@@ -629,7 +692,7 @@ class LtBatchKernel final : public BatchKernelCrtp<LtBatchKernel> {
         return true;  // walked into the existing set
       }
       nodes.push_back(next);
-      if (has_sentinels_ && sentinel_.Get(next)) {
+      if (has_sentinels_ && sentinel_->Get(next)) {
         MarkLaneHit(slot);
         return true;
       }

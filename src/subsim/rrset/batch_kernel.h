@@ -60,11 +60,19 @@ struct BatchChunkSink {
 ///    `PrefetchInRow`, `SubsimExpandCore::PrefetchPlan` / `PrefetchRow`,
 ///    `LtEdgePicker::PrefetchPick` / `PrefetchRow`).
 ///
-/// Like `RrGenerator`, a kernel holds per-instance scratch (marks, lanes,
-/// queues) and is not thread-safe; `FillCollection` builds one per worker
-/// per fill. The sampling plans it reads are the graph's shared, immutable
-/// state (`SubsimExpandCore::Shared`, `LtEdgePicker::Shared`), built once
-/// per graph, so a kernel costs its scratch allocation only. The interface
+/// Like `RrGenerator`, a kernel holds per-instance scratch (lanes, queues)
+/// and is not thread-safe; `FillCollection` builds one per worker per
+/// fill. Its per-node scratch (lane masks and sentinel bitmap, 4 B + 1 bit
+/// per node) is borrowed from a per-thread workspace that is all zero
+/// between kernels, so a thread's next kernel reuses it without clearing.
+/// It grows to the largest graph the thread has sampled and never
+/// shrinks. `FillCollection`'s extra workers run on threads started per
+/// fill, so only the calling thread's kernel reuses it across fills. A
+/// second kernel alive on the same thread allocates its own. A kernel
+/// must be destroyed on the thread that created it. The sampling plans it
+/// reads are the graph's shared, immutable state
+/// (`SubsimExpandCore::Shared`, `LtEdgePicker::Shared`), built once per
+/// graph, so a kernel costs its per-chunk scratch only. The interface
 /// is deliberately device-shaped — a chunk in, a flat SoA buffer out, no
 /// callbacks on the hot path — so an accelerator backend is just another
 /// implementation of `GenerateChunk`.

@@ -167,6 +167,35 @@ Status SampleStore::EnsureSets(std::size_t stream, std::uint64_t count,
   return Status::Ok();
 }
 
+std::uint32_t SampleStore::StoppingRound(const RoundKey& key) const {
+  const MutexLock lock(rounds_mu_);
+  for (std::size_t i = 0; i < num_rounds_; ++i) {
+    if (rounds_[i].key == key) {
+      return rounds_[i].round;
+    }
+  }
+  return 0;
+}
+
+void SampleStore::RecordStoppingRound(const RoundKey& key,
+                                      std::uint32_t round) {
+  const MutexLock lock(rounds_mu_);
+  for (std::size_t i = 0; i < num_rounds_; ++i) {
+    if (rounds_[i].key == key) {
+      rounds_[i].round = round;
+      return;
+    }
+  }
+  rounds_[next_round_] = RoundEntry{key, round};
+  next_round_ = (next_round_ + 1) % kMaxRoundEntries;
+  num_rounds_ = std::min(num_rounds_ + 1, kMaxRoundEntries);
+}
+
+std::size_t SampleStore::num_stopping_rounds() const {
+  const MutexLock lock(rounds_mu_);
+  return num_rounds_;
+}
+
 std::uint64_t SampleStore::ApproxMemoryBytes() const {
   const ReaderMutexLock lock(mu_);
   std::uint64_t bytes = sizeof(SampleStore);

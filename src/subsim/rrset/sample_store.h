@@ -46,9 +46,21 @@ namespace subsim {
 /// the thread-invariant `FillCollection`, so `num_threads` changes only how
 /// fast streams grow, never their contents. Warm cache hits are therefore
 /// bit-identical to cold multi-threaded runs.
+///
+/// Besides the sets, a store keeps a small table of stopping rounds (see
+/// `StoppingRound`): a run that reached its verdict on this store's
+/// prefixes can tell the next run with the same options where that verdict
+/// fell, so the rounds before it, which only re-derive known failures on
+/// the same prefixes, need not be evaluated again.
 class SampleStore {
  public:
   static constexpr std::size_t kNumStreams = 2;
+  /// Entries of the stopping-round table; the oldest is evicted when full.
+  static constexpr std::size_t kMaxRoundEntries = 64;
+
+  /// Opaque stopping-round key. Its meaning belongs to the algorithm that
+  /// records it; the store only compares keys for equality.
+  using RoundKey = std::array<std::uint64_t, 4>;
 
   struct Options {
     /// Worker threads per fill: 1 (default) runs inline, 0 = hardware
@@ -151,6 +163,23 @@ class SampleStore {
   /// Approximate heap footprint of both collections.
   std::uint64_t ApproxMemoryBytes() const SUBSIM_EXCLUDES(mu_);
 
+  /// The round recorded for `key` by `RecordStoppingRound`, or 0 when none
+  /// is held. Safe to call while holding a `ReadGuard`: the table has its
+  /// own leaf lock.
+  std::uint32_t StoppingRound(const RoundKey& key) const
+      SUBSIM_EXCLUDES(rounds_mu_);
+
+  /// Records that a run keyed `key` stopped at `round` on this store's
+  /// prefixes. A key already held is overwritten in place; a new key
+  /// evicts the oldest entry once `kMaxRoundEntries` are held. The table
+  /// is inline and fixed-size, so it adds nothing to `ApproxMemoryBytes`
+  /// beyond `sizeof(SampleStore)`.
+  void RecordStoppingRound(const RoundKey& key, std::uint32_t round)
+      SUBSIM_EXCLUDES(rounds_mu_);
+
+  /// Number of keys the stopping-round table holds.
+  std::size_t num_stopping_rounds() const SUBSIM_EXCLUDES(rounds_mu_);
+
   /// Shared-lock handle for reading committed prefixes. Holds the lock for
   /// its lifetime; keep the scope tight.
   ///
@@ -222,6 +251,21 @@ class SampleStore {
   /// new length with a release store after appending under the writer
   /// lock; `num_sets` pairs it with an acquire load.
   std::array<std::atomic<std::uint64_t>, kNumStreams> committed_{};
+
+  struct RoundEntry {
+    RoundKey key{};
+    std::uint32_t round = 0;
+  };
+  /// Leaf lock of the stopping-round table: readers hold only `mu_`
+  /// shared, so recording needs a lock of its own.
+  mutable Mutex rounds_mu_;
+  /// Ring of entries: `rounds_[0, num_rounds_)` are live, and
+  /// `next_round_` is the slot the next new key takes (the oldest once
+  /// the ring is full).
+  std::array<RoundEntry, kMaxRoundEntries> rounds_ SUBSIM_GUARDED_BY(
+      rounds_mu_){};
+  std::size_t num_rounds_ SUBSIM_GUARDED_BY(rounds_mu_) = 0;
+  std::size_t next_round_ SUBSIM_GUARDED_BY(rounds_mu_) = 0;
 };
 
 }  // namespace subsim

@@ -178,6 +178,10 @@ class QueryEngine {
       metrics_.Counter("update.sets_kept");
   MetricsRegistry::HistogramHandle update_repair_us_ =
       metrics_.Histogram("update.repair_us");
+  // Written by `OpimC::RunWithStore` through the query's ObsContext; taken
+  // here only so the first scrape already shows it.
+  MetricsRegistry::CounterHandle rounds_skipped_ =
+      metrics_.Counter("opim_c.rounds_skipped");
   GraphRegistry* registry_;
   RrSketchCache cache_;
   /// Serializes `ApplyGraphUpdates` calls: each repair pass must see the

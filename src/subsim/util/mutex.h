@@ -21,8 +21,9 @@ namespace subsim {
 /// Lock ordering in the library (declared here so new code has one place to
 /// check): `RrSketchCache::mu_` is acquired before `SampleStore::mu_`
 /// (budget enforcement walks cached stores); nothing acquires them in the
-/// other order. `MetricsRegistry::mu_` and `PhaseTracer::mu_` are leaf
-/// locks: no code path acquires another lock while holding them.
+/// other order. `MetricsRegistry::mu_`, `PhaseTracer::mu_` and
+/// `SampleStore::rounds_mu_` are leaf locks: no code path acquires another
+/// lock while holding them.
 
 class SUBSIM_CAPABILITY("mutex") Mutex {
  public:

@@ -96,6 +96,7 @@ done
 sed -n 's/.*"counters":{\([^}]*\)}.*/\1/p' "$MJSON" | tr ',' '\n' \
   | sed 's/:.*//' | sort > "$WORK/counter_keys.txt"
 cat > "$WORK/counter_keys_golden.txt" <<'EOF'
+"opim_c.rounds_skipped"
 "rr.batch_chunks"
 "rr.edges_examined"
 "rr.geometric_skips"

@@ -9,6 +9,7 @@
 // =4 appended to the default sweep.
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -287,6 +288,115 @@ TEST_P(KernelEquivalenceTest, OneKernelAcrossManyChunksMatchesScalar) {
     first_index += count;
   }
   EXPECT_GT(hit_sets, 0u);
+}
+
+/// Generates sets [first_index, first_index + count) with `batched` and
+/// checks each against `scalar` on its own substream; returns the number
+/// of sentinel hits.
+// SUBSIM-NOLINT-NEXTLINE(fill-entry-point): tests kernels sharing a thread's scratch
+std::size_t ExpectChunkMatchesScalar(BatchRrKernel* batched,
+                                     RrGenerator* scalar,
+                                     std::uint64_t first_index,
+                                     std::size_t count) {
+  constexpr std::uint64_t kBaseSeed = 0xc0ffee;
+  std::vector<NodeId> nodes;
+  std::vector<std::uint32_t> sizes;
+  std::vector<std::uint8_t> hits;
+  // SUBSIM-NOLINT-NEXTLINE(fill-entry-point): tests kernels sharing a thread's scratch
+  batched->GenerateChunk(kBaseSeed, first_index, count,
+                         {&nodes, &sizes, &hits});
+  EXPECT_EQ(sizes.size(), count);
+  std::vector<NodeId> expected;
+  std::size_t offset = 0;
+  std::size_t hit_sets = 0;
+  for (std::size_t i = 0; i < count && i < sizes.size(); ++i) {
+    Rng rng = Rng::Substream(kBaseSeed, first_index + i);
+    const bool hit = scalar->Generate(rng, &expected);
+    EXPECT_EQ(sizes[i], expected.size()) << "set " << first_index + i;
+    if (sizes[i] != expected.size()) {
+      return hit_sets;
+    }
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                           nodes.begin() + offset))
+        << "set " << first_index + i;
+    EXPECT_EQ(hits[i] != 0, hit) << "set " << first_index + i;
+    offset += sizes[i];
+    hit_sets += hit ? 1 : 0;
+  }
+  return hit_sets;
+}
+
+// A thread's kernels share one per-node scratch: the first kernel alive on
+// a thread borrows it and a second one alive beside it allocates its own.
+// Interleaved chunks of two live kernels on graphs of different sizes must
+// each match the scalar generator, and a kernel destroyed with sentinels
+// installed must hand the scratch on clean to the next one.
+TEST_P(KernelEquivalenceTest, TwoKernelsAliveOnOneThreadMatchScalar) {
+  const Graph& large = SharedHighInfluenceGraph(GetParam());
+  const Graph& small = SharedWcGraph();
+  const std::vector<NodeId> sentinels = SparseSentinels(large);
+  Result<std::unique_ptr<RrGenerator>> large_scalar =
+      MakeRrGenerator(GetParam(), large);
+  Result<std::unique_ptr<RrGenerator>> small_scalar =
+      MakeRrGenerator(GetParam(), small);
+  ASSERT_TRUE(large_scalar.ok());
+  ASSERT_TRUE(small_scalar.ok());
+
+  std::size_t hit_sets = 0;
+  {
+    // SUBSIM-NOLINT-NEXTLINE(fill-entry-point): tests kernels sharing a thread's scratch
+    auto first = BatchRrKernel::Create(GetParam(), large);
+    // SUBSIM-NOLINT-NEXTLINE(fill-entry-point): tests kernels sharing a thread's scratch
+    auto second = BatchRrKernel::Create(GetParam(), small);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    (*first)->SetSentinels(sentinels);
+    (*large_scalar)->SetSentinels(sentinels);
+    for (std::uint64_t chunk = 0; chunk < 6; ++chunk) {
+      SCOPED_TRACE("chunk=" + std::to_string(chunk));
+      hit_sets += ExpectChunkMatchesScalar(first->get(), large_scalar->get(),
+                                           chunk * 50, 50);
+      ExpectChunkMatchesScalar(second->get(), small_scalar->get(),
+                               chunk * 70, 70);
+    }
+    // Destroyed in creation order, the borrower first, sentinels still
+    // installed.
+    first->reset();
+  }
+  EXPECT_GT(hit_sets, 0u);
+
+  // The next kernel on this thread borrows the scratch the first returned.
+  (*large_scalar)->SetSentinels({});
+  // SUBSIM-NOLINT-NEXTLINE(fill-entry-point): tests kernels sharing a thread's scratch
+  auto third = BatchRrKernel::Create(GetParam(), large);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(ExpectChunkMatchesScalar(third->get(), large_scalar->get(), 0,
+                                     300),
+            0u);
+}
+
+// Back-to-back one-thread fills on graphs of different node counts reuse
+// and grow the calling thread's kernel scratch; each fill must still match
+// the scalar kernel, whichever larger graph left the scratch behind.
+TEST_P(KernelEquivalenceTest, BackToBackFillsOnGraphsOfDifferentSizes) {
+  const Graph tiny = [] {
+    Result<EdgeList> list = GenerateBarabasiAlbert(60, 3, true, 5);
+    EXPECT_TRUE(list.ok());
+    EXPECT_TRUE(AssignWeights(WeightModel::kWeightedCascade, {},
+                              &list.value())
+                    .ok());
+    return BuildGraph(std::move(list).value()).value();
+  }();
+  const Graph* graphs[] = {&SharedHighInfluenceGraph(GetParam()), &tiny,
+                           &SharedWcGraph(), &SharedSkewedGraph(),
+                           &SharedHighInfluenceGraph(GetParam()), &tiny};
+  for (const Graph* graph : graphs) {
+    SCOPED_TRACE("n=" + std::to_string(graph->num_nodes()));
+    const std::vector<NodeId> sentinels = EveryEleventhNode(*graph);
+    ExpectIdentical(
+        FillWith(*graph, GetParam(), FillKernel::kBatched, 1, sentinels),
+        FillWith(*graph, GetParam(), FillKernel::kScalar, 1, sentinels));
+  }
 }
 
 TEST_P(KernelEquivalenceTest, AutoResolvesToBatched) {

@@ -402,6 +402,61 @@ TEST_F(QueryEngineTest, ConcurrentSameKeyQueriesShareOneFill) {
   }
 }
 
+TEST_F(QueryEngineTest, ConcurrentMixedKeysOnOneEntryMatchColdRuns) {
+  // Four workers race queries with different (k, eps, approx_coverage) on
+  // one cached store, each three times, so lookups and records of the
+  // store's stopping-round table interleave with fills and reads (TSan
+  // soaks this in CI). Every answer must equal the query's cold run.
+  QueryEngineOptions options;
+  options.num_workers = 4;
+  QueryEngine engine(&registry_, options);
+  std::vector<SelectSeedsQuery> queries;
+  for (const std::uint32_t k : {3u, 8u}) {
+    for (const double eps : {0.12, 0.25}) {
+      for (const bool approx : {false, true}) {
+        SelectSeedsQuery query = BaseQuery("g");
+        query.k = k;
+        query.epsilon = eps;
+        query.approx_coverage = approx;
+        queries.push_back(query);
+      }
+    }
+  }
+  std::vector<QueryResponse> cold;
+  for (const SelectSeedsQuery& query : queries) {
+    QueryEngine fresh(&registry_);
+    cold.push_back(fresh.Execute(query));
+    ASSERT_TRUE(cold.back().status.ok()) << cold.back().status.ToString();
+  }
+
+  std::vector<std::future<QueryResponse>> futures;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    for (const SelectSeedsQuery& query : queries) {
+      futures.push_back(engine.Submit(query));
+    }
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const QueryResponse response = futures[i].get();
+    const QueryResponse& expected = cold[i % queries.size()];
+    SCOPED_TRACE(::testing::Message()
+                 << "k=" << response.query.k << " eps="
+                 << response.query.epsilon
+                 << " approx=" << response.query.approx_coverage);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.result.seeds, expected.result.seeds);
+    EXPECT_EQ(response.result.approx_ratio, expected.result.approx_ratio);
+    EXPECT_EQ(response.result.estimated_spread,
+              expected.result.estimated_spread);
+    EXPECT_EQ(response.result.num_rr_sets, expected.result.num_rr_sets);
+  }
+  const Result<GraphSnapshot> snapshot = registry_.GetSnapshot("g");
+  ASSERT_TRUE(snapshot.ok());
+  const auto entries = engine.cache().EntriesForGraph("g", snapshot->version);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.front().second->store->num_stopping_rounds(),
+            queries.size());
+}
+
 TEST_F(QueryEngineTest, ExpiredDeadlineIsShedBeforeExecution) {
   QueryEngine engine(&registry_);
   QueryEngine::ExecContext ctx;
