@@ -6,30 +6,6 @@
 
 namespace subsim {
 
-Result<std::unique_ptr<SampleStore>> ImAlgorithm::MakeSampleStore(
-    const Graph& graph, const ImOptions& options) const {
-  if (!SupportsSampleReuse()) {
-    return Status::FailedPrecondition(std::string(name()) +
-                                      " does not support sample reuse");
-  }
-  SampleStore::Options store_options;
-  store_options.num_threads = options.num_threads;
-  store_options.obs = options.obs;
-  store_options.kernel = options.fill_kernel;
-  store_options.encoding = options.rr_encoding;
-  return SampleStore::Create(graph, options.generator,
-                             {MakeRngStream(options.rng_seed, 1),
-                              MakeRngStream(options.rng_seed, 2)},
-                             store_options);
-}
-
-Result<ImResult> ImAlgorithm::RunWithStore(const Graph& /*graph*/,
-                                           const ImOptions& /*options*/,
-                                           SampleStore* /*store*/) const {
-  return Status::FailedPrecondition(std::string(name()) +
-                                    " does not support sample reuse");
-}
-
 Status ValidateImOptions(const Graph& graph, const ImOptions& options) {
   if (graph.num_nodes() == 0) {
     return Status::InvalidArgument("graph has no nodes");

@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "subsim/graph/graph.h"
 #include "subsim/rrset/generator_factory.h"
 #include "subsim/rrset/sample_store.h"
@@ -50,10 +48,10 @@ struct ImOptions {
   FillKernel fill_kernel = FillKernel::kAuto;
 
   /// Arena storage encoding for every RR collection the run builds (local
-  /// collections and `MakeSampleStore` stores alike). A pure storage knob:
-  /// the sample stream, the inverted index, and therefore the selected
-  /// seeds are identical for every value — kDeltaVarint just spends ~3-4x
-  /// fewer arena bytes (see docs/memory.md).
+  /// collections and `OpimC::MakeSampleStore` stores alike). A pure
+  /// storage knob: the sample stream, the inverted index, and therefore the
+  /// selected seeds are identical for every value — kDeltaVarint just
+  /// spends ~3-4x fewer arena bytes (see docs/memory.md).
   RrEncoding rr_encoding = RrEncoding::kRaw;
 
   /// Approximate the greedy max-coverage marginals with per-candidate
@@ -71,14 +69,14 @@ struct ImOptions {
   ObsContext obs;
 
   /// Optional execution budget (serving deadline). Unset (the default)
-  /// costs nothing and changes nothing. When set, the doubling algorithms
-  /// (OPIM-C, IMM, HIST) check it at round boundaries only: the first round
-  /// always completes, so a degraded run still returns seeds, annotated
-  /// with the achieved `(epsilon, delta)` instead of failing. For OPIM-C
-  /// and IMM the sets evaluated are an exact prefix of the un-budgeted
-  /// run's sample stream. HIST checks it at both phases' doubling
-  /// boundaries; an expiry in phase 1 drops the sentinels (b = 0), so its
-  /// phase 2 certifies the whole seed set. SSA, CELF and the degree
+  /// costs nothing and changes nothing. When set, the two served
+  /// algorithms (OPIM-C, HIST) check it at round boundaries only: the first
+  /// round always completes, so a degraded run still returns seeds,
+  /// annotated with the achieved `(epsilon, delta)` instead of failing. For
+  /// OPIM-C the sets evaluated are an exact prefix of the un-budgeted run's
+  /// sample streams. HIST checks it at both phases' doubling boundaries; an
+  /// expiry in phase 1 drops the sentinels (b = 0), so its phase 2
+  /// certifies the whole seed set. IMM, SSA, CELF and the degree
   /// heuristics ignore it. See `ImResult::deadline_hit`.
   ///
   /// On a store where an earlier full-budget OPIM-C run with the same
@@ -128,12 +126,12 @@ struct ImResult {
   /// HIST, `(1 - 1/e) - approx_ratio` (floored at 0) from the last
   /// completed round's bounds (HIST's phase 2; 0 when its phase 1 already
   /// returned all k seeds); for IMM, the epsilon the phase-2 sample-size
-  /// formula yields when inverted at the number of sets actually
-  /// evaluated. Equals at most the requested epsilon on a full-budget run;
-  /// larger on a degraded one.
+  /// formula yields when inverted at the number of sets evaluated. Equals
+  /// at most the requested epsilon on a full-budget run; larger on a
+  /// degraded one.
   double achieved_epsilon = 0.0;
 
-  /// OPIM-C and IMM only: how many of the `num_rr_sets` evaluated this run
+  /// OPIM-C only: how many of the `num_rr_sets` evaluated this run
   /// appended to its `SampleStore`; the rest were already committed by
   /// earlier or concurrent runs on the same store. Equals `num_rr_sets` on
   /// a cold `Run`.
@@ -165,45 +163,15 @@ class ImAlgorithm {
   virtual Result<ImResult> Run(const Graph& graph,
                                const ImOptions& options) const = 0;
 
-  /// True when the algorithm can run against a shared `SampleStore` whose
-  /// RR streams persist across queries (see `RunWithStore`). False for
-  /// algorithms whose samples are not reusable — notably HIST, whose
-  /// sentinel-truncated sets must never be served to another query.
-  virtual bool SupportsSampleReuse() const { return false; }
-
-  /// Creates a store whose rng stream lineage matches a reuse-capable
-  /// algorithm's cold run over `graph`, suitable for `RunWithStore`: store
-  /// streams 0 and 1 are logical streams 1 and 2 of `options.rng_seed`
-  /// (OPIM-C's R1/R2; IMM uses stream 0 only). Only the generator, rng
-  /// seed, thread count, fill kernel and encoding of `options` shape the
-  /// store — k/epsilon/delta may differ between the queries it serves.
-  /// Fails with `kFailedPrecondition` unless `SupportsSampleReuse()`.
-  Result<std::unique_ptr<SampleStore>> MakeSampleStore(
-      const Graph& graph, const ImOptions& options) const;
-
-  /// Runs against a pre-seeded store created by `MakeSampleStore` over the
-  /// same (graph, generator, rng seed): committed sets are reused and only
-  /// what the schedule still misses is generated. IMM replays the cold
-  /// schedule on prefix views; OPIM-C starts at the round an earlier run
-  /// with the same options recorded in the store, if any (see `OpimC`).
-  /// Without a deadline the result is identical to a cold `Run` with the
-  /// same options (all but `seconds` and `rr_sets_generated`), no matter
-  /// what other queries the store served before. With one, a warm OPIM-C
-  /// run may return the full-budget answer where a cold run would have
-  /// degraded (see `ImOptions::deadline`).
-  virtual Result<ImResult> RunWithStore(const Graph& graph,
-                                        const ImOptions& options,
-                                        SampleStore* store) const;
-
   virtual const char* name() const = 0;
 };
 
 /// Validates the option invariants shared by all algorithms.
 Status ValidateImOptions(const Graph& graph, const ImOptions& options);
 
-/// Validates that `store` matches (graph, options.generator) before a
-/// `RunWithStore`. The rng seed lineage is not recoverable from a store;
-/// callers must key stores by seed (the serving cache does).
+/// Validates that `store` matches (graph, options.generator) before an
+/// `OpimC::RunWithStore`. The rng seed lineage is not recoverable from a
+/// store; callers must key stores by seed (the serving cache does).
 Status ValidateSampleStore(const Graph& graph, const ImOptions& options,
                            const SampleStore& store);
 

@@ -14,22 +14,17 @@ namespace subsim {
 /// the greedy for the final seeds. Guarantees (1 - 1/e - eps) with
 /// probability 1 - delta (delta = n^-l).
 ///
-/// IMM reuses phase-1 RR sets in phase 2 — the weak dependence the
-/// martingale bounds (Lemma 2 of the reproduced paper) are there to absorb.
-///
-/// The single RR stream lives in a `SampleStore` (stream 0; stream 1 is
-/// left untouched), so a run can resume sampling done by earlier queries.
-/// `RunWithStore` replays the cold schedule against prefix views of exactly
-/// the sizes a cold run would have reached — including phase 2's quirk that
-/// the final greedy runs over max(theta, the phase-1 watermark) sets — so
-/// warm results are bit-identical to cold ones for a fixed rng seed.
+/// IMM reuses phase-1 RR sets in phase 2, so its final greedy reads sets
+/// that also chose LB. Chen, "An Issue in the Martingale Analysis of the
+/// Influence Maximization Algorithm IMM", shows the original proof does not
+/// cover that dependence, so IMM is kept verbatim as the paper's Figure 1
+/// baseline and is not served (docs/paper_mapping.md). A run fills one
+/// local collection from stream `MakeRngStream(rng_seed, 1)` and ignores
+/// `ImOptions::deadline`.
 class Imm final : public ImAlgorithm {
  public:
   Result<ImResult> Run(const Graph& graph,
                        const ImOptions& options) const override;
-  bool SupportsSampleReuse() const override { return true; }
-  Result<ImResult> RunWithStore(const Graph& graph, const ImOptions& options,
-                                SampleStore* store) const override;
   const char* name() const override { return "imm"; }
 };
 

@@ -39,6 +39,19 @@ Result<ImResult> OpimC::Run(const Graph& graph,
   return RunWithStore(graph, options, store->get());
 }
 
+Result<std::unique_ptr<SampleStore>> OpimC::MakeSampleStore(
+    const Graph& graph, const ImOptions& options) const {
+  SampleStore::Options store_options;
+  store_options.num_threads = options.num_threads;
+  store_options.obs = options.obs;
+  store_options.kernel = options.fill_kernel;
+  store_options.encoding = options.rr_encoding;
+  return SampleStore::Create(graph, options.generator,
+                             {MakeRngStream(options.rng_seed, 1),
+                              MakeRngStream(options.rng_seed, 2)},
+                             store_options);
+}
+
 Result<ImResult> OpimC::RunWithStore(const Graph& graph,
                                      const ImOptions& options,
                                      SampleStore* store) const {

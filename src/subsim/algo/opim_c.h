@@ -1,6 +1,8 @@
 #ifndef SUBSIM_ALGO_OPIM_C_H_
 #define SUBSIM_ALGO_OPIM_C_H_
 
+#include <memory>
+
 #include "subsim/algo/im_algorithm.h"
 
 namespace subsim {
@@ -37,9 +39,26 @@ class OpimC final : public ImAlgorithm {
  public:
   Result<ImResult> Run(const Graph& graph,
                        const ImOptions& options) const override;
-  bool SupportsSampleReuse() const override { return true; }
+
+  /// Creates a store whose rng stream lineage matches a cold run over
+  /// `graph`, suitable for `RunWithStore`: store streams 0 and 1 are
+  /// logical streams 1 and 2 of `options.rng_seed` (R1 and R2). Only the
+  /// generator, rng seed, thread count, fill kernel and encoding of
+  /// `options` shape the store; k, epsilon and delta may differ between the
+  /// runs it serves.
+  Result<std::unique_ptr<SampleStore>> MakeSampleStore(
+      const Graph& graph, const ImOptions& options) const;
+
+  /// Runs against a store created by `MakeSampleStore` over the same
+  /// (graph, generator, rng seed): committed sets are reused and only what
+  /// the schedule still misses is generated. Without a deadline the result
+  /// is identical to a cold `Run` with the same options (all but `seconds`
+  /// and `rr_sets_generated`), no matter what other runs the store served
+  /// before. With one, a warm run may return the full-budget answer where
+  /// a cold run would have degraded (see `ImOptions::deadline`).
   Result<ImResult> RunWithStore(const Graph& graph, const ImOptions& options,
-                                SampleStore* store) const override;
+                                SampleStore* store) const;
+
   const char* name() const override { return "opim-c"; }
 };
 

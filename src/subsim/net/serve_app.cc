@@ -47,34 +47,31 @@ int HttpStatusFor(const Status& status) {
 
 }  // namespace
 
-ServeApp::ServeApp(QueryEngine* engine) : engine_(engine) {
-  // Pre-register the SLO gauges so /metricsz carries the keys before the
-  // first query lands.
-  engine_->metrics().Gauge("slo.queue_us_p50").Set(0.0);
-  engine_->metrics().Gauge("slo.queue_us_p99").Set(0.0);
-  engine_->metrics().Gauge("slo.exec_us_p50").Set(0.0);
-  engine_->metrics().Gauge("slo.exec_us_p99").Set(0.0);
-}
+ServeApp::ServeApp(QueryEngine* engine)
+    : engine_(engine),
+      shed_(engine->metrics().Counter("serve.shed")),
+      queue_us_p50_(engine->metrics().Gauge("slo.queue_us_p50")),
+      queue_us_p99_(engine->metrics().Gauge("slo.queue_us_p99")),
+      exec_us_p50_(engine->metrics().Gauge("slo.exec_us_p50")),
+      exec_us_p99_(engine->metrics().Gauge("slo.exec_us_p99")) {}
 
 std::string ServeApp::MetricsJson() {
   // Refresh the SLO gauges from the latency histograms at scrape time:
   // scraping is rare, quantile extraction is O(buckets), and the gauges
   // then ride along in the same stats JSON as everything else.
   const MetricsSnapshot snapshot = engine_->metrics().Snapshot();
-  const auto refresh = [&](const char* histogram, const char* base) {
+  const auto refresh = [&](const char* histogram,
+                           MetricsRegistry::GaugeHandle p50,
+                           MetricsRegistry::GaugeHandle p99) {
     const auto it = snapshot.histograms.find(histogram);
     if (it == snapshot.histograms.end()) {
       return;
     }
-    engine_->metrics()
-        .Gauge(std::string("slo.") + base + "_p50")
-        .Set(it->second.ApproxQuantile(0.5));
-    engine_->metrics()
-        .Gauge(std::string("slo.") + base + "_p99")
-        .Set(it->second.ApproxQuantile(0.99));
+    p50.Set(it->second.ApproxQuantile(0.5));
+    p99.Set(it->second.ApproxQuantile(0.99));
   };
-  refresh("serve.queue_us", "queue_us");
-  refresh("serve.exec_us", "exec_us");
+  refresh("serve.queue_us", queue_us_p50_, queue_us_p99_);
+  refresh("serve.exec_us", exec_us_p50_, exec_us_p99_);
   return engine_->StatsJson();
 }
 
@@ -185,7 +182,7 @@ HttpResponse ServeApp::HandleSelectSeeds(const HttpRequest& request,
         static_cast<double>(query->deadline_ms) / 1000.0 -
         context.queue_seconds;
     if (remaining_seconds <= 0.0) {
-      engine_->metrics().Counter("serve.shed").Increment();
+      shed_.Increment();
       HttpResponse response =
           JsonError(429, "deadline consumed while queued");
       response.headers.emplace_back("Retry-After", "1");

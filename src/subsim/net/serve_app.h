@@ -5,6 +5,7 @@
 
 #include "subsim/net/http.h"
 #include "subsim/net/http_server.h"
+#include "subsim/obs/metrics.h"
 #include "subsim/serve/query_engine.h"
 
 namespace subsim {
@@ -53,6 +54,14 @@ class ServeApp {
   HttpResponse HandleRemoveGraph(const HttpRequest& request);
 
   QueryEngine* engine_;
+  // Taken once: a shed request and a scrape write through these, with no
+  // name lookup under the registry mutex. Taking a gauge registers its
+  // key, so /metricsz carries the SLO keys before the first query lands.
+  MetricsRegistry::CounterHandle shed_;
+  MetricsRegistry::GaugeHandle queue_us_p50_;
+  MetricsRegistry::GaugeHandle queue_us_p99_;
+  MetricsRegistry::GaugeHandle exec_us_p50_;
+  MetricsRegistry::GaugeHandle exec_us_p99_;
 };
 
 }  // namespace subsim

@@ -28,10 +28,11 @@ namespace subsim {
 /// generated instead of resampling, and any query evaluating a prefix sees
 /// exactly what a cold run with that many sets would have seen.
 ///
-/// Stream 0 is the selection stream greedy reads (R₁), so it keeps the
-/// inverted index. Stream 1 is only counted (OPIM-C's validation R₂, via
-/// `ComputeCoverage`), so it is `RrIndexing::kUnindexed`: its fills merge
-/// no index and it holds no per-node bytes.
+/// A store holds OPIM-C's two collections (`OpimC::MakeSampleStore`).
+/// Stream 0 is R₁, the selection stream greedy reads, so it keeps the
+/// inverted index. Stream 1 is R₂, the validation stream, which is only
+/// counted (`ComputeCoverage`), so it is `RrIndexing::kUnindexed`: its
+/// fills merge no index and it holds no per-node bytes.
 ///
 /// Concurrency: appends happen under an exclusive (writer) lock and commit
 /// their new length to an atomic watermark; reads take a shared lock

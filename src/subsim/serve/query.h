@@ -24,8 +24,8 @@ namespace subsim {
 /// (or approx).
 struct SelectSeedsQuery {
   std::string graph;
-  /// One of the served algorithms: "imm", "opim-c" or "hist" (the engine
-  /// refuses any other name with InvalidArgument).
+  /// One of the served algorithms: "opim-c" or "hist" (the engine refuses
+  /// any other name with InvalidArgument).
   std::string algo = "opim-c";
   std::uint32_t k = 50;
   double epsilon = 0.1;

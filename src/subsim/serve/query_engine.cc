@@ -11,7 +11,8 @@
 #include <utility>
 #include <vector>
 
-#include "subsim/algo/registry.h"
+#include "subsim/algo/hist.h"
+#include "subsim/algo/opim_c.h"
 #include "subsim/obs/obs_json.h"
 #include "subsim/obs/phase_tracer.h"
 #include "subsim/util/mutex.h"
@@ -28,11 +29,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The algorithms the engine serves: the three that honour
-/// `ImOptions::deadline` (docs/serving.md). The rest of the registry
-/// (SSA, CELF, the degree heuristics) would overrun a query's budget.
-constexpr std::array<std::string_view, 3> kServedAlgorithms = {
-    "imm", "opim-c", "hist"};
+/// The algorithms the engine serves: the two that honour
+/// `ImOptions::deadline` and certify their answer (docs/serving.md). The
+/// rest of the registry would overrun a query's budget (SSA, CELF, the
+/// degree heuristics) or certify nothing (IMM).
+constexpr std::array<std::string_view, 2> kServedAlgorithms = {"opim-c",
+                                                               "hist"};
 
 Status CheckServedAlgorithm(const std::string& name) {
   if (std::find(kServedAlgorithms.begin(), kServedAlgorithms.end(), name) !=
@@ -323,11 +325,6 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   if (!snapshot.ok()) {
     return finish(snapshot.status());
   }
-  Result<std::unique_ptr<ImAlgorithm>> algorithm =
-      MakeImAlgorithm(query.algo);
-  if (!algorithm.ok()) {
-    return finish(algorithm.status());
-  }
   ImOptions options = query.ToImOptions();
   // Every query — cached or fresh — records into the engine registry.
   options.obs = ObsContext{&metrics_, nullptr};
@@ -336,9 +333,10 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   options.num_threads = num_threads_;
   options.deadline = deadline;
 
-  if (!(*algorithm)->SupportsSampleReuse()) {
-    // Cache-incompatible (HIST): fresh, private sampling.
-    Result<ImResult> result = (*algorithm)->Run(*snapshot->graph, options);
+  if (query.algo == "hist") {
+    // HIST's sentinel-truncated sets are never cached: fresh, private
+    // sampling.
+    Result<ImResult> result = Hist().Run(*snapshot->graph, options);
     if (!result.ok()) {
       return finish(result.status());
     }
@@ -347,6 +345,7 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
     return finish(Status::Ok());
   }
 
+  const OpimC opim_c;
   response.stats.cache_eligible = true;
   SketchKey key;
   key.graph = query.graph;
@@ -362,7 +361,7 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   key.encoding = query.rr_encoding;
   Result<RrSketchCache::Lookup> lookup = cache_.GetOrCreate(
       key, snapshot->graph, [&](const Graph& target) {
-        return (*algorithm)->MakeSampleStore(target, options);
+        return opim_c.MakeSampleStore(target, options);
       });
   if (!lookup.ok()) {
     return finish(lookup.status());
@@ -376,7 +375,7 @@ QueryResponse QueryEngine::ExecuteInternal(const SelectSeedsQuery& query,
   // appends this run made.
   const std::shared_ptr<RrSketchCache::Entry> entry = lookup->entry;
   Result<ImResult> result =
-      (*algorithm)->RunWithStore(*entry->graph, options, entry->store.get());
+      opim_c.RunWithStore(*entry->graph, options, entry->store.get());
   if (!result.ok()) {
     return finish(result.status());
   }

@@ -25,13 +25,13 @@ struct QueryEngineOptions {
   RrSketchCache::Options cache;
 };
 
-/// Executes `SelectSeedsQuery`s on a worker pool, routing reuse-capable
-/// algorithms (OPIM-C, IMM) through a shared `RrSketchCache` and running
-/// HIST on fresh sampling (its sentinel-truncated sets are never cached,
-/// so they can never leak into another query's evaluation). Those three,
-/// the algorithms that honour a deadline, are the only ones served: any
-/// other `algo` fails with `kInvalidArgument` before a graph or cache
-/// entry is touched.
+/// Executes `SelectSeedsQuery`s on a worker pool, routing OPIM-C through a
+/// shared `RrSketchCache` (`OpimC::RunWithStore`) and running HIST on
+/// fresh sampling (its sentinel-truncated sets are never cached, so they
+/// can never leak into another query's evaluation). Those two, the
+/// algorithms that honour a deadline and certify their answer, are the
+/// only ones served: any other `algo` (IMM included) fails with
+/// `kInvalidArgument` before a graph or cache entry is touched.
 ///
 /// Every query runs against the graph snapshot pinned by its cache entry
 /// (or fetched from the registry on the fallback path), so registry

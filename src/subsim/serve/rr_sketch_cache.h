@@ -36,15 +36,13 @@ namespace subsim {
 ///             asking for different encodings get distinct entries rather
 ///             than transcoding in place.
 ///
-/// The algorithm is not part of the key: every algorithm that reuses
-/// samples (OPIM-C, IMM) builds the same store, streams
-/// `MakeRngStream(rng_seed, 1)` and `(rng_seed, 2)` (IMM reads the first,
-/// which is OPIM-C's R1), so an IMM and an OPIM-C query on one key share
-/// an entry. The generation thread count is deliberately *not* part of
-/// the key either: fills are thread-count invariant, so stores produced at
-/// any `num_threads` are interchangeable. Likewise `approx_coverage` is an
-/// evaluation knob — it never changes the stored bytes — so it is not in
-/// the key.
+/// The algorithm is not part of the key: OPIM-C is the only algorithm
+/// whose samples are cached (`OpimC::MakeSampleStore`), so every entry
+/// holds its R1 and R2. The generation thread count is deliberately *not*
+/// part of the key either: fills are thread-count invariant, so stores
+/// produced at any `num_threads` are interchangeable. Likewise
+/// `approx_coverage` is an evaluation knob — it never changes the stored
+/// bytes — so it is not in the key.
 struct SketchKey {
   std::string graph;
   std::uint64_t graph_version = 0;
@@ -71,9 +69,9 @@ struct SketchKey {
 /// Entries pair a store with the graph snapshot it was sampled on, so a
 /// query always runs against the exact graph its reused sets came from even
 /// if the registry has since re-loaded the name. Stores only ever hold
-/// plain (never sentinel-truncated) RR sets — algorithms that truncate
-/// (HIST) are structurally excluded because `SupportsSampleReuse()` is
-/// false for them, so they never reach the cache.
+/// plain (never sentinel-truncated) RR sets: the engine builds them only
+/// through `OpimC::MakeSampleStore` and runs HIST, which truncates, on
+/// fresh sampling, so its sets never reach the cache.
 ///
 /// Eviction removes least-recently-used entries until the sum of store
 /// footprints fits `Options::max_bytes`. Eviction only drops the cache's

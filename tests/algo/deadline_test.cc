@@ -1,6 +1,7 @@
-// Deadline-budgeted degradation contract (docs/serving.md): OPIM-C, IMM
-// and HIST check the budget only at round boundaries, always finish round
-// one, and a degraded run still reports seeds with a certified bound.
+// Deadline-budgeted degradation contract (docs/serving.md): OPIM-C and
+// HIST, the served algorithms, check the budget only at round boundaries,
+// always finish round one, and a degraded run still reports seeds with a
+// certified bound. IMM and SSA, which are not served, ignore it.
 // `Deadline::AlreadyExpired()` makes the "budget gone" case deterministic
 // — no clock, no flakiness.
 
@@ -115,7 +116,26 @@ TEST_P(DeadlineDegradationTest, AchievedEpsilonTracksFullRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, DeadlineDegradationTest,
-                         ::testing::Values("opim-c", "imm", "hist"));
+                         ::testing::Values("opim-c", "hist"));
+
+TEST(DeadlineTest, UnservedAlgorithmsIgnoreTheBudget) {
+  for (const char* name : {"imm", "ssa"}) {
+    SCOPED_TRACE(name);
+    const auto algorithm = MakeImAlgorithm(name);
+    ASSERT_TRUE(algorithm.ok());
+    const Result<ImResult> full =
+        (*algorithm)->Run(SharedGraph(), BaseOptions());
+    ImOptions options = BaseOptions();
+    options.deadline = Deadline::AlreadyExpired();
+    const Result<ImResult> budgeted = (*algorithm)->Run(SharedGraph(), options);
+    ASSERT_TRUE(full.ok());
+    ASSERT_TRUE(budgeted.ok());
+    EXPECT_FALSE(budgeted->deadline_hit);
+    EXPECT_EQ(budgeted->seeds, full->seeds);
+    EXPECT_EQ(budgeted->num_rr_sets, full->num_rr_sets);
+    EXPECT_DOUBLE_EQ(budgeted->achieved_epsilon, full->achieved_epsilon);
+  }
+}
 
 TEST(DeadlineTest, SentinelSemantics) {
   const Deadline unset;

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "subsim/algo/imm.h"
 #include "subsim/algo/opim_c.h"
 #include "subsim/algo/theta.h"
 #include "subsim/graph/generators.h"
@@ -231,15 +230,6 @@ TEST(StoppingRoundTest, KeysFromDifferentOptionsStayApart) {
     EXPECT_EQ(run.skipped, 0u);
     ExpectSameResult(run.result, Cold(graph, other), false);
   }
-  EXPECT_EQ(store->num_stopping_rounds(), 5u);
-
-  // IMM shares the store and reads no stopping round.
-  const Imm imm;
-  Result<ImResult> imm_cold = imm.Run(graph, eps_01);
-  Result<ImResult> imm_warm = imm.RunWithStore(graph, eps_01, store.get());
-  ASSERT_TRUE(imm_cold.ok());
-  ASSERT_TRUE(imm_warm.ok());
-  ExpectSameResult(*imm_warm, *imm_cold, false);
   EXPECT_EQ(store->num_stopping_rounds(), 5u);
 }
 

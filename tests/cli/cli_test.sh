@@ -172,7 +172,7 @@ check "run imm on er graph" 0 \
 cat > "$WORK/queries.txt" <<'EOF'
 # three queries, the third repeats the first so it must hit the cache
 graph=wc algo=opim-c k=3 eps=0.3 seed=7
-graph=wc algo=imm k=3 eps=0.3 seed=7
+graph=wc algo=opim-c k=5 eps=0.3 seed=7
 graph=wc algo=opim-c k=3 eps=0.3 seed=7
 EOF
 check "batch executes query file" 0 \
@@ -199,7 +199,11 @@ check "batch refuses an algorithm that keeps no deadline" 0 \
   sh -c "echo 'graph=wc algo=celf-mc k=2' | '$CLI' batch --graph=wc='$WORK/wc.txt'"
 expect_in_output "unserved algorithm yields error json" '"ok":false'
 expect_in_output "unserved algorithm error names the served ones" \
-  'served algorithms: imm, opim-c, hist'
+  'served algorithms: opim-c, hist'
+
+check "batch refuses imm, which certifies no answer" 0 \
+  sh -c "echo 'graph=wc algo=imm k=2' | '$CLI' batch --graph=wc='$WORK/wc.txt'"
+expect_in_output "imm yields error json" '"ok":false'
 
 # --- serving: the HTTP front end and the update client ---
 # `serve` announces its ephemeral port on stdout; curl drives the routes
@@ -242,6 +246,12 @@ if command -v curl > /dev/null 2>&1; then
   expect_in_output "metricsz counts the query" '"serve.queries":1'
   expect_in_output "metricsz carries cache stats" '"cache_entries":1'
   expect_in_output "metricsz folds in metrics" '"schema_version":1'
+  check "serve refuses imm with HTTP 400" 0 \
+    curl -s -o /dev/null -w '%{http_code}' -X POST \
+    --data-binary 'graph=wc algo=imm k=2' "$URL/v1/select_seeds"
+  expect_in_output "imm answer is HTTP 400" '^400$'
+  check "serve answers /metricsz after the refusal" 0 curl -sf "$URL/metricsz"
+  expect_in_output "refused imm adds no cache entry" '"cache_entries":1'
 else
   echo "skip: curl not found; /healthz, /v1/select_seeds, /metricsz and" \
        "/v1/remove_graph checks not run"

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "subsim/algo/opim_c.h"
 #include "subsim/algo/registry.h"
 #include "subsim/graph/generators.h"
 #include "subsim/graph/graph_builder.h"
@@ -97,32 +98,6 @@ TEST_F(QueryEngineTest, EngineResultMatchesDirectAlgorithmRun) {
   EXPECT_DOUBLE_EQ(served.result.estimated_spread, direct->estimated_spread);
 }
 
-TEST_F(QueryEngineTest, ImmAfterOpimCHitsTheSameEntryAndMatchesColdImm) {
-  QueryEngine engine(&registry_);
-  const QueryResponse opim_c = engine.Execute(BaseQuery("g"));
-  ASSERT_TRUE(opim_c.status.ok()) << opim_c.status.ToString();
-  EXPECT_FALSE(opim_c.stats.cache_hit);
-
-  SelectSeedsQuery query = BaseQuery("g");
-  query.algo = "imm";
-  const QueryResponse imm = engine.Execute(query);
-  ASSERT_TRUE(imm.status.ok()) << imm.status.ToString();
-  EXPECT_TRUE(imm.stats.cache_hit);
-  EXPECT_GT(imm.stats.rr_sets_reused, 0u);
-  EXPECT_EQ(engine.cache().num_entries(), 1u);
-
-  Result<GraphSnapshot> snapshot = registry_.GetSnapshot("g");
-  ASSERT_TRUE(snapshot.ok());
-  Result<std::unique_ptr<ImAlgorithm>> cold_imm = MakeImAlgorithm("imm");
-  ASSERT_TRUE(cold_imm.ok());
-  Result<ImResult> cold =
-      (*cold_imm)->Run(*snapshot->graph, query.ToImOptions());
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_EQ(imm.result.seeds, cold->seeds);
-  EXPECT_EQ(imm.result.num_rr_sets, cold->num_rr_sets);
-  EXPECT_DOUBLE_EQ(imm.result.estimated_spread, cold->estimated_spread);
-}
-
 TEST_F(QueryEngineTest, GrowingKReusesEarlierSamples) {
   QueryEngine engine(&registry_);
   SelectSeedsQuery query = BaseQuery("g");
@@ -141,7 +116,8 @@ TEST_F(QueryEngineTest, GrowingKReusesEarlierSamples) {
 
 TEST_F(QueryEngineTest, ConcurrentQueriesShareOneCache) {
   // The TSan acceptance scenario: >= 4 in-flight queries, one shared cache,
-  // mixed algorithms and ks, all racing against the same store entries.
+  // mixed ks racing against the same store entry, and HIST queries on fresh
+  // sampling racing beside them on the same engine.
   QueryEngineOptions options;
   options.num_workers = 4;
   QueryEngine engine(&registry_, options);
@@ -152,10 +128,10 @@ TEST_F(QueryEngineTest, ConcurrentQueriesShareOneCache) {
       SelectSeedsQuery query = BaseQuery("g");
       query.k = k;
       futures.push_back(engine.Submit(std::move(query)));
-      SelectSeedsQuery imm_query = BaseQuery("g");
-      imm_query.algo = "imm";
-      imm_query.k = k;
-      futures.push_back(engine.Submit(std::move(imm_query)));
+      SelectSeedsQuery hist_query = BaseQuery("g");
+      hist_query.algo = "hist";
+      hist_query.k = k;
+      futures.push_back(engine.Submit(std::move(hist_query)));
     }
   }
   ASSERT_EQ(futures.size(), 16u);
@@ -168,10 +144,10 @@ TEST_F(QueryEngineTest, ConcurrentQueriesShareOneCache) {
   for (const QueryResponse& response : responses) {
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     EXPECT_FALSE(response.result.seeds.empty());
-    EXPECT_TRUE(response.stats.cache_eligible);
+    EXPECT_EQ(response.stats.cache_eligible, response.query.algo == "opim-c");
   }
-  // One entry: graph/generator/seed/encoding agree across queries, and
-  // OPIM-C and IMM build the same store.
+  // One entry: graph/generator/seed/encoding agree across the OPIM-C
+  // queries, and HIST never reaches the cache.
   EXPECT_EQ(engine.cache().num_entries(), 1u);
 
   // Determinism survives the race: re-running any query warm gives the same
@@ -472,8 +448,7 @@ TEST_F(QueryEngineTest, DeadlineDegradedRunIsAPrefixOfTheFullRun) {
   // exact prefix of the full run's sample stream, so a full-budget query
   // arriving after a degraded one (same SketchKey) reuses every degraded
   // set and still returns seeds bit-identical to a cold full run.
-  const auto algorithm = MakeImAlgorithm("opim-c");
-  ASSERT_TRUE(algorithm.ok());
+  const OpimC opim_c;
   const Result<GraphSnapshot> snapshot = registry_.GetSnapshot("g");
   ASSERT_TRUE(snapshot.ok());
   const Graph& graph = *snapshot->graph;
@@ -485,12 +460,12 @@ TEST_F(QueryEngineTest, DeadlineDegradedRunIsAPrefixOfTheFullRun) {
   options.generator = GeneratorKind::kSubsimIc;
 
   // Degraded run into a fresh store: stops at the first round boundary.
-  auto shared_store = (*algorithm)->MakeSampleStore(graph, options);
+  auto shared_store = opim_c.MakeSampleStore(graph, options);
   ASSERT_TRUE(shared_store.ok());
   ImOptions degraded_options = options;
   degraded_options.deadline = Deadline::AlreadyExpired();
-  const Result<ImResult> degraded = (*algorithm)->RunWithStore(
-      graph, degraded_options, shared_store->get());
+  const Result<ImResult> degraded =
+      opim_c.RunWithStore(graph, degraded_options, shared_store->get());
   ASSERT_TRUE(degraded.ok());
   ASSERT_TRUE(degraded->deadline_hit);
   const std::uint64_t prefix_sets = (*shared_store)->total_generated();
@@ -498,13 +473,13 @@ TEST_F(QueryEngineTest, DeadlineDegradedRunIsAPrefixOfTheFullRun) {
 
   // Full run over the SAME store: extends the prefix, never resamples it.
   const Result<ImResult> warm =
-      (*algorithm)->RunWithStore(graph, options, shared_store->get());
+      opim_c.RunWithStore(graph, options, shared_store->get());
   ASSERT_TRUE(warm.ok());
   EXPECT_FALSE(warm->deadline_hit);
   EXPECT_GE((*shared_store)->total_generated(), prefix_sets);
 
   // And matches a cold full-budget run bit for bit.
-  const Result<ImResult> cold = (*algorithm)->Run(graph, options);
+  const Result<ImResult> cold = opim_c.Run(graph, options);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(warm->seeds, cold->seeds);
   EXPECT_EQ(warm->num_rr_sets, cold->num_rr_sets);
@@ -536,7 +511,7 @@ TEST(QueryEngineServedAlgorithmsTest, OnlyDeadlineKeepingAlgorithmsAreServed) {
   GraphRegistry registry;
   ASSERT_TRUE(registry.Register("big", std::move(graph).value()).ok());
 
-  const std::vector<std::string> served = {"imm", "opim-c", "hist"};
+  const std::vector<std::string> served = {"opim-c", "hist"};
   for (const std::string& name : ImAlgorithmNames()) {
     SCOPED_TRACE(name);
     QueryEngine engine(&registry);
@@ -553,7 +528,7 @@ TEST(QueryEngineServedAlgorithmsTest, OnlyDeadlineKeepingAlgorithmsAreServed) {
     if (std::find(served.begin(), served.end(), name) == served.end()) {
       EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
           << response.status.ToString();
-      EXPECT_NE(response.status.message().find("imm, opim-c, hist"),
+      EXPECT_NE(response.status.message().find("opim-c, hist"),
                 std::string::npos)
           << response.status.ToString();
       EXPECT_EQ(engine.cache().num_entries(), 0u);

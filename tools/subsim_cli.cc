@@ -27,8 +27,9 @@
 // `batch` is the offline path: it executes one query per input line
 // concurrently on a worker pool (see src/subsim/serve/query.h for the line
 // grammar) and prints one JSON result line per query, in input order.
-// `batch` and `serve` run only imm, opim-c and hist, the algorithms that
-// keep a query's deadline; any other algo answers "ok":false (HTTP 400).
+// `batch` and `serve` run only opim-c and hist, the algorithms that keep a
+// query's deadline and certify their answer; any other algo, imm included,
+// answers "ok":false (HTTP 400).
 // `serve` is the HTTP/1.1 front end (POST /v1/select_seeds,
 // POST /v1/update_graph, POST /v1/remove_graph, GET /healthz,
 // GET /metricsz — docs/serving.md); queries run on its --http-workers.
