@@ -1,21 +1,17 @@
-// Memory-bounded scale: what the delta-varint arena and the HLL coverage
-// sketches actually buy, measured on the calibrated WC stand-ins.
+// Memory-bounded scale: what the delta-varint arena actually buys,
+// measured on the calibrated WC stand-ins.
 //
 // Full mode sweeps the RR-size ladder and prints, per rung: raw vs
-// encoded arena bytes, the compression ratio, exact vs sketch-guided
-// greedy coverage, and the number of exact refinements the error-adaptive
-// tie-breaker needed.
+// encoded arena bytes, the compression ratio, and whether the two
+// encodings hold the same sample stream.
 //
 // `--smoke` is the CI gate (non-zero exit on failure):
 //   - the two encodings hold the identical logical sample stream;
 //   - compression ratio >= 3x on the dense-WC rung (the delta gaps on a
 //     calibrated graph fit one varint byte, so anything under ~3.5x means
 //     the encoder regressed);
-//   - sketch-guided greedy coverage within 5% of exact greedy — far
-//     looser than the (eps, delta) the refinement targets, so it fails
-//     only when refinement stops working;
-//   - with --metrics-json, the run exports the `rr.arena_bytes` and
-//     `coverage.hll_bytes` gauges in the standard schema.
+//   - with --metrics-json, the run exports the `rr.arena_bytes` gauge in
+//     the standard schema.
 
 #include <cstdint>
 #include <cstdio>
@@ -27,8 +23,6 @@
 
 #include "bench_common.h"
 #include "subsim/benchsup/reporting.h"
-#include "subsim/coverage/hll_sketch.h"
-#include "subsim/coverage/max_coverage.h"
 #include "subsim/rrset/parallel_fill.h"
 #include "subsim/rrset/rr_collection.h"
 #include "subsim/rrset/rr_encoding.h"
@@ -86,18 +80,13 @@ bool LogicallyIdentical(const subsim::RrCollection& raw,
 
 struct RungResult {
   double ratio = 0.0;
-  double coverage_fraction = 0.0;  // approx / exact greedy coverage
   std::uint64_t raw_bytes = 0;
   std::uint64_t delta_bytes = 0;
-  std::uint64_t exact_coverage = 0;
-  std::uint64_t approx_coverage = 0;
   bool identical = false;
 };
 
 subsim::Result<RungResult> RunRung(const subsim::Graph& graph,
                                    std::uint64_t seed, std::size_t count,
-                                   std::uint32_t k,
-                                   std::uint32_t hll_precision,
                                    subsim_bench::BenchObs* obs) {
   auto pair = FillBoth(graph, seed, count, obs);
   if (!pair.ok()) {
@@ -111,24 +100,6 @@ subsim::Result<RungResult> RunRung(const subsim::Graph& graph,
                      : static_cast<double>(result.raw_bytes) /
                            static_cast<double>(result.delta_bytes);
   result.identical = LogicallyIdentical(pair->raw, pair->delta);
-
-  subsim::CoverageGreedyOptions exact_options;
-  exact_options.k = k;
-  const subsim::CoverageGreedyResult exact =
-      subsim::RunCoverageGreedy(pair->delta, exact_options);
-  subsim::CoverageGreedyOptions approx_options = exact_options;
-  approx_options.approx_coverage = true;
-  approx_options.hll_precision = hll_precision;
-  approx_options.metrics = obs->Context().metrics;
-  const subsim::CoverageGreedyResult approx =
-      subsim::RunCoverageGreedy(pair->delta, approx_options);
-  result.exact_coverage = exact.total_coverage();
-  result.approx_coverage = approx.total_coverage();
-  result.coverage_fraction =
-      exact.total_coverage() == 0
-          ? 1.0
-          : static_cast<double>(approx.total_coverage()) /
-                static_cast<double>(exact.total_coverage());
   return result;
 }
 
@@ -148,23 +119,15 @@ int RunSmoke(const subsim::ExperimentArgs& args) {
               calibrated->graph.num_nodes(),
               calibrated->achieved_avg_rr_size, calibrated->parameter);
 
-  const std::uint32_t precision = 8;
-  auto rung = RunRung(calibrated->graph, args.seed, /*count=*/4000,
-                      /*k=*/50, precision, &obs);
+  auto rung = RunRung(calibrated->graph, args.seed, /*count=*/4000, &obs);
   if (!rung.ok()) {
     std::fprintf(stderr, "%s\n", rung.status().ToString().c_str());
     return 1;
   }
-  std::printf(
-      "arena: raw %llu B, delta %llu B, ratio %.2fx (bar: 3x)\n"
-      "coverage: exact %llu, hll(p=%u, rse=%.1f%%) %llu -> %.2f%% "
-      "(bar: 95%%)\n",
-      static_cast<unsigned long long>(rung->raw_bytes),
-      static_cast<unsigned long long>(rung->delta_bytes), rung->ratio,
-      static_cast<unsigned long long>(rung->exact_coverage), precision,
-      100.0 * subsim::HllRelativeStdError(precision),
-      static_cast<unsigned long long>(rung->approx_coverage),
-      100.0 * rung->coverage_fraction);
+  std::printf("arena: raw %llu B, delta %llu B, ratio %.2fx (bar: 3x)\n",
+              static_cast<unsigned long long>(rung->raw_bytes),
+              static_cast<unsigned long long>(rung->delta_bytes),
+              rung->ratio);
 
   if (!obs.Write()) {
     return 1;
@@ -178,23 +141,16 @@ int RunSmoke(const subsim::ExperimentArgs& args) {
     std::fprintf(stderr, "FAIL: compression ratio %.2fx < 3x\n", rung->ratio);
     ok = false;
   }
-  if (rung->coverage_fraction < 0.95) {
-    std::fprintf(stderr, "FAIL: sketch coverage %.2f%% of exact < 95%%\n",
-                 100.0 * rung->coverage_fraction);
-    ok = false;
-  }
   if (ok) {
-    std::printf("ok: encoded stream identical, ratio and sketch quality "
-                "within bars\n");
+    std::printf("ok: encoded stream identical, ratio within its bar\n");
   }
   return ok ? 0 : 1;
 }
 
 int RunFull(const subsim::ExperimentArgs& args) {
   subsim_bench::BenchObs obs(args);
-  subsim::TablePrinter table({"avg_rr", "raw MB", "delta MB", "ratio",
-                              "exact cov", "hll cov", "quality",
-                              "identical"});
+  subsim::TablePrinter table(
+      {"avg_rr", "raw MB", "delta MB", "ratio", "identical"});
   for (const double target : subsim_bench::RrSizeLadder(args.quick)) {
     auto calibrated = subsim_bench::BuildCalibrated(
         "pokec-s", args.scale, args.seed, subsim::WeightModel::kWcVariant,
@@ -205,8 +161,7 @@ int RunFull(const subsim::ExperimentArgs& args) {
       return 1;
     }
     const std::size_t count = args.quick ? 4000 : 20000;
-    auto rung = RunRung(calibrated->graph, args.seed, count, /*k=*/100,
-                        /*hll_precision=*/10, &obs);
+    auto rung = RunRung(calibrated->graph, args.seed, count, &obs);
     if (!rung.ok()) {
       std::fprintf(stderr, "%s\n", rung.status().ToString().c_str());
       return 1;
@@ -215,9 +170,6 @@ int RunFull(const subsim::ExperimentArgs& args) {
                   subsim::FormatDouble(rung->raw_bytes / 1048576.0, 2),
                   subsim::FormatDouble(rung->delta_bytes / 1048576.0, 2),
                   subsim::FormatDouble(rung->ratio, 2),
-                  std::to_string(rung->exact_coverage),
-                  std::to_string(rung->approx_coverage),
-                  subsim::FormatDouble(rung->coverage_fraction, 4),
                   rung->identical ? "yes" : "NO"});
   }
   table.Print(std::cout);

@@ -91,7 +91,6 @@ Result<SentinelPhase> RunSentinelSet(const Graph& graph,
   const double delta_u = delta1 / (3.0 * i_max);
   const double delta_l = delta1 / (6.0 * i_max);
 
-  MetricsRegistry* const metrics = options.obs.metrics;
   PhaseScope phase_span(options.obs.tracer, "hist.sentinel_phase");
   const HistFiller filler{graph, options};
 
@@ -104,8 +103,6 @@ Result<SentinelPhase> RunSentinelSet(const Graph& graph,
   greedy_options.k = k;
   greedy_options.tie_break_by_out_degree = true;
   greedy_options.graph = &graph;
-  greedy_options.approx_coverage = options.approx_coverage;
-  greedy_options.metrics = metrics;
 
   std::vector<NodeId> fallback;  // last greedy prefix, in case nothing passes
 
@@ -280,8 +277,6 @@ Result<ImResult> Hist::Run(const Graph& graph,
   greedy_options.exclude_sentinel_hit_sets = true;  // line 5
   greedy_options.excluded_nodes = sentinels;
   greedy_options.singleton_top_count = k;  // maxMC ranges over k nodes
-  greedy_options.approx_coverage = options.approx_coverage;
-  greedy_options.metrics = metrics;
 
   for (std::uint32_t i = 1; i <= i_max; ++i) {
     // Line 6: residual greedy on the unhit sets.

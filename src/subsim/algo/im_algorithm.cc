@@ -26,6 +26,10 @@ Status ValidateImOptions(const Graph& graph, const ImOptions& options) {
   if (options.delta < 0.0 || options.delta >= 1.0) {
     return Status::InvalidArgument("delta must be in [0, 1)");
   }
+  if (options.approx_coverage) {
+    return Status::InvalidArgument(
+        "approx_coverage was removed; greedy is always exact");
+  }
   return Status::Ok();
 }
 

@@ -54,13 +54,9 @@ struct ImOptions {
   /// spends ~3-4x fewer arena bytes (see docs/memory.md).
   RrEncoding rr_encoding = RrEncoding::kRaw;
 
-  /// Approximate the greedy max-coverage marginals with per-candidate
-  /// HyperLogLog count-distinct sketches instead of exact inverted-index
-  /// recounts, with an error-adaptive exact refinement when the estimated
-  /// best is within the sketch error bar of the runner-up (docs/memory.md).
-  /// Selected gains and every reported bound stay exact (they are
-  /// recomputed from the exact covered bitmap); only *which* node wins a
-  /// near-tie may differ from exact greedy, within the sketch (ε, δ).
+  /// Not read, except that `ValidateImOptions` rejects true (greedy is
+  /// always exact); kept only because `bench/trajectory/replay.cc` assigns
+  /// it; delete with the replay.
   bool approx_coverage = false;
 
   /// Optional observability sinks (must outlive the run). Attaching them

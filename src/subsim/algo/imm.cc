@@ -30,8 +30,6 @@ Result<ImResult> Imm::Run(const Graph& graph,
 
   CoverageGreedyOptions greedy_options;
   greedy_options.k = k;
-  greedy_options.approx_coverage = options.approx_coverage;
-  greedy_options.metrics = options.obs.metrics;
 
   RngStream rng = MakeRngStream(options.rng_seed, 1);
   RrCollection rr(n, options.rr_encoding);

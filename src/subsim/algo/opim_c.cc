@@ -16,13 +16,11 @@ namespace {
 
 /// Everything besides the store's own (graph, generator, rng seed) that the
 /// round schedule and each round's verdict depend on: k, eps and delta fix
-/// theta0, i_max and every round's bounds, and `approx_coverage` the greedy
-/// that picks the seeds. Thread count, fill kernel and arena encoding never
-/// change a set or a seed, so they are left out.
+/// theta0, i_max and every round's bounds. Thread count, fill kernel and
+/// arena encoding never change a set or a seed, so they are left out.
 SampleStore::RoundKey StoppingRoundKey(const ImOptions& options,
                                        double delta) {
-  return {options.approx_coverage ? 1u : 0u, options.k,
-          std::bit_cast<std::uint64_t>(options.epsilon),
+  return {options.k, std::bit_cast<std::uint64_t>(options.epsilon),
           std::bit_cast<std::uint64_t>(delta)};
 }
 
@@ -113,8 +111,6 @@ Result<ImResult> OpimC::RunWithStore(const Graph& graph,
 
     CoverageGreedyOptions greedy_options;
     greedy_options.k = k;
-    greedy_options.approx_coverage = options.approx_coverage;
-    greedy_options.metrics = options.obs.metrics;
     const CoverageGreedyResult greedy = RunCoverageGreedy(r1, greedy_options);
 
     const double lambda_upper = CoverageUpperBoundFromGreedy(greedy, k);

@@ -27,7 +27,7 @@ namespace subsim {
 /// A run also reuses the verdict an earlier run reached on the same store.
 /// Every full-budget run records the round it stopped at in the store's
 /// stopping-round table, keyed by (k, eps, delta after
-/// `EffectiveDelta`, approx_coverage); a deadline stop records nothing. A
+/// `EffectiveDelta`); a deadline stop records nothing. A
 /// run whose key is recorded starts at that round: the rounds before it
 /// are pure functions of the same prefixes and options and would fail the
 /// test again, so it evaluates one round and returns the cold run's seeds,

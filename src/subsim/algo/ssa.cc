@@ -50,8 +50,6 @@ Result<ImResult> Ssa::Run(const Graph& graph,
 
   CoverageGreedyOptions greedy_options;
   greedy_options.k = k;
-  greedy_options.approx_coverage = options.approx_coverage;
-  greedy_options.metrics = options.obs.metrics;
 
   ImResult result;
   for (std::uint32_t i = 1; i <= i_max; ++i) {

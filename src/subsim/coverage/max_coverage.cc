@@ -4,13 +4,10 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "subsim/coverage/hll_sketch.h"
-#include "subsim/obs/metrics.h"
 #include "subsim/util/bit_vector.h"
 #include "subsim/util/check.h"
 
@@ -36,26 +33,6 @@ struct HeapEntry {
     return node < other.node;
   }
 };
-
-/// Approx-mode heap entry: same shape, estimated (double) key.
-struct ApproxHeapEntry {
-  double estimate;
-  NodeId out_degree;
-  NodeId node;
-
-  bool operator<(const ApproxHeapEntry& other) const {
-    if (estimate != other.estimate) return estimate < other.estimate;
-    if (out_degree != other.out_degree) return out_degree < other.out_degree;
-    return node < other.node;
-  }
-};
-
-/// How many standard errors of headroom a sketch estimate gets before the
-/// loop trusts it as an upper bound on a marginal. 3σ keeps the chance of
-/// a violated bound (the only way approx selection can differ from exact
-/// greedy) negligible per estimate while still discharging clearly
-/// dominated candidates without an exact recount.
-constexpr double kHllMarginSigmas = 3.0;
 
 /// Sum of the `count` largest node marginals, which only ever fall by one:
 /// the Σ maxMC term of Eq. (2) at every greedy prefix. A histogram of the
@@ -165,7 +142,7 @@ GreedyWorkspace& ThreadWorkspace(NodeId n) {
 /// at 0.13-0.26 memberships per node (EXPERIMENTS.md "PR 29").
 constexpr std::uint64_t kNodesPerMembership = 6;
 
-/// Everything both selection loops share.
+/// One greedy call's state, shared by its passes.
 struct GreedyState {
   const RrCollectionView* collection;
   const CoverageGreedyOptions* options;
@@ -298,7 +275,7 @@ void SelectSeed(GreedyState* state, NodeId v, CoverageGreedyResult* result) {
 /// histogram) is admitted only when the top falls below T. The order is
 /// strict and total, so the pops are the ones a heap of every positive
 /// node would make.
-void RunExactLoop(GreedyState* state, CoverageGreedyResult* result) {
+void RunLazyLoop(GreedyState* state, CoverageGreedyResult* result) {
   const NodeId n = state->collection->num_graph_nodes();
   const CoverageGreedyOptions& options = *state->options;
 
@@ -398,125 +375,14 @@ void RunExactLoop(GreedyState* state, CoverageGreedyResult* result) {
   }
 }
 
-/// Sketch-guided selection (`CoverageGreedyOptions::approx_coverage`).
-///
-/// CELF with sketch-tightened upper bounds. Every heap key is an upper
-/// bound on the node's exact marginal: initially its exact singleton
-/// coverage, thereafter min(previous bound, est(|C ∪ H(v)|) − |C| + 3σ)
-/// where |C| is the exact covered count (maintained anyway for committed
-/// gains) and the union estimate is one O(m) register scan, independent
-/// of how long the candidate's index list is. A popped node whose bound
-/// is dominated by the runner-up's is pushed back without reading its
-/// exact marginal. A node that survives the bound test reads it (O(1),
-/// like the exact loop's refresh) and commits only if its exact
-/// (marginal, out-degree, id) key still dominates the heap of upper
-/// bounds — so the selected sequence matches exact greedy unless a 3σ
-/// error bar is actually violated. When the bars cannot separate
-/// contenders the loop degrades gracefully into exact CELF (the extra
-/// exact reads are what `coverage.hll_refinements` counts). With exact
-/// refreshes O(1), the sketches save no work over the exact loop.
-void RunApproxLoop(GreedyState* state, CoverageGreedyResult* result) {
-  const NodeId n = state->collection->num_graph_nodes();
-  const RrCollectionView& collection = *state->collection;
-  const CoverageGreedyOptions& options = *state->options;
-
-  const std::uint32_t precision =
-      std::clamp<std::uint32_t>(options.hll_precision, 4, 16);
-  const std::size_t m = HllNumRegisters(precision);
-  const double rel_err = HllRelativeStdError(precision);
-
-  // Per-candidate sketches over the considered RR ids (pre-covered ids —
-  // sentinel exclusions — are left out so estimates live in the same
-  // universe the exact counters do), plus the covered-union sketch.
-  std::vector<std::uint8_t> bank(static_cast<std::size_t>(n) * m, 0);
-  std::vector<std::uint8_t> covered_sketch(m, 0);
-  auto sketch_of = [&](NodeId v) {
-    return std::span<std::uint8_t>(bank.data() +
-                                       static_cast<std::size_t>(v) * m,
-                                   m);
-  };
-  for (NodeId v = 0; v < n; ++v) {
-    const std::span<std::uint8_t> sketch = sketch_of(v);
-    for (RrId id : collection.SetsContaining(v)) {
-      if (!state->covered[id]) {
-        HllObserve(sketch, precision, id);
-      }
-    }
-  }
-
-  MetricsRegistry::CounterHandle refinements;
-  if (options.metrics != nullptr) {
-    options.metrics->Gauge("coverage.hll_bytes")
-        .Set(static_cast<double>(bank.size() + covered_sketch.size()));
-    refinements = options.metrics->Counter("coverage.hll_refinements");
-  }
-
-  std::priority_queue<ApproxHeapEntry> heap;
-  for (NodeId v = 0; v < n; ++v) {
-    if ((state->flags[v] & kSelected) == 0) {
-      heap.push(ApproxHeapEntry{static_cast<double>(state->marginal[v]),
-                                TieBreakDegree(options, v), v});
-    }
-  }
-
-  std::uint64_t covered_exact = 0;  // exact |C|: sum of committed gains
-  const auto select = [&](NodeId v) {
-    covered_exact += state->marginal[v];
-    SelectSeed(state, v, result);
-    HllMerge(covered_sketch, sketch_of(v));
-  };
-
-  while (result->seeds.size() < state->k && !heap.empty()) {
-    ApproxHeapEntry top = heap.top();
-    heap.pop();
-    if (state->flags[top.node] & kSelected) {
-      continue;
-    }
-    if (heap.empty()) {
-      select(top.node);
-      continue;
-    }
-    const ApproxHeapEntry& next = heap.top();
-    const double union_estimate =
-        HllEstimateUnion(covered_sketch, sketch_of(top.node));
-    // The union estimate carries the sketch noise; the covered count is
-    // exact, so the marginal's error bar is the union term's alone.
-    const double margin = kHllMarginSigmas * rel_err * union_estimate;
-    const double bound = std::min(
-        top.estimate,
-        std::max(0.0, union_estimate - static_cast<double>(covered_exact)) +
-            margin);
-    if (ApproxHeapEntry{bound, top.out_degree, top.node} < next) {
-      // Dominated already at the bound level: push back without reading
-      // the exact marginal. The min() keeps bounds monotone.
-      top.estimate = bound;
-      heap.push(top);
-      continue;
-    }
-    const std::uint64_t exact = state->marginal[top.node];
-    const ApproxHeapEntry exact_entry{static_cast<double>(exact),
-                                      top.out_degree, top.node};
-    if (!(exact_entry < next)) {
-      // The exact key dominates every remaining upper bound, hence every
-      // remaining exact marginal: an argmax under (marginal, out-degree,
-      // id), exactly as the exact loop would have picked.
-      select(top.node);
-    } else {
-      // The error bar could not separate this contender from the heap.
-      // Its exact value is the tightest possible bound — re-queue under
-      // it.
-      refinements.Increment();
-      heap.push(exact_entry);
-    }
-  }
-}
-
 }  // namespace
 
 CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
                                        const CoverageGreedyOptions& options) {
   SUBSIM_CHECK(!options.tie_break_by_out_degree || options.graph != nullptr,
                "tie_break_by_out_degree requires options.graph");
+  SUBSIM_CHECK(!options.approx_coverage,
+               "approx_coverage was removed; greedy is always exact");
 
   const NodeId n = collection.num_graph_nodes();
   SUBSIM_CHECK(!options.tie_break_by_out_degree ||
@@ -576,11 +442,7 @@ CoverageGreedyResult RunCoverageGreedy(RrCollectionView collection,
   result.gains.reserve(k);
   result.coverage_prefix.reserve(k);
 
-  if (options.approx_coverage) {
-    RunApproxLoop(&state, &result);
-  } else {
-    RunExactLoop(&state, &result);
-  }
+  RunLazyLoop(&state, &result);
 
   // Leave the workspace all zero for the thread's next call.
   if (state.dense) {

@@ -40,33 +40,20 @@ struct CoverageGreedyOptions {
   /// full k for Equation (2).
   std::uint32_t singleton_top_count = 0;
 
-  /// Approximate-coverage mode (`ImOptions::approx_coverage`): lazy-greedy
-  /// marginals come from per-candidate HyperLogLog sketches over RR-set
-  /// ids — O(2^hll_precision) per refresh instead of an inverted-index
-  /// recount — with an error-adaptive exact refinement whenever the
-  /// estimated best is within the sketch error bar of the runner-up.
-  /// Selected gains, `coverage_prefix` and `coverage_upper_bound` are
-  /// always exact (read from the kept exact
-  /// marginals); only the winner of a near-tie may differ from exact
-  /// greedy. Deterministic:
-  /// sketch hashing is a fixed mixer, so runs reproduce byte-identically.
+  /// Not read, except that `RunCoverageGreedy` checks it is false; kept
+  /// only because `bench/trajectory/replay.cc` assigns it; delete with the
+  /// replay.
   bool approx_coverage = false;
 
-  /// log2 of registers per sketch (m = 2^p; rel. std. error ≈ 1.04/√m).
-  /// Clamped to [4, 16]. Memory: (n + 1) * 2^p bytes while the pass runs,
-  /// reported by the `coverage.hll_bytes` gauge.
-  std::uint32_t hll_precision = 8;
-
-  /// Optional sink for `coverage.hll_bytes` / `coverage.hll_refinements`.
+  /// Not read; kept only because `bench/trajectory/replay.cc` assigns it;
+  /// delete with the replay.
   MetricsRegistry* metrics = nullptr;
 };
 
 /// Output of the greedy pass. `gains[i]` is the marginal coverage of the
 /// (i+1)-th seed; `coverage_prefix[i]` is the total coverage of the first
-/// i+1 seeds. Both have `seeds.size()` entries; gains are non-increasing
-/// under exact greedy (under `approx_coverage` the selection order is
-/// sketch-guided, so gains are exact per seed but only *approximately*
-/// sorted).
+/// i+1 seeds. Both have `seeds.size()` entries, and gains are
+/// non-increasing.
 struct CoverageGreedyResult {
   std::vector<NodeId> seeds;
   std::vector<std::uint64_t> gains;
@@ -102,7 +89,7 @@ struct CoverageGreedyResult {
 /// order — so the selected sequence is identical to the textbook greedy,
 /// including the out-degree tie-break, at a fraction of the cost.
 ///
-/// Exact mode costs what it selects. The singleton coverages come from the
+/// A call costs what it selects. The singleton coverages come from the
 /// cheaper of two passes: on a sparse view, one pass over the considered
 /// sets' members (`RrSetView::ForEachNode`, so delta-varint sets are
 /// decoded once) counts them and lists the nodes it meets; on a dense view

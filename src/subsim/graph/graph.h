@@ -156,13 +156,6 @@ class Graph {
     return {in_weights_.data() + begin, count};
   }
 
-  /// Software-prefetch hook for `InWeightSum(v)` — the first thing the LT
-  /// live-edge walk reads at each step.
-  void PrefetchInWeightSum(NodeId v) const {
-    SUBSIM_DCHECK(v < num_nodes_, "node out of range");
-    PrefetchRead(in_weight_sums_.data() + v);
-  }
-
   /// Software-prefetch hook: pulls the leading cache lines of `v`'s
   /// in-neighbor array, plus the leading lines of its in-weight row only
   /// when the row has skewed weights — mirroring exactly what a

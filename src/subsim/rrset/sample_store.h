@@ -61,7 +61,7 @@ class SampleStore {
 
   /// Opaque stopping-round key. Its meaning belongs to the algorithm that
   /// records it; the store only compares keys for equality.
-  using RoundKey = std::array<std::uint64_t, 4>;
+  using RoundKey = std::array<std::uint64_t, 3>;
 
   struct Options {
     /// Worker threads per fill: 1 (default) runs inline, 0 = hardware

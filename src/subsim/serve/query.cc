@@ -12,25 +12,8 @@ ImOptions SelectSeedsQuery::ToImOptions() const {
   options.rng_seed = rng_seed;
   options.generator = generator;
   options.rr_encoding = rr_encoding;
-  options.approx_coverage = approx_coverage;
   return options;
 }
-
-namespace {
-
-bool ParseBoolValue(std::string_view value, bool* out) {
-  if (value == "1" || value == "true" || value == "yes") {
-    *out = true;
-    return true;
-  }
-  if (value == "0" || value == "false" || value == "no") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 Result<SelectSeedsQuery> ParseSelectSeedsQuery(std::string_view line) {
   SelectSeedsQuery query;
@@ -87,11 +70,6 @@ Result<SelectSeedsQuery> ParseSelectSeedsQuery(std::string_view line) {
         return encoding.status();
       }
       query.rr_encoding = *encoding;
-    } else if (key == "approx_coverage" || key == "approx") {
-      if (!ParseBoolValue(value, &query.approx_coverage)) {
-        return Status::InvalidArgument(
-            "approx_coverage must be 0/1/true/false");
-      }
     } else {
       return Status::InvalidArgument("unknown query key '" +
                                      std::string(key) + "'");
@@ -110,15 +88,12 @@ std::string FormatQueryResponseJson(const QueryResponse& response) {
   out += ",\"graph\":\"" + JsonEscape(response.query.graph) + "\"";
   out += ",\"algo\":\"" + JsonEscape(response.query.algo) + "\"";
   out += ",\"k\":" + std::to_string(response.query.k);
-  // Echo the storage/evaluation knobs only when they deviate from the
-  // defaults, keeping the common response line unchanged.
+  // Echo the storage knob only when it deviates from the default, keeping
+  // the common response line unchanged.
   if (response.query.rr_encoding != RrEncoding::kRaw) {
     out += ",\"rr_encoding\":\"";
     out += RrEncodingName(response.query.rr_encoding);
     out += "\"";
-  }
-  if (response.query.approx_coverage) {
-    out += ",\"approx_coverage\":true";
   }
   if (!response.status.ok()) {
     out += ",\"error\":\"" + JsonEscape(response.status.ToString()) + "\"}";

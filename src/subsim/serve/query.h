@@ -20,8 +20,7 @@ namespace subsim {
 ///
 /// `graph` is required; everything else has the defaults below. Accepted
 /// keys: graph, algo, k, eps (or epsilon), delta, seed, generator,
-/// deadline_ms (or deadline), rr_encoding (or encoding), approx_coverage
-/// (or approx).
+/// deadline_ms (or deadline), rr_encoding (or encoding).
 struct SelectSeedsQuery {
   std::string graph;
   /// One of the served algorithms: "opim-c" or "hist" (the engine refuses
@@ -37,10 +36,6 @@ struct SelectSeedsQuery {
   /// not byte-interchangeable); the selected seeds are identical either
   /// way — delta just spends less cache budget (docs/memory.md).
   RrEncoding rr_encoding = RrEncoding::kRaw;
-  /// Sketch-guided greedy ("approx_coverage=1"): HLL-estimated marginals
-  /// with error-adaptive exact refinement. NOT part of the sketch-cache
-  /// key — it changes how stored sets are *evaluated*, never their bytes.
-  bool approx_coverage = false;
   /// Wall-clock budget in milliseconds; 0 = unbounded. The budget covers
   /// queueing *and* execution: time spent queued is subtracted before the
   /// algorithm starts, an exhausted budget before any work is shed

@@ -40,9 +40,7 @@ namespace subsim {
 /// whose samples are cached (`OpimC::MakeSampleStore`), so every entry
 /// holds its R1 and R2. The generation thread count is deliberately *not*
 /// part of the key either: fills are thread-count invariant, so stores
-/// produced at any `num_threads` are interchangeable. Likewise
-/// `approx_coverage` is an evaluation knob — it never changes the stored
-/// bytes — so it is not in the key.
+/// produced at any `num_threads` are interchangeable.
 struct SketchKey {
   std::string graph;
   std::uint64_t graph_version = 0;

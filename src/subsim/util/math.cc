@@ -47,15 +47,4 @@ double HistApproxTarget(std::uint64_t k, std::uint64_t b, double eps) {
   return 1.0 - PowOneMinusInvK(k, b) - eps;
 }
 
-std::uint64_t NextPowerOfTwo(std::uint64_t x) {
-  if (x <= 1) {
-    return 1;
-  }
-  std::uint64_t p = 1;
-  while (p < x) {
-    p <<= 1;
-  }
-  return p;
-}
-
 }  // namespace subsim

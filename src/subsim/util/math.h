@@ -22,9 +22,6 @@ double HistApproxTarget(std::uint64_t k, std::uint64_t b, double eps);
 /// `1 - 1/e`, the classic greedy approximation factor.
 constexpr double kOneMinusInvE = 0.6321205588285577;
 
-/// Rounds `x` up to the next power of two (x >= 1). Returns 1 for x == 0.
-std::uint64_t NextPowerOfTwo(std::uint64_t x);
-
 }  // namespace subsim
 
 #endif  // SUBSIM_UTIL_MATH_H_

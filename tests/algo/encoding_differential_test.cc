@@ -111,30 +111,5 @@ TEST(EncodingDifferentialTest, LtGeneratorAlsoInvariant) {
   EXPECT_EQ(raw->num_rr_sets, delta->num_rr_sets);
 }
 
-TEST(ApproxCoverageSmokeTest, AlgorithmsAcceptApproxCoverage) {
-  // End-to-end smoke for the (ε, δ) sketch path: the run must succeed,
-  // return k distinct seeds, and stay deterministic across repeats. Seed
-  // *values* may differ from the exact run on near-ties, so only shape and
-  // determinism are asserted here; quality is bench_memory_bound's job.
-  const Graph& graph = SharedDiffGraph();
-  for (const char* name : {"imm", "opim-c"}) {
-    const auto algorithm = MakeImAlgorithm(name);
-    ASSERT_TRUE(algorithm.ok());
-    ImOptions options;
-    options.k = 8;
-    options.epsilon = 0.25;
-    options.rng_seed = 555;
-    options.approx_coverage = true;
-    options.rr_encoding = RrEncoding::kDeltaVarint;
-    const Result<ImResult> a = (*algorithm)->Run(graph, options);
-    ASSERT_TRUE(a.ok()) << name << ": " << a.status().ToString();
-    EXPECT_EQ(a->seeds.size(), 8u) << name;
-    const Result<ImResult> b = (*algorithm)->Run(graph, options);
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->seeds, b->seeds) << name << ": approx runs must reproduce";
-    EXPECT_EQ(a->num_rr_sets, b->num_rr_sets) << name;
-  }
-}
-
 }  // namespace
 }  // namespace subsim

@@ -62,6 +62,14 @@ TEST_P(ImAlgorithmTest, RejectsInvalidOptions) {
 
   options.epsilon = 0.7;  // >= 1 - 1/e
   EXPECT_FALSE((*algorithm)->Run(graph, options).ok());
+
+  // The sketch-guided greedy is gone; asking for it is an error, not a
+  // silent exact run.
+  options.epsilon = 0.2;
+  options.approx_coverage = true;
+  const Result<ImResult> approx = (*algorithm)->Run(graph, options);
+  ASSERT_FALSE(approx.ok());
+  EXPECT_EQ(approx.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_P(ImAlgorithmTest, ReturnsKDistinctValidSeeds) {

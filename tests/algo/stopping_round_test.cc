@@ -48,8 +48,7 @@ ImOptions Options(std::uint32_t k, double eps) {
 std::string Describe(const ImOptions& options) {
   return "k=" + std::to_string(options.k) +
          " eps=" + std::to_string(options.epsilon) +
-         " delta=" + std::to_string(options.delta) +
-         " approx=" + std::to_string(options.approx_coverage);
+         " delta=" + std::to_string(options.delta);
 }
 
 /// Every field but `seconds`; `rr_sets_generated` only when
@@ -140,12 +139,9 @@ TEST(StoppingRoundTest, WarmRunsEqualColdOverTheOptionGrid) {
   for (const std::uint32_t k : {1u, 10u, 50u}) {
     for (const double eps : {0.1, 0.3}) {
       for (const double delta : {0.0, 0.01}) {
-        for (const bool approx : {false, true}) {
-          ImOptions options = Options(k, eps);
-          options.delta = delta;
-          options.approx_coverage = approx;
-          cases.push_back(options);
-        }
+        ImOptions options = Options(k, eps);
+        options.delta = delta;
+        cases.push_back(options);
       }
     }
   }
@@ -193,7 +189,7 @@ TEST(StoppingRoundTest, EvictedKeyReplaysTheSchedule) {
 
   // Keys OPIM-C never builds (k = 0).
   for (std::uint64_t i = 0; i < SampleStore::kMaxRoundEntries; ++i) {
-    store->RecordStoppingRound({i, 0, 0, 0}, 1);
+    store->RecordStoppingRound({i, 0, 0}, 1);
   }
   EXPECT_EQ(store->num_stopping_rounds(), SampleStore::kMaxRoundEntries);
   const Observed after_eviction = RunObserved(graph, options, store.get());
@@ -219,18 +215,16 @@ TEST(StoppingRoundTest, KeysFromDifferentOptionsStayApart) {
   EXPECT_EQ(loose.skipped, 0u);
   EXPECT_EQ(store->num_stopping_rounds(), 2u);
 
-  // k, delta and approx_coverage are part of the key too.
+  // k and delta are part of the key too.
   ImOptions other_delta = eps_01;
   other_delta.delta = 0.02;
-  ImOptions other_approx = eps_01;
-  other_approx.approx_coverage = true;
-  for (const ImOptions& other : {Options(11, 0.1), other_delta, other_approx}) {
+  for (const ImOptions& other : {Options(11, 0.1), other_delta}) {
     SCOPED_TRACE(Describe(other));
     const Observed run = RunObserved(graph, other, store.get());
     EXPECT_EQ(run.skipped, 0u);
     ExpectSameResult(run.result, Cold(graph, other), false);
   }
-  EXPECT_EQ(store->num_stopping_rounds(), 5u);
+  EXPECT_EQ(store->num_stopping_rounds(), 4u);
 }
 
 TEST(StoppingRoundTest, DeadlineStopRecordsNothing) {

@@ -155,8 +155,14 @@ else
   echo "skip: /dev/full not writable; metrics write-failure check not run"
 fi
 
+# The execution knobs select the same seeds; each flag must still parse.
+check "run with every execution flag" 0 \
+  "$CLI" run --in="$WORK/wc.txt" --algo=opim-c --k=3 --eps=0.3 \
+  --generator=vanilla --kernel=scalar --rr-encoding=delta --threads=2
+expect_in_output "run with execution flags prints seeds" "seeds:"
+
 check "calibrate uniform p" 0 \
-  "$CLI" calibrate --in="$WORK/raw.txt" --model=uniform --target=50
+  "$CLI" calibrate --in="$WORK/raw.txt" --model=uniform --target=50 --seed=2
 expect_in_output "calibrate reports p" "p = "
 
 check "generate er graph" 0 \
@@ -188,7 +194,7 @@ fi
 expect_in_output "batch repeat query hits the cache" '"cache_hit":true'
 
 check "batch reads queries from stdin" 0 \
-  sh -c "echo 'graph=wc k=2 eps=0.3' | '$CLI' batch --graph=wc='$WORK/wc.txt'"
+  sh -c "echo 'graph=wc k=2 eps=0.3' | '$CLI' batch --graph=wc='$WORK/wc.txt' --threads=1 --cache-mb=64"
 expect_in_output "stdin batch returns seeds" '"seeds":\[[0-9]'
 
 check "batch reports parse errors per line" 0 \
@@ -201,6 +207,11 @@ expect_in_output "unserved algorithm yields error json" '"ok":false'
 expect_in_output "unserved algorithm error names the served ones" \
   'served algorithms: opim-c, hist'
 
+check "batch refuses the removed approx_coverage key" 0 \
+  sh -c "echo 'graph=wc k=2 approx_coverage=1' | '$CLI' batch --graph=wc='$WORK/wc.txt'"
+expect_in_output "approx_coverage is an unknown query key" \
+  "unknown query key 'approx_coverage'"
+
 check "batch refuses imm, which certifies no answer" 0 \
   sh -c "echo 'graph=wc algo=imm k=2' | '$CLI' batch --graph=wc='$WORK/wc.txt'"
 expect_in_output "imm yields error json" '"ok":false'
@@ -209,6 +220,7 @@ expect_in_output "imm yields error json" '"ok":false'
 # `serve` announces its ephemeral port on stdout; curl drives the routes
 # and `subsim_cli update` posts edge batches. SIGTERM must drain and exit 0.
 "$CLI" serve --graph=wc="$WORK/wc.txt" --port=0 --http-workers=2 \
+  --bind=127.0.0.1 --max-pending=64 --threads=1 --cache-mb=64 \
   > "$WORK/serve_out.txt" 2> "$WORK/serve_err.txt" &
 SERVE_PID=$!
 PORT=""
@@ -266,7 +278,7 @@ printf 'graph=wc expect_version=1\nweight %s 0.25\n' "$EDGE" \
   > "$WORK/update_skew.txt"
 printf 'graph=wc\nfrobnicate 0 1\n' > "$WORK/update_bad.txt"
 check "update applies a batch" 0 \
-  "$CLI" update --port="$PORT" --in="$WORK/update_good.txt"
+  "$CLI" update --port="$PORT" --host=127.0.0.1 --in="$WORK/update_good.txt"
 expect_in_output "update publishes version 2" '"version":2'
 check "update with expect_version skew fails" 1 \
   "$CLI" update --port="$PORT" --in="$WORK/update_skew.txt"
@@ -323,6 +335,29 @@ check "malformed flag rejected" 1 "$CLI" stats -in=x
 check "bad k rejected" 1 "$CLI" run --in="$WORK/wc.txt" --k=0
 check "unknown weight model rejected" 1 \
   "$CLI" weight --in="$WORK/raw.txt" --model=nope --out="$WORK/x.txt"
+
+# Every subcommand rejects a flag it does not read, instead of running with
+# the default the flag meant to override.
+check "misspelled run flag rejected" 1 \
+  "$CLI" run --in="$WORK/wc.txt" --k=2 --epsilon=0.3
+if grep -q "unrecognized flag: --epsilon" "$WORK/err.txt" && \
+    [ ! -s "$WORK/out.txt" ]; then
+  echo "ok: misspelled flag named, nothing run"
+else
+  echo "FAIL: misspelled flag not reported before running"
+  sed 's/^/    /' "$WORK/err.txt" "$WORK/out.txt" | head -5
+  FAILURES=$((FAILURES + 1))
+fi
+check "removed --approx-coverage flag rejected" 1 \
+  "$CLI" run --in="$WORK/wc.txt" --k=2 --approx-coverage
+check "unknown stats flag rejected" 1 \
+  "$CLI" stats --in="$WORK/wc.txt" --no-such-flag=1
+check "generate rejects a weight flag" 1 \
+  "$CLI" generate --type=ba --nodes=100 --model=wc --out="$WORK/x.txt"
+check "serve rejects a misspelled flag before starting" 1 \
+  "$CLI" serve --graph=wc="$WORK/wc.txt" --prot=0
+check "update rejects an unknown flag" 1 \
+  "$CLI" update --port=1 --in="$WORK/update_good.txt" --retries=3
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES CLI checks failed"

@@ -1,8 +1,8 @@
 // `RunCoverageGreedy` keeps its per-node scratch (exact marginals and
 // selected flags) in a per-thread workspace that each call must leave all
 // zero. These tests run one call after others that leave different
-// footprints in it (a larger graph, the approx loop, excluded nodes, a run
-// into the zero-gain tail) and check it against the same call on a fresh
+// footprints in it (a larger graph, excluded nodes, a run into the
+// zero-gain tail) and check it against the same call on a fresh
 // thread; the stress case runs the same calls from four threads at once,
 // the shape of the HTTP serve workers.
 
@@ -90,13 +90,6 @@ Call ExcludingCall(const Instance& instance, std::size_t prefix,
   return call;
 }
 
-Call ApproxCall(const Instance& instance, std::size_t prefix,
-                std::uint32_t k) {
-  Call call = PlainCall(instance, prefix, k);
-  call.options.approx_coverage = true;
-  return call;
-}
-
 CoverageGreedyResult RunOnFreshThread(const Call& call) {
   CoverageGreedyResult result;
   std::thread thread([&] { result = call.Run(); });
@@ -145,8 +138,6 @@ TEST_F(GreedyWorkspaceTest, CallsAfterOtherCallsMatchAFreshThread) {
   const std::vector<std::pair<const char*, Call>> before = {
       {"larger graph, dense", PlainCall(*large_, 4000, 50)},
       {"larger graph, sparse", RevisedCall(*large_, 20, 400)},
-      {"approx_coverage", ApproxCall(*small_, 1500, 30)},
-      {"approx_coverage, short prefix", ApproxCall(*small_, 15, 60)},
       {"excluded nodes", ExcludingCall(*small_, 1500, 200)},
       {"excluded nodes, larger graph", ExcludingCall(*large_, 300, 80)},
   };
@@ -177,7 +168,6 @@ TEST_F(GreedyWorkspaceTest, StressFourThreadsAgreeWithOneThread) {
   std::vector<Call> calls = Probes();
   calls.push_back(PlainCall(*large_, 4000, 50));
   calls.push_back(RevisedCall(*large_, 25, 300));
-  calls.push_back(ApproxCall(*small_, 200, 25));
   std::vector<CoverageGreedyResult> expected;
   for (const Call& call : calls) {
     expected.push_back(RunOnFreshThread(call));

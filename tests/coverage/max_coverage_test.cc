@@ -258,6 +258,15 @@ TEST(ComputeCoverageTest, ScanEqualsIndexRecount) {
       for (RrId id = 0; id < prefix; ++id) {
         nonempty += indexed.View(id).empty() ? 0 : 1;
       }
+      // Greedy over the same prefix: its gains never rise, and the scan
+      // counts exactly the coverage greedy reports.
+      CoverageGreedyOptions greedy_options;
+      greedy_options.k = 12;
+      const CoverageGreedyResult greedy =
+          RunCoverageGreedy(indexed.Prefix(prefix), greedy_options);
+      EXPECT_TRUE(std::is_sorted(greedy.gains.rbegin(), greedy.gains.rend()));
+      EXPECT_EQ(ComputeCoverage(unindexed.Prefix(prefix), greedy.seeds),
+                greedy.total_coverage());
       for (const std::vector<NodeId>& seeds : seed_lists) {
         SCOPED_TRACE("seeds " + std::to_string(seeds.size()));
         const std::uint64_t expected =
@@ -271,6 +280,14 @@ TEST(ComputeCoverageTest, ScanEqualsIndexRecount) {
                 nonempty);
     }
   }
+}
+
+TEST(MaxCoverageDeathTest, RejectsApproxCoverage) {
+  const RrCollection collection = CollectionFromSets(4, {{0, 1}, {3}});
+  CoverageGreedyOptions options;
+  options.approx_coverage = true;
+  EXPECT_DEATH(RunCoverageGreedy(collection, options),
+               "approx_coverage was removed");
 }
 
 TEST(ComputeCoverageDeathTest, RejectsSeedOutOfNodeRange) {

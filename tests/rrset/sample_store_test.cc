@@ -214,30 +214,30 @@ TEST(SampleStoreTest, StoppingRoundTableOverwritesAndEvictsOldest) {
   ASSERT_TRUE(store.ok());
   SampleStore& table = **store;
   const std::uint64_t bytes = table.ApproxMemoryBytes();
-  EXPECT_EQ(table.StoppingRound({1, 2, 3, 4}), 0u);
+  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 0u);
 
-  table.RecordStoppingRound({1, 2, 3, 4}, 5);
-  table.RecordStoppingRound({1, 2, 3, 5}, 6);
-  EXPECT_EQ(table.StoppingRound({1, 2, 3, 4}), 5u);
-  EXPECT_EQ(table.StoppingRound({1, 2, 3, 5}), 6u);
+  table.RecordStoppingRound({1, 2, 4}, 5);
+  table.RecordStoppingRound({1, 2, 5}, 6);
+  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 5u);
+  EXPECT_EQ(table.StoppingRound({1, 2, 5}), 6u);
   // A key already held is overwritten in place, not added again.
-  table.RecordStoppingRound({1, 2, 3, 4}, 7);
-  EXPECT_EQ(table.StoppingRound({1, 2, 3, 4}), 7u);
+  table.RecordStoppingRound({1, 2, 4}, 7);
+  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 7u);
   EXPECT_EQ(table.num_stopping_rounds(), 2u);
 
-  // Filling the table evicts in insertion order: {1,2,3,4} first.
+  // Filling the table evicts in insertion order: {1,2,4} first.
   for (std::uint64_t i = 0; i + 2 < SampleStore::kMaxRoundEntries; ++i) {
-    table.RecordStoppingRound({9, i, 0, 0}, 1);
+    table.RecordStoppingRound({9, i, 0}, 1);
   }
   EXPECT_EQ(table.num_stopping_rounds(), SampleStore::kMaxRoundEntries);
-  EXPECT_EQ(table.StoppingRound({1, 2, 3, 4}), 7u);
-  table.RecordStoppingRound({8, 0, 0, 0}, 2);
-  EXPECT_EQ(table.StoppingRound({1, 2, 3, 4}), 0u);
-  EXPECT_EQ(table.StoppingRound({1, 2, 3, 5}), 6u);
-  EXPECT_EQ(table.StoppingRound({8, 0, 0, 0}), 2u);
-  table.RecordStoppingRound({8, 0, 0, 1}, 3);
-  EXPECT_EQ(table.StoppingRound({1, 2, 3, 5}), 0u);
-  EXPECT_EQ(table.StoppingRound({9, 0, 0, 0}), 1u);
+  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 7u);
+  table.RecordStoppingRound({8, 0, 0}, 2);
+  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 0u);
+  EXPECT_EQ(table.StoppingRound({1, 2, 5}), 6u);
+  EXPECT_EQ(table.StoppingRound({8, 0, 0}), 2u);
+  table.RecordStoppingRound({8, 0, 1}, 3);
+  EXPECT_EQ(table.StoppingRound({1, 2, 5}), 0u);
+  EXPECT_EQ(table.StoppingRound({9, 0, 0}), 1u);
   EXPECT_EQ(table.num_stopping_rounds(), SampleStore::kMaxRoundEntries);
   // The table is part of the store object: its bytes never change.
   EXPECT_EQ(table.ApproxMemoryBytes(), bytes);

@@ -379,7 +379,7 @@ TEST_F(QueryEngineTest, ConcurrentSameKeyQueriesShareOneFill) {
 }
 
 TEST_F(QueryEngineTest, ConcurrentMixedKeysOnOneEntryMatchColdRuns) {
-  // Four workers race queries with different (k, eps, approx_coverage) on
+  // Four workers race queries with different (k, eps, delta) on
   // one cached store, each three times, so lookups and records of the
   // store's stopping-round table interleave with fills and reads (TSan
   // soaks this in CI). Every answer must equal the query's cold run.
@@ -389,11 +389,11 @@ TEST_F(QueryEngineTest, ConcurrentMixedKeysOnOneEntryMatchColdRuns) {
   std::vector<SelectSeedsQuery> queries;
   for (const std::uint32_t k : {3u, 8u}) {
     for (const double eps : {0.12, 0.25}) {
-      for (const bool approx : {false, true}) {
+      for (const double delta : {0.0, 0.02}) {
         SelectSeedsQuery query = BaseQuery("g");
         query.k = k;
         query.epsilon = eps;
-        query.approx_coverage = approx;
+        query.delta = delta;
         queries.push_back(query);
       }
     }
@@ -417,7 +417,7 @@ TEST_F(QueryEngineTest, ConcurrentMixedKeysOnOneEntryMatchColdRuns) {
     SCOPED_TRACE(::testing::Message()
                  << "k=" << response.query.k << " eps="
                  << response.query.epsilon
-                 << " approx=" << response.query.approx_coverage);
+                 << " delta=" << response.query.delta);
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     EXPECT_EQ(response.result.seeds, expected.result.seeds);
     EXPECT_EQ(response.result.approx_ratio, expected.result.approx_ratio);
@@ -564,6 +564,17 @@ TEST(QueryParseTest, RoundTripsThroughEngine) {
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"seeds\":["), std::string::npos);
   EXPECT_NE(json.find("\"cache_hit\":false"), std::string::npos);
+}
+
+TEST(QueryParseTest, RemovedApproxCoverageKeysAreUnknown) {
+  for (const char* line : {"graph=g approx_coverage=1", "graph=g approx=1"}) {
+    const Result<SelectSeedsQuery> parsed = ParseSelectSeedsQuery(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("unknown query key"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 }  // namespace

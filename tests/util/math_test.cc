@@ -60,15 +60,6 @@ TEST(HistApproxTargetTest, FullBudgetApproachesClassicRatio) {
               kOneMinusInvE - 0.1, 1e-4);
 }
 
-TEST(NextPowerOfTwoTest, Values) {
-  EXPECT_EQ(NextPowerOfTwo(0), 1u);
-  EXPECT_EQ(NextPowerOfTwo(1), 1u);
-  EXPECT_EQ(NextPowerOfTwo(2), 2u);
-  EXPECT_EQ(NextPowerOfTwo(3), 4u);
-  EXPECT_EQ(NextPowerOfTwo(1023), 1024u);
-  EXPECT_EQ(NextPowerOfTwo(1024), 1024u);
-}
-
 class PowOneMinusInvKSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t,
                                                  std::uint64_t>> {};

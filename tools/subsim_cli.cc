@@ -12,7 +12,7 @@
 //             single-discount|degree-discount [--k=K] [--eps=E]
 //             [--generator=vanilla|subsim|lt] [--seed=S]
 //             [--threads=N] [--kernel=auto|scalar|batched]
-//             [--rr-encoding=raw|delta] [--approx-coverage]
+//             [--rr-encoding=raw|delta]
 //             [--evaluate[=SIMS]] [--metrics-json=FILE]
 //   calibrate --in=FILE --model=wc-variant|uniform --target=AVG [--seed=S]
 //   batch     --graph=NAME=FILE [--graph=...] [--in=QUERIES|-]
@@ -20,6 +20,9 @@
 //   serve     --graph=NAME=FILE [--graph=...] [--threads=N] [--cache-mb=M]
 //             [--port=P] [--bind=ADDR] [--http-workers=N] [--max-pending=N]
 //   update    --port=P [--host=ADDR] --in=BATCH|-
+//
+// Each subcommand accepts only the flags listed for it; any other flag is
+// an error.
 //
 // Files are whitespace-separated edge lists ("src dst [weight]"); lines
 // starting with '#' or '%' are comments. `weight` writes the third column.
@@ -44,12 +47,15 @@
 // the server publishes a new snapshot version and incrementally repairs
 // its warm RR sketches.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <future>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -151,6 +157,17 @@ class Flags {
       return Status::InvalidArgument("--" + key + " must be a number");
     }
     return value;
+  }
+
+  /// InvalidArgument naming the first flag not in `known`, so a misspelled
+  /// flag fails instead of running with the default it meant to override.
+  Status CheckKnown(std::initializer_list<std::string_view> known) const {
+    for (const auto& [k, v] : values_) {
+      if (std::find(known.begin(), known.end(), k) == known.end()) {
+        return Status::InvalidArgument("unrecognized flag: --" + k);
+      }
+    }
+    return Status::Ok();
   }
 
  private:
@@ -314,7 +331,6 @@ int CmdRun(const Flags& flags) {
   options.num_threads = static_cast<unsigned>(*threads);
   options.fill_kernel = *kernel;
   options.rr_encoding = *encoding;
-  options.approx_coverage = flags.Has("approx-coverage");
 
   // Observability is opt-in: without --metrics-json the run carries no
   // registry and the instrumentation handles stay no-ops.
@@ -667,14 +683,40 @@ int Main(int argc, char** argv) {
   if (!flags.ok()) {
     return Fail(flags.status());
   }
-  if (command == "generate") return CmdGenerate(*flags);
-  if (command == "weight") return CmdWeight(*flags);
-  if (command == "stats") return CmdStats(*flags);
-  if (command == "run") return CmdRun(*flags);
-  if (command == "calibrate") return CmdCalibrate(*flags);
-  if (command == "batch") return CmdBatch(*flags);
-  if (command == "serve") return CmdServe(*flags);
-  if (command == "update") return CmdUpdate(*flags);
+  // Each subcommand with the flags it reads (the header comment's list).
+  const auto dispatch = [&flags](int (*run)(const Flags&),
+                                 std::initializer_list<std::string_view>
+                                     known) {
+    if (const Status status = flags->CheckKnown(known); !status.ok()) {
+      return Fail(status);
+    }
+    return run(*flags);
+  };
+  if (command == "generate") {
+    return dispatch(CmdGenerate,
+                    {"type", "nodes", "degree", "undirected", "seed", "out"});
+  }
+  if (command == "weight") {
+    return dispatch(CmdWeight, {"in", "model", "p", "theta", "seed", "out"});
+  }
+  if (command == "stats") return dispatch(CmdStats, {"in"});
+  if (command == "run") {
+    return dispatch(CmdRun, {"in", "algo", "k", "eps", "generator", "seed",
+                             "threads", "kernel", "rr-encoding", "evaluate",
+                             "metrics-json"});
+  }
+  if (command == "calibrate") {
+    return dispatch(CmdCalibrate, {"in", "model", "target", "seed"});
+  }
+  if (command == "batch") {
+    return dispatch(CmdBatch,
+                    {"graph", "in", "workers", "threads", "cache-mb"});
+  }
+  if (command == "serve") {
+    return dispatch(CmdServe, {"graph", "threads", "cache-mb", "port", "bind",
+                               "http-workers", "max-pending"});
+  }
+  if (command == "update") return dispatch(CmdUpdate, {"port", "host", "in"});
   return Usage();
 }
 
