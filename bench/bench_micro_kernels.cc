@@ -78,10 +78,13 @@ void BM_AliasTableSample(benchmark::State& state) {
   for (auto& w : weights) {
     w = init.NextDouble() + 0.01;
   }
-  AliasTable table(weights);
+  std::vector<double> prob(weights.size());
+  std::vector<std::uint32_t> alias(weights.size());
+  AliasScratch scratch;
+  BuildAliasColumns(weights, prob, alias, &scratch);
   Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Sample(rng));
+    benchmark::DoNotOptimize(SampleAlias(prob, alias, rng));
   }
 }
 BENCHMARK(BM_AliasTableSample)->Arg(16)->Arg(4096);
@@ -372,8 +375,8 @@ const Graph& HighInfluenceGraph() {
 }
 
 /// Exponential weights, each in-row normalized to sum 1, so LT's plan
-/// holds one `AliasTable` per skewed row: the graph's sampling state costs
-/// O(m) heap allocations to build. (SUBSIM's plan is one O(n) pass, too
+/// holds an alias table per skewed row: the graph's sampling state costs
+/// an O(m) build. (SUBSIM's plan is one O(n) pass, too
 /// cheap next to a 64-set fill for the warm/cold ratio to show sharing.)
 Graph SkewedPlanGraph() {
   Result<EdgeList> list = GenerateBarabasiAlbert(200000, 10, false, 5);

@@ -13,8 +13,8 @@
 //   3. shared fill: K identical cold queries launched together must
 //      generate ~one cold run's worth of RR sets, not K of them. Then one
 //      warm OPIM-C query repeated must return the first answer's seeds
-//      and start at the round the first run stopped at: /metricsz's
-//      `opim_c.rounds_skipped` grows by that run's rounds - 1.
+//      from the store's recorded verdict, evaluating no round: /metricsz's
+//      `opim_c.rounds_skipped` grows by exactly that run's rounds.
 //   4. overload + degradation: a deliberately tiny server (1 worker, 1
 //      queue slot) under a burst must shed with 429 + Retry-After within
 //      the expected ceiling, and 1 ms `deadline_ms` OPIM-C and HIST
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
           "shared fill: concurrent identical queries share the fill");
   }
 
-  // --- Phase 3b: a warm repeat starts at the certified round ---------
+  // --- Phase 3b: a warm repeat answers from the recorded verdict ------
   {
     subsim::HttpClient client("127.0.0.1", port);
     const std::string query = QueryLine(8, 303, 0.1);
@@ -327,8 +327,8 @@ int main(int argc, char** argv) {
       Check(!SeedsText(first->body).empty() &&
                 SeedsText(first->body) == SeedsText(again->body),
             "warm repeat: seeds equal the first answer");
-      Check(rounds > 1 && skipped == static_cast<double>(rounds - 1),
-            "warm repeat: skips every round before the certified one");
+      Check(rounds > 1 && skipped == static_cast<double>(rounds),
+            "warm repeat: skips every round of the recorded verdict");
     }
   }
 

@@ -76,11 +76,10 @@ struct ImOptions {
   /// heuristics ignore it. See `ImResult::deadline_hit`.
   ///
   /// On a store where an earlier full-budget OPIM-C run with the same
-  /// options recorded its stopping round (see `OpimC`), the first round
-  /// evaluated is that recorded round, which ends the schedule: an unspent
-  /// budget, however small, then yields the full-budget answer after one
-  /// whole final round, about half a cold run's time. A budget already
-  /// spent when the run starts evaluates round 1 only, as a cold run does.
+  /// options recorded its verdict (see `OpimC`), no round is evaluated: an
+  /// unspent budget, however small, gets the recorded full-budget answer at
+  /// O(k) cost and no `deadline_hit`. A budget already spent when the run
+  /// starts evaluates round 1 only, as a cold run does.
   Deadline deadline;
 
   /// Resolves delta == 0 to 1/n.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <utility>
 
 #include "subsim/algo/theta.h"
@@ -18,7 +19,7 @@ namespace {
 /// round schedule and each round's verdict depend on: k, eps and delta fix
 /// theta0, i_max and every round's bounds. Thread count, fill kernel and
 /// arena encoding never change a set or a seed, so they are left out.
-SampleStore::RoundKey StoppingRoundKey(const ImOptions& options,
+SampleStore::VerdictKey MakeVerdictKey(const ImOptions& options,
                                        double delta) {
   return {options.k, std::bit_cast<std::uint64_t>(options.epsilon),
           std::bit_cast<std::uint64_t>(delta)};
@@ -79,23 +80,33 @@ Result<ImResult> OpimC::RunWithStore(const Graph& graph,
   const double target_ratio = kOneMinusInvE - eps;
 
   // A run with these options that already reached its verdict on this
-  // store recorded the round it stopped at. Every earlier round is a pure
-  // function of the same append-only prefixes and these options, so it
-  // would fail the test again exactly as before: start at the recorded
-  // round, whose prefix then yields the cold run's seeds and bounds. A
-  // budget already spent at entry starts at round 1, as a cold run does,
-  // so it still costs one small round and returns that round's degraded
-  // answer; any other budget starts at the recorded round and, since the
-  // deadline is read only after a round, completes it whatever remains.
-  const SampleStore::RoundKey round_key = StoppingRoundKey(options, delta);
-  const std::uint32_t first_round =
-      options.deadline.Expired()
-          ? 1
-          : std::clamp<std::uint32_t>(store->StoppingRound(round_key), 1,
-                                      i_max);
-  rounds_skipped.Add(first_round - 1);
+  // store recorded it. The verdict is a pure function of the same
+  // append-only prefixes and these options, so it is the cold run's
+  // answer: return it without evaluating a round. A budget already spent
+  // at entry ignores the table and degrades after round 1, as a cold run
+  // does.
+  const SampleStore::VerdictKey verdict_key = MakeVerdictKey(options, delta);
+  if (!options.deadline.Expired()) {
+    if (std::optional<SampleStore::Verdict> verdict =
+            store->FindVerdict(verdict_key)) {
+      rounds_skipped.Add(verdict->round);
+      result.seeds = std::move(verdict->seeds);
+      result.influence_lower_bound = verdict->influence_lower_bound;
+      result.optimal_upper_bound = verdict->optimal_upper_bound;
+      result.approx_ratio = verdict->approx_ratio;
+      result.achieved_epsilon = verdict->achieved_epsilon;
+      result.estimated_spread = verdict->estimated_spread;
+      result.num_rr_sets = verdict->num_rr_sets;
+      result.total_rr_nodes = verdict->total_rr_nodes;
+      upper_gauge.Set(result.optimal_upper_bound);
+      lower_gauge.Set(result.influence_lower_bound);
+      ratio_gauge.Set(result.approx_ratio);
+      result.seconds = run_span.ElapsedSeconds();
+      return result;
+    }
+  }
 
-  for (std::uint32_t i = first_round; i <= i_max; ++i) {
+  for (std::uint32_t i = 1; i <= i_max; ++i) {
     PhaseScope round_span(options.obs.tracer, "opim_c.round");
     const std::uint64_t target = theta0 << (i - 1);
     SUBSIM_RETURN_IF_ERROR(
@@ -145,7 +156,12 @@ Result<ImResult> OpimC::RunWithStore(const Graph& graph,
     if (result.approx_ratio >= target_ratio || i == i_max) {
       // The verdict the full schedule reaches; a deadline stop (below) is
       // not one, so it is never recorded.
-      store->RecordStoppingRound(round_key, i);
+      store->RecordVerdict(
+          verdict_key,
+          {i, result.seeds, result.influence_lower_bound,
+           result.optimal_upper_bound, result.approx_ratio,
+           result.achieved_epsilon, result.estimated_spread,
+           result.num_rr_sets, result.total_rr_nodes});
       break;
     }
     // Deadline checks happen only at round boundaries (the first round

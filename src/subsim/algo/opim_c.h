@@ -25,16 +25,16 @@ namespace subsim {
 /// results are bit-identical to cold ones for a fixed rng seed.
 ///
 /// A run also reuses the verdict an earlier run reached on the same store.
-/// Every full-budget run records the round it stopped at in the store's
-/// stopping-round table, keyed by (k, eps, delta after
-/// `EffectiveDelta`); a deadline stop records nothing. A
-/// run whose key is recorded starts at that round: the rounds before it
-/// are pure functions of the same prefixes and options and would fail the
-/// test again, so it evaluates one round and returns the cold run's seeds,
-/// bounds and counts. `opim_c.rounds_skipped` counts the rounds not
-/// evaluated. A run whose deadline has already expired at entry ignores
-/// the table and evaluates round 1; one with an unspent budget starts at
-/// the recorded round and completes it (see `ImOptions::deadline`).
+/// Every full-budget run records its stopping round and its answer in the
+/// store's verdict table, keyed by (k, eps, delta after `EffectiveDelta`);
+/// a deadline stop records nothing. A run whose key is recorded returns
+/// that answer without evaluating a round: every round is a pure function
+/// of the same prefixes and options, so the answer is the cold run's seeds,
+/// bounds and counts, at O(k) cost. `opim_c.rounds_skipped` counts the
+/// rounds not evaluated (the recorded round on a hit, 0 on a miss). A run
+/// whose deadline has already expired at entry ignores the table and
+/// evaluates round 1; one with an unspent budget takes the recorded answer
+/// (see `ImOptions::deadline`).
 class OpimC final : public ImAlgorithm {
  public:
   Result<ImResult> Run(const Graph& graph,
@@ -54,8 +54,9 @@ class OpimC final : public ImAlgorithm {
   /// the schedule still misses is generated. Without a deadline the result
   /// is identical to a cold `Run` with the same options (all but `seconds`
   /// and `rr_sets_generated`), no matter what other runs the store served
-  /// before. With one, a warm run may return the full-budget answer where
-  /// a cold run would have degraded (see `ImOptions::deadline`).
+  /// before. With one, a run whose verdict the store holds returns the
+  /// full-budget answer where a cold run would have degraded (see
+  /// `ImOptions::deadline`).
   Result<ImResult> RunWithStore(const Graph& graph, const ImOptions& options,
                                 SampleStore* store) const;
 

@@ -4,34 +4,33 @@
 
 namespace subsim {
 
-void AliasTable::Build(const std::vector<double>& weights) {
+double BuildAliasColumns(std::span<const double> weights,
+                         std::span<double> prob,
+                         std::span<std::uint32_t> alias,
+                         AliasScratch* scratch) {
   const std::size_t n = weights.size();
-  SUBSIM_CHECK(n > 0, "AliasTable requires at least one weight");
+  SUBSIM_CHECK(n > 0, "alias table requires at least one weight");
+  SUBSIM_CHECK(prob.size() == n && alias.size() == n,
+               "alias columns must match the weights");
 
-  total_weight_ = 0.0;
+  double total_weight = 0.0;
   for (double w : weights) {
-    SUBSIM_CHECK(w >= 0.0, "AliasTable weights must be non-negative");
-    total_weight_ += w;
+    SUBSIM_CHECK(w >= 0.0, "alias table weights must be non-negative");
+    total_weight += w;
   }
-  SUBSIM_CHECK(total_weight_ > 0.0, "AliasTable needs a positive weight");
+  SUBSIM_CHECK(total_weight > 0.0, "alias table needs a positive weight");
 
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-
-  // Scaled probabilities: mean 1. Partition into under/over-full columns and
-  // repeatedly pair one of each.
-  std::vector<double> scaled(n);
-  const double scale = static_cast<double>(n) / total_weight_;
+  // Scaled probabilities, mean 1, kept in `prob`: a column's entry is final
+  // once it leaves the under-full stack. Partition into under/over-full
+  // columns and repeatedly pair one of each.
+  const double scale = static_cast<double>(n) / total_weight;
+  std::vector<std::uint32_t>& small = scratch->small;
+  std::vector<std::uint32_t>& large = scratch->large;
+  small.clear();
+  large.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * scale;
-  }
-
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
+    prob[i] = weights[i] * scale;
+    (prob[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
   }
 
   while (!small.empty() && !large.empty()) {
@@ -39,28 +38,20 @@ void AliasTable::Build(const std::vector<double>& weights) {
     small.pop_back();
     const std::uint32_t l = large.back();
     large.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
+    alias[s] = l;
+    prob[l] = (prob[l] + prob[s]) - 1.0;
+    (prob[l] < 1.0 ? small : large).push_back(l);
   }
   // Numerical leftovers: all remaining columns are (within rounding) full.
   for (std::uint32_t i : large) {
-    prob_[i] = 1.0;
-    alias_[i] = i;
+    prob[i] = 1.0;
+    alias[i] = i;
   }
   for (std::uint32_t i : small) {
-    prob_[i] = 1.0;
-    alias_[i] = i;
+    prob[i] = 1.0;
+    alias[i] = i;
   }
-}
-
-std::uint32_t AliasTable::Sample(Rng& rng) const {
-  SUBSIM_DCHECK(!prob_.empty(), "Sample from empty AliasTable");
-  const std::uint64_t column = rng.UniformInt(prob_.size());
-  const double u = rng.NextDouble();
-  return u < prob_[column] ? static_cast<std::uint32_t>(column)
-                           : alias_[column];
+  return total_weight;
 }
 
 }  // namespace subsim

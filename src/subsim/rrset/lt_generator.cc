@@ -43,6 +43,7 @@ LtEdgePicker::LtEdgePicker(const Graph& graph) {
   constructions_.fetch_add(1, std::memory_order_relaxed);
   const NodeId n = graph.num_nodes();
   meta_.assign(n, PickMeta{});
+  AliasScratch scratch;
   for (NodeId v = 0; v < n; ++v) {
     const InRowMeta& row = graph.InMeta(v);
     PickMeta& pm = meta_[v];
@@ -54,12 +55,14 @@ LtEdgePicker::LtEdgePicker(const Graph& graph) {
       continue;  // uniform pick; no table needed
     }
     pm.has_alias = 1;
-    if (alias_.empty()) {
-      alias_.resize(n);
+    if (alias_prob_.empty()) {
+      alias_prob_.resize(graph.num_edges());
+      alias_column_.resize(graph.num_edges());
     }
-    const auto weights = graph.InWeights(v);
-    alias_[v] = std::make_unique<AliasTable>(
-        std::vector<double>(weights.begin(), weights.end()));
+    BuildAliasColumns(graph.InWeights(v),
+                      {alias_prob_.data() + row.begin, row.degree},
+                      {alias_column_.data() + row.begin, row.degree},
+                      &scratch);
   }
 }
 

@@ -22,9 +22,11 @@ namespace subsim {
 /// The picker is the immutable, per-graph half of an LT generator: the
 /// per-node pick records and the alias tables of nodes with skewed
 /// in-weights, built once per graph (`Shared`) and read concurrently by
-/// every worker, fill and store of that graph. It holds row positions, not
-/// the graph, so the calls that read adjacency take the graph it was built
-/// from.
+/// every worker, fill and store of that graph. The alias tables live in two
+/// flat arrays indexed by CSR position, so building them costs two
+/// allocations per graph, not a few per skewed row. It holds row
+/// positions, not the graph, so the calls that read adjacency take the
+/// graph it was built from.
 class LtEdgePicker {
  public:
   /// The graph's shared picker, built on the first call for `graph` and
@@ -59,7 +61,9 @@ class LtEdgePicker {
       // Uniform in-weights: live edge uniform among in-neighbors.
       return sources[rng.UniformInt(sources.size())];
     }
-    return sources[alias_[v]->Sample(rng)];
+    return sources[SampleAlias(
+        {alias_prob_.data() + pm.begin, pm.degree},
+        {alias_column_.data() + pm.begin, pm.degree}, rng)];
   }
 
   /// Prefetches the packed per-node descriptor `PickInNeighbor(v)` reads
@@ -70,7 +74,7 @@ class LtEdgePicker {
 
   /// Prefetches the leading lines of v's in-source row, the only part of
   /// the row `PickInNeighbor(v)` reads: a skewed row's weights live in its
-  /// alias table, so the graph's in-weight lines are never touched. Reads
+  /// alias columns, so the graph's in-weight lines are never touched. Reads
   /// v's descriptor (expected warm after `PrefetchPick`). Returns the
   /// lines issued, for the `rr.prefetch_lines` counter.
   unsigned PrefetchRow(const Graph& graph, NodeId v) const {
@@ -95,9 +99,11 @@ class LtEdgePicker {
   static_assert(sizeof(PickMeta) == 16, "PickMeta must pack 4 per line");
 
   std::vector<PickMeta> meta_;
-  /// Alias tables for nodes with skewed in-weights, indexed by node; null
-  /// for uniform ones, and empty when every row is uniform.
-  std::vector<std::unique_ptr<AliasTable>> alias_;
+  /// Alias columns of the skewed rows (`BuildAliasColumns`), indexed by CSR
+  /// position: row v's table is `[pm.begin, pm.begin + pm.degree)`. Entries
+  /// of uniform rows are unused; both are empty when every row is uniform.
+  std::vector<double> alias_prob_;
+  std::vector<std::uint32_t> alias_column_;
 
   static inline std::atomic<std::uint64_t> constructions_{0};
 };

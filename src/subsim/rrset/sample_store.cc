@@ -149,7 +149,7 @@ Status SampleStore::EnsureSets(std::size_t stream, std::uint64_t count,
     metrics->Counter("store.sets_generated").Add(need);
     // Recompute bytes inline: ApproxMemoryBytes() takes the shared lock we
     // already hold exclusively.
-    std::uint64_t bytes = sizeof(SampleStore);
+    std::uint64_t bytes = sizeof(SampleStore) + VerdictBytes();
     for (const Stream& st : streams_) {
       bytes += st.collection.ApproxMemoryBytes();
     }
@@ -167,38 +167,51 @@ Status SampleStore::EnsureSets(std::size_t stream, std::uint64_t count,
   return Status::Ok();
 }
 
-std::uint32_t SampleStore::StoppingRound(const RoundKey& key) const {
-  const MutexLock lock(rounds_mu_);
-  for (std::size_t i = 0; i < num_rounds_; ++i) {
-    if (rounds_[i].key == key) {
-      return rounds_[i].round;
+std::optional<SampleStore::Verdict> SampleStore::FindVerdict(
+    const VerdictKey& key) const {
+  const MutexLock lock(verdicts_mu_);
+  for (std::size_t i = 0; i < num_verdicts_; ++i) {
+    if (verdicts_[i].key == key) {
+      return verdicts_[i].verdict;
     }
   }
-  return 0;
+  return std::nullopt;
 }
 
-void SampleStore::RecordStoppingRound(const RoundKey& key,
-                                      std::uint32_t round) {
-  const MutexLock lock(rounds_mu_);
-  for (std::size_t i = 0; i < num_rounds_; ++i) {
-    if (rounds_[i].key == key) {
-      rounds_[i].round = round;
+void SampleStore::RecordVerdict(const VerdictKey& key,
+                                const Verdict& verdict) {
+  // A fresh copy holds exactly its seeds (an assignment into a held entry
+  // would keep that entry's capacity), so the table charges what it keeps.
+  Verdict copy = verdict;
+  const MutexLock lock(verdicts_mu_);
+  for (std::size_t i = 0; i < num_verdicts_; ++i) {
+    if (verdicts_[i].key == key) {
+      verdicts_[i].verdict = std::move(copy);
       return;
     }
   }
-  rounds_[next_round_] = RoundEntry{key, round};
-  next_round_ = (next_round_ + 1) % kMaxRoundEntries;
-  num_rounds_ = std::min(num_rounds_ + 1, kMaxRoundEntries);
+  verdicts_[next_verdict_] = VerdictEntry{key, std::move(copy)};
+  next_verdict_ = (next_verdict_ + 1) % kMaxVerdicts;
+  num_verdicts_ = std::min(num_verdicts_ + 1, kMaxVerdicts);
 }
 
-std::size_t SampleStore::num_stopping_rounds() const {
-  const MutexLock lock(rounds_mu_);
-  return num_rounds_;
+std::size_t SampleStore::num_verdicts() const {
+  const MutexLock lock(verdicts_mu_);
+  return num_verdicts_;
+}
+
+std::uint64_t SampleStore::VerdictBytes() const {
+  const MutexLock lock(verdicts_mu_);
+  std::uint64_t bytes = 0;
+  for (std::size_t i = 0; i < num_verdicts_; ++i) {
+    bytes += verdicts_[i].verdict.seeds.capacity() * sizeof(NodeId);
+  }
+  return bytes;
 }
 
 std::uint64_t SampleStore::ApproxMemoryBytes() const {
+  std::uint64_t bytes = sizeof(SampleStore) + VerdictBytes();
   const ReaderMutexLock lock(mu_);
-  std::uint64_t bytes = sizeof(SampleStore);
   for (const Stream& stream : streams_) {
     bytes += stream.collection.ApproxMemoryBytes();
   }

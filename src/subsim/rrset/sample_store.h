@@ -5,7 +5,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "subsim/graph/graph.h"
 #include "subsim/random/rng.h"
@@ -48,20 +50,36 @@ namespace subsim {
 /// fast streams grow, never their contents. Warm cache hits are therefore
 /// bit-identical to cold multi-threaded runs.
 ///
-/// Besides the sets, a store keeps a small table of stopping rounds (see
-/// `StoppingRound`): a run that reached its verdict on this store's
-/// prefixes can tell the next run with the same options where that verdict
-/// fell, so the rounds before it, which only re-derive known failures on
-/// the same prefixes, need not be evaluated again.
+/// Besides the sets, a store keeps a small table of verdicts (see
+/// `FindVerdict`): a run that reached its verdict on this store's prefixes
+/// records its stopping round and its answer, so the next run with the same
+/// options can return that answer without evaluating a round: the verdict
+/// is a pure function of the same append-only prefixes and options.
 class SampleStore {
  public:
   static constexpr std::size_t kNumStreams = 2;
-  /// Entries of the stopping-round table; the oldest is evicted when full.
-  static constexpr std::size_t kMaxRoundEntries = 64;
+  /// Entries of the verdict table; the oldest is evicted when full.
+  static constexpr std::size_t kMaxVerdicts = 64;
 
-  /// Opaque stopping-round key. Its meaning belongs to the algorithm that
-  /// records it; the store only compares keys for equality.
-  using RoundKey = std::array<std::uint64_t, 3>;
+  /// Opaque verdict key. Its meaning belongs to the algorithm that records
+  /// it; the store only compares keys for equality.
+  using VerdictKey = std::array<std::uint64_t, 3>;
+
+  /// What a run concluded on this store's prefixes: the doubling round it
+  /// stopped at and the answer it returned (the `ImResult` fields OPIM-C
+  /// fills; `rrset/` does not depend on `algo/`, so they are spelled out).
+  /// The store only copies it.
+  struct Verdict {
+    std::uint32_t round = 0;
+    std::vector<NodeId> seeds;
+    double influence_lower_bound = 0.0;
+    double optimal_upper_bound = 0.0;
+    double approx_ratio = 0.0;
+    double achieved_epsilon = 0.0;
+    double estimated_spread = 0.0;
+    std::uint64_t num_rr_sets = 0;
+    std::uint64_t total_rr_nodes = 0;
+  };
 
   struct Options {
     /// Worker threads per fill: 1 (default) runs inline, 0 = hardware
@@ -161,25 +179,27 @@ class SampleStore {
   /// Arena encoding both streams store under (fixed at creation).
   RrEncoding encoding() const { return options_.encoding; }
 
-  /// Approximate heap footprint of both collections.
-  std::uint64_t ApproxMemoryBytes() const SUBSIM_EXCLUDES(mu_);
+  /// Approximate heap footprint of both collections plus the verdict
+  /// table's heap bytes (its recorded seeds).
+  std::uint64_t ApproxMemoryBytes() const
+      SUBSIM_EXCLUDES(mu_, verdicts_mu_);
 
-  /// The round recorded for `key` by `RecordStoppingRound`, or 0 when none
-  /// is held. Safe to call while holding a `ReadGuard`: the table has its
-  /// own leaf lock.
-  std::uint32_t StoppingRound(const RoundKey& key) const
-      SUBSIM_EXCLUDES(rounds_mu_);
+  /// A copy of the verdict recorded for `key` by `RecordVerdict`, or
+  /// nullopt when none is held. Safe to call while holding a `ReadGuard`:
+  /// the table has its own leaf lock.
+  std::optional<Verdict> FindVerdict(const VerdictKey& key) const
+      SUBSIM_EXCLUDES(verdicts_mu_);
 
-  /// Records that a run keyed `key` stopped at `round` on this store's
+  /// Records that a run keyed `key` reached `verdict` on this store's
   /// prefixes. A key already held is overwritten in place; a new key
-  /// evicts the oldest entry once `kMaxRoundEntries` are held. The table
-  /// is inline and fixed-size, so it adds nothing to `ApproxMemoryBytes`
-  /// beyond `sizeof(SampleStore)`.
-  void RecordStoppingRound(const RoundKey& key, std::uint32_t round)
-      SUBSIM_EXCLUDES(rounds_mu_);
+  /// evicts the oldest entry once `kMaxVerdicts` are held. The entries sit
+  /// inline in the store, but each holds its seeds on the heap, so
+  /// `ApproxMemoryBytes` grows by exactly the bytes of the seeds held.
+  void RecordVerdict(const VerdictKey& key, const Verdict& verdict)
+      SUBSIM_EXCLUDES(verdicts_mu_);
 
-  /// Number of keys the stopping-round table holds.
-  std::size_t num_stopping_rounds() const SUBSIM_EXCLUDES(rounds_mu_);
+  /// Number of keys the verdict table holds.
+  std::size_t num_verdicts() const SUBSIM_EXCLUDES(verdicts_mu_);
 
   /// Shared-lock handle for reading committed prefixes. Holds the lock for
   /// its lifetime; keep the scope tight.
@@ -253,20 +273,23 @@ class SampleStore {
   /// lock; `num_sets` pairs it with an acquire load.
   std::array<std::atomic<std::uint64_t>, kNumStreams> committed_{};
 
-  struct RoundEntry {
-    RoundKey key{};
-    std::uint32_t round = 0;
+  struct VerdictEntry {
+    VerdictKey key{};
+    Verdict verdict;
   };
-  /// Leaf lock of the stopping-round table: readers hold only `mu_`
-  /// shared, so recording needs a lock of its own.
-  mutable Mutex rounds_mu_;
-  /// Ring of entries: `rounds_[0, num_rounds_)` are live, and
-  /// `next_round_` is the slot the next new key takes (the oldest once
+  /// Heap bytes the verdict table's entries hold.
+  std::uint64_t VerdictBytes() const SUBSIM_EXCLUDES(verdicts_mu_);
+
+  /// Leaf lock of the verdict table: readers hold only `mu_` shared, so
+  /// recording needs a lock of its own.
+  mutable Mutex verdicts_mu_;
+  /// Ring of entries: `verdicts_[0, num_verdicts_)` are live, and
+  /// `next_verdict_` is the slot the next new key takes (the oldest once
   /// the ring is full).
-  std::array<RoundEntry, kMaxRoundEntries> rounds_ SUBSIM_GUARDED_BY(
-      rounds_mu_){};
-  std::size_t num_rounds_ SUBSIM_GUARDED_BY(rounds_mu_) = 0;
-  std::size_t next_round_ SUBSIM_GUARDED_BY(rounds_mu_) = 0;
+  std::array<VerdictEntry, kMaxVerdicts> verdicts_ SUBSIM_GUARDED_BY(
+      verdicts_mu_){};
+  std::size_t num_verdicts_ SUBSIM_GUARDED_BY(verdicts_mu_) = 0;
+  std::size_t next_verdict_ SUBSIM_GUARDED_BY(verdicts_mu_) = 0;
 };
 
 }  // namespace subsim

@@ -22,7 +22,7 @@ namespace subsim {
 /// check): `RrSketchCache::mu_` is acquired before `SampleStore::mu_`
 /// (budget enforcement walks cached stores); nothing acquires them in the
 /// other order. `MetricsRegistry::mu_`, `PhaseTracer::mu_` and
-/// `SampleStore::rounds_mu_` are leaf locks: no code path acquires another
+/// `SampleStore::verdicts_mu_` are leaf locks: no code path acquires another
 /// lock while holding them.
 
 class SUBSIM_CAPABILITY("mutex") Mutex {

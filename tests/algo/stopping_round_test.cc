@@ -1,10 +1,12 @@
-// OPIM-C's stopping-round table (`SampleStore::StoppingRound`): a run that
-// reached its verdict on a store records the round it stopped at, and the
-// next run with the same options starts there. These tests check that the
-// skipped rounds change nothing a caller can see (every `ImResult` field
-// but wall time equals a cold run's), that a warm run evaluates exactly
-// one round, that keys built from different options stay apart, that a
-// deadline stop is never recorded, and that a repaired store starts empty.
+// OPIM-C's verdict table (`SampleStore::FindVerdict`): a run that reached
+// its verdict on a store records its stopping round and its answer, and the
+// next run with the same options returns that answer. These tests check
+// that a hit changes nothing a caller can see (every `ImResult` field but
+// wall time equals a cold run's), that a hit evaluates no round and counts
+// the recorded round as skipped, that keys built from different options
+// stay apart, that a deadline stop is never recorded, that a hit with a
+// tiny unspent budget still answers in full, and that a repaired store
+// starts empty.
 
 #include <gtest/gtest.h>
 
@@ -155,7 +157,8 @@ TEST(StoppingRoundTest, WarmRunsEqualColdOverTheOptionGrid) {
     ASSERT_LE(round, MaxRound(graph, options));
 
     // A store already holding the cold run's sets: both warm runs reuse
-    // every set, the first replays the schedule and records its round.
+    // every set, the first replays the schedule and records its verdict,
+    // which the second returns without evaluating a round.
     const std::unique_ptr<SampleStore> store = MakeStore(graph, options);
     ASSERT_TRUE(store->EnsureSets(0, cold.num_rr_sets / 2).ok());
     ASSERT_TRUE(store->EnsureSets(1, cold.num_rr_sets / 2).ok());
@@ -167,12 +170,13 @@ TEST(StoppingRoundTest, WarmRunsEqualColdOverTheOptionGrid) {
     EXPECT_EQ(first.result.rr_sets_generated, 0u);
     EXPECT_EQ(first.skipped, 0u);
     EXPECT_EQ(first.evaluated, round);
-    EXPECT_EQ(second.skipped, round - 1);
-    EXPECT_EQ(second.evaluated, 1u);
-    EXPECT_EQ(store->num_stopping_rounds(), 1u);
+    EXPECT_EQ(second.skipped, round);
+    EXPECT_EQ(second.evaluated, 0u);
+    EXPECT_EQ(store->num_verdicts(), 1u);
     skipped_rounds += static_cast<int>(second.skipped);
   }
-  EXPECT_GT(skipped_rounds, 0) << "every case stopped at round 1";
+  EXPECT_GT(skipped_rounds, static_cast<int>(cases.size()))
+      << "every case stopped at round 1";
 }
 
 // The table holds a fixed number of keys: once other keys push a run's
@@ -185,13 +189,15 @@ TEST(StoppingRoundTest, EvictedKeyReplaysTheSchedule) {
   const Observed first = RunObserved(graph, options, store.get());
   const std::uint32_t round = StopRound(graph, options, first.result);
   ASSERT_GT(round, 1u);
-  EXPECT_EQ(RunObserved(graph, options, store.get()).skipped, round - 1);
+  EXPECT_EQ(RunObserved(graph, options, store.get()).skipped, round);
 
   // Keys OPIM-C never builds (k = 0).
-  for (std::uint64_t i = 0; i < SampleStore::kMaxRoundEntries; ++i) {
-    store->RecordStoppingRound({i, 0, 0}, 1);
+  SampleStore::Verdict filler;
+  filler.round = 1;
+  for (std::uint64_t i = 0; i < SampleStore::kMaxVerdicts; ++i) {
+    store->RecordVerdict({i, 0, 0}, filler);
   }
-  EXPECT_EQ(store->num_stopping_rounds(), SampleStore::kMaxRoundEntries);
+  EXPECT_EQ(store->num_verdicts(), SampleStore::kMaxVerdicts);
   const Observed after_eviction = RunObserved(graph, options, store.get());
   EXPECT_EQ(after_eviction.skipped, 0u);
   EXPECT_EQ(after_eviction.evaluated, round);
@@ -213,7 +219,7 @@ TEST(StoppingRoundTest, KeysFromDifferentOptionsStayApart) {
   EXPECT_LT(StopRound(graph, eps_02, loose.result),
             StopRound(graph, eps_01, strict.result));
   EXPECT_EQ(loose.skipped, 0u);
-  EXPECT_EQ(store->num_stopping_rounds(), 2u);
+  EXPECT_EQ(store->num_verdicts(), 2u);
 
   // k and delta are part of the key too.
   ImOptions other_delta = eps_01;
@@ -224,7 +230,7 @@ TEST(StoppingRoundTest, KeysFromDifferentOptionsStayApart) {
     EXPECT_EQ(run.skipped, 0u);
     ExpectSameResult(run.result, Cold(graph, other), false);
   }
-  EXPECT_EQ(store->num_stopping_rounds(), 4u);
+  EXPECT_EQ(store->num_verdicts(), 4u);
 }
 
 TEST(StoppingRoundTest, DeadlineStopRecordsNothing) {
@@ -239,13 +245,13 @@ TEST(StoppingRoundTest, DeadlineStopRecordsNothing) {
   const Observed cut = RunObserved(graph, degraded, store.get());
   EXPECT_TRUE(cut.result.deadline_hit);
   EXPECT_EQ(cut.evaluated, 1u);
-  EXPECT_EQ(store->num_stopping_rounds(), 0u);
+  EXPECT_EQ(store->num_verdicts(), 0u);
 
   // The full-budget run after it replays every round, then records.
   const Observed full = RunObserved(graph, options, store.get());
   EXPECT_EQ(full.skipped, 0u);
   ExpectSameResult(full.result, cold, false);
-  EXPECT_EQ(store->num_stopping_rounds(), 1u);
+  EXPECT_EQ(store->num_verdicts(), 1u);
 
   // A budget already spent at entry ignores the certified round and
   // degrades at round 1 exactly as the first cut did.
@@ -255,14 +261,39 @@ TEST(StoppingRoundTest, DeadlineStopRecordsNothing) {
   EXPECT_EQ(warm_cut.evaluated, 1u);
   ExpectSameResult(warm_cut.result, cut.result, false);
 
-  // An unspent budget starts at the recorded round, which ends the
-  // schedule, so it gives the full-budget answer.
+  // An unspent budget takes the recorded verdict, so it gives the
+  // full-budget answer without evaluating a round.
   ImOptions budgeted = options;
   budgeted.deadline = Deadline::AfterSeconds(3600);
   const Observed warm_budgeted = RunObserved(graph, budgeted, store.get());
   EXPECT_FALSE(warm_budgeted.result.deadline_hit);
-  EXPECT_EQ(warm_budgeted.evaluated, 1u);
+  EXPECT_EQ(warm_budgeted.evaluated, 0u);
+  EXPECT_EQ(warm_budgeted.skipped, StopRound(graph, options, cold));
   ExpectSameResult(warm_budgeted.result, cold, false);
+}
+
+// A hit costs O(k), so even a 1 ms budget is enough for the full answer:
+// no round is evaluated and nothing is degraded.
+TEST(StoppingRoundTest, HitWithOneMillisecondBudgetAnswersInFull) {
+  const Graph graph = WcGraph(600, 11);
+  const ImOptions options = Options(50, 0.1);
+  const ImResult cold = Cold(graph, options);
+  const std::uint32_t round = StopRound(graph, options, cold);
+  ASSERT_GT(round, 1u);
+
+  const std::unique_ptr<SampleStore> store = MakeStore(graph, options);
+  const Observed first = RunObserved(graph, options, store.get());
+  ASSERT_EQ(store->num_verdicts(), 1u);
+
+  ImOptions tight = options;
+  tight.deadline = Deadline::AfterMillis(1);
+  const Observed hit = RunObserved(graph, tight, store.get());
+  EXPECT_FALSE(hit.result.deadline_hit);
+  EXPECT_EQ(hit.evaluated, 0u);
+  EXPECT_EQ(hit.skipped, round);
+  EXPECT_EQ(hit.result.rr_sets_generated, 0u);
+  ExpectSameResult(hit.result, cold, false);
+  ExpectSameResult(hit.result, first.result, false);
 }
 
 TEST(StoppingRoundTest, RepairedStoreStartsWithAnEmptyTable) {
@@ -270,19 +301,19 @@ TEST(StoppingRoundTest, RepairedStoreStartsWithAnEmptyTable) {
   const ImOptions options = Options(20, 0.1);
   const std::unique_ptr<SampleStore> store = MakeStore(graph, options);
   const Observed first = RunObserved(graph, options, store.get());
-  ASSERT_EQ(store->num_stopping_rounds(), 1u);
+  ASSERT_EQ(store->num_verdicts(), 1u);
   ASSERT_GT(StopRound(graph, options, first.result), 1u);
 
   // No dirty node: every set is carried over unchanged, and still no
-  // round is, since a repaired store's sets differ in general.
+  // verdict is, since a repaired store's sets differ in general.
   Result<std::unique_ptr<SampleStore>> repaired =
       SampleStore::CreateRepaired(graph, *store, {}, {});
   ASSERT_TRUE(repaired.ok());
-  EXPECT_EQ((*repaired)->num_stopping_rounds(), 0u);
+  EXPECT_EQ((*repaired)->num_verdicts(), 0u);
   const Observed after = RunObserved(graph, options, repaired->get());
   EXPECT_EQ(after.skipped, 0u);
   ExpectSameResult(after.result, first.result, false);
-  EXPECT_EQ((*repaired)->num_stopping_rounds(), 1u);
+  EXPECT_EQ((*repaired)->num_verdicts(), 1u);
 }
 
 }  // namespace

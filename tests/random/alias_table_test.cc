@@ -3,12 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace subsim {
 namespace {
 
-void ExpectEmpiricalMatches(const AliasTable& table,
+/// One alias table in two columns of its own, as a test builds it.
+struct Table {
+  std::vector<double> prob;
+  std::vector<std::uint32_t> alias;
+  double total_weight = 0.0;
+
+  explicit Table(const std::vector<double>& weights)
+      : prob(weights.size()), alias(weights.size()) {
+    AliasScratch scratch;
+    total_weight = BuildAliasColumns(weights, prob, alias, &scratch);
+  }
+
+  std::uint32_t Sample(Rng& rng) const {
+    return SampleAlias(prob, alias, rng);
+  }
+};
+
+void ExpectEmpiricalMatches(const Table& table,
                             const std::vector<double>& weights,
                             std::uint64_t seed, int trials = 200000) {
   Rng rng(seed);
@@ -31,7 +49,7 @@ void ExpectEmpiricalMatches(const AliasTable& table,
 }
 
 TEST(AliasTableTest, SingleElement) {
-  AliasTable table({3.5});
+  const Table table({3.5});
   Rng rng(1);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(table.Sample(rng), 0u);
@@ -39,18 +57,18 @@ TEST(AliasTableTest, SingleElement) {
 }
 
 TEST(AliasTableTest, UniformWeights) {
-  ExpectEmpiricalMatches(AliasTable({1, 1, 1, 1}), {1, 1, 1, 1}, 2);
+  ExpectEmpiricalMatches(Table({1, 1, 1, 1}), {1, 1, 1, 1}, 2);
 }
 
 TEST(AliasTableTest, SkewedWeights) {
   const std::vector<double> weights = {0.7, 0.2, 0.05, 0.05};
-  ExpectEmpiricalMatches(AliasTable(weights), weights, 3);
+  ExpectEmpiricalMatches(Table(weights), weights, 3);
 }
 
 TEST(AliasTableTest, ExtremeSkew) {
   const std::vector<double> weights = {1000.0, 1.0, 1.0};
   Rng rng(4);
-  AliasTable table(weights);
+  const Table table(weights);
   int heavy = 0;
   const int trials = 100000;
   for (int i = 0; i < trials; ++i) {
@@ -64,7 +82,7 @@ TEST(AliasTableTest, ExtremeSkew) {
 TEST(AliasTableTest, ZeroWeightNeverSampled) {
   const std::vector<double> weights = {0.0, 1.0, 0.0, 2.0};
   Rng rng(5);
-  AliasTable table(weights);
+  const Table table(weights);
   for (int i = 0; i < 10000; ++i) {
     const std::uint32_t s = table.Sample(rng);
     EXPECT_TRUE(s == 1 || s == 3);
@@ -72,15 +90,13 @@ TEST(AliasTableTest, ZeroWeightNeverSampled) {
 }
 
 TEST(AliasTableTest, TotalWeightPreserved) {
-  AliasTable table({0.25, 0.5, 0.25});
-  EXPECT_DOUBLE_EQ(table.total_weight(), 1.0);
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_FALSE(table.empty());
+  const Table table({0.25, 0.5, 0.25});
+  EXPECT_DOUBLE_EQ(table.total_weight, 1.0);
 }
 
 TEST(AliasTableTest, UnnormalizedWeightsWork) {
   const std::vector<double> weights = {5, 10, 25, 60};
-  ExpectEmpiricalMatches(AliasTable(weights), weights, 6);
+  ExpectEmpiricalMatches(Table(weights), weights, 6);
 }
 
 TEST(AliasTableTest, ManyElements) {
@@ -89,7 +105,7 @@ TEST(AliasTableTest, ManyElements) {
     weights[i] = static_cast<double>(i % 7 + 1);
   }
   Rng rng(7);
-  AliasTable table(weights);
+  const Table table(weights);
   // Spot-check range validity over many draws.
   for (int i = 0; i < 100000; ++i) {
     EXPECT_LT(table.Sample(rng), weights.size());
@@ -97,11 +113,52 @@ TEST(AliasTableTest, ManyElements) {
 }
 
 TEST(AliasTableTest, RebuildReplacesDistribution) {
-  AliasTable table({1.0, 0.0});
-  table.Build({0.0, 1.0});
+  std::vector<double> prob(2);
+  std::vector<std::uint32_t> alias(2);
+  AliasScratch scratch;
+  BuildAliasColumns(std::vector<double>{1.0, 0.0}, prob, alias, &scratch);
+  BuildAliasColumns(std::vector<double>{0.0, 1.0}, prob, alias, &scratch);
   Rng rng(8);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(table.Sample(rng), 1u);
+    EXPECT_EQ(SampleAlias(prob, alias, rng), 1u);
+  }
+}
+
+// The flat layout LT uses: several tables side by side in two shared
+// arrays, built with one scratch, each sampling only its own slice.
+TEST(AliasTableTest, TablesShareFlatColumns) {
+  const std::vector<std::vector<double>> rows = {
+      {0.0, 1.0}, {0.7, 0.2, 0.05, 0.05}, {5, 10, 25, 60}, {1.0, 0.0}};
+  std::vector<double> prob(12);
+  std::vector<std::uint32_t> alias(12);
+  std::vector<std::size_t> begin;
+  AliasScratch scratch;
+  std::size_t at = 0;
+  for (const std::vector<double>& row : rows) {
+    begin.push_back(at);
+    BuildAliasColumns(row, {prob.data() + at, row.size()},
+                      {alias.data() + at, row.size()}, &scratch);
+    at += row.size();
+  }
+  ASSERT_EQ(at, prob.size());
+
+  Rng rng(10);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(SampleAlias({prob.data() + begin[0], 2},
+                          {alias.data() + begin[0], 2}, rng),
+              1u);
+    EXPECT_EQ(SampleAlias({prob.data() + begin[3], 2},
+                          {alias.data() + begin[3], 2}, rng),
+              0u);
+  }
+  // A slice samples exactly as a table built on its own.
+  const Table alone(rows[2]);
+  Rng flat_rng(9);
+  Rng alone_rng(9);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(SampleAlias({prob.data() + begin[2], 4},
+                          {alias.data() + begin[2], 4}, flat_rng),
+              alone.Sample(alone_rng));
   }
 }
 

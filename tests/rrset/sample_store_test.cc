@@ -9,6 +9,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -207,40 +208,87 @@ TEST(SampleStoreTest, StoresNeverContainSentinelHits) {
   EXPECT_EQ(read.View(0, 300).num_hit_sentinel(), 0u);
 }
 
-TEST(SampleStoreTest, StoppingRoundTableOverwritesAndEvictsOldest) {
+/// A verdict whose every field derives from `tag`, with `num_seeds` seeds.
+SampleStore::Verdict TaggedVerdict(std::uint32_t tag, std::size_t num_seeds) {
+  SampleStore::Verdict verdict;
+  verdict.round = tag;
+  for (std::size_t i = 0; i < num_seeds; ++i) {
+    verdict.seeds.push_back(static_cast<NodeId>(tag * 100 + i));
+  }
+  verdict.influence_lower_bound = tag + 0.25;
+  verdict.optimal_upper_bound = tag + 0.5;
+  verdict.approx_ratio = tag + 0.125;
+  verdict.achieved_epsilon = tag + 0.0625;
+  verdict.estimated_spread = tag + 0.75;
+  verdict.num_rr_sets = tag * 1000ull;
+  verdict.total_rr_nodes = tag * 7000ull;
+  return verdict;
+}
+
+void ExpectVerdict(const SampleStore& table,
+                   const SampleStore::VerdictKey& key,
+                   const SampleStore::Verdict& expected) {
+  const std::optional<SampleStore::Verdict> held = table.FindVerdict(key);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(held->round, expected.round);
+  EXPECT_EQ(held->seeds, expected.seeds);
+  EXPECT_EQ(held->influence_lower_bound, expected.influence_lower_bound);
+  EXPECT_EQ(held->optimal_upper_bound, expected.optimal_upper_bound);
+  EXPECT_EQ(held->approx_ratio, expected.approx_ratio);
+  EXPECT_EQ(held->achieved_epsilon, expected.achieved_epsilon);
+  EXPECT_EQ(held->estimated_spread, expected.estimated_spread);
+  EXPECT_EQ(held->num_rr_sets, expected.num_rr_sets);
+  EXPECT_EQ(held->total_rr_nodes, expected.total_rr_nodes);
+}
+
+TEST(SampleStoreTest, VerdictTableOverwritesAndEvictsOldest) {
   const Graph graph = SmallWcGraph();
   Result<std::unique_ptr<SampleStore>> store = SampleStore::Create(
       graph, GeneratorKind::kVanillaIc, MakeStreams(6));
   ASSERT_TRUE(store.ok());
   SampleStore& table = **store;
   const std::uint64_t bytes = table.ApproxMemoryBytes();
-  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 0u);
+  // The table charges exactly the seeds its entries hold.
+  const auto seed_bytes = [](std::size_t seeds) {
+    return static_cast<std::uint64_t>(seeds * sizeof(NodeId));
+  };
+  EXPECT_FALSE(table.FindVerdict({1, 2, 4}).has_value());
 
-  table.RecordStoppingRound({1, 2, 4}, 5);
-  table.RecordStoppingRound({1, 2, 5}, 6);
-  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 5u);
-  EXPECT_EQ(table.StoppingRound({1, 2, 5}), 6u);
-  // A key already held is overwritten in place, not added again.
-  table.RecordStoppingRound({1, 2, 4}, 7);
-  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 7u);
-  EXPECT_EQ(table.num_stopping_rounds(), 2u);
+  table.RecordVerdict({1, 2, 4}, TaggedVerdict(5, 10));
+  table.RecordVerdict({1, 2, 5}, TaggedVerdict(6, 20));
+  ExpectVerdict(table, {1, 2, 4}, TaggedVerdict(5, 10));
+  ExpectVerdict(table, {1, 2, 5}, TaggedVerdict(6, 20));
+  EXPECT_EQ(table.ApproxMemoryBytes(), bytes + seed_bytes(10 + 20));
+  // A key already held is overwritten in place, not added again, and is
+  // charged for its new seeds only, fewer or more.
+  table.RecordVerdict({1, 2, 4}, TaggedVerdict(7, 3));
+  ExpectVerdict(table, {1, 2, 4}, TaggedVerdict(7, 3));
+  EXPECT_EQ(table.num_verdicts(), 2u);
+  EXPECT_EQ(table.ApproxMemoryBytes(), bytes + seed_bytes(3 + 20));
+  table.RecordVerdict({1, 2, 4}, TaggedVerdict(7, 40));
+  EXPECT_EQ(table.ApproxMemoryBytes(), bytes + seed_bytes(40 + 20));
 
   // Filling the table evicts in insertion order: {1,2,4} first.
-  for (std::uint64_t i = 0; i + 2 < SampleStore::kMaxRoundEntries; ++i) {
-    table.RecordStoppingRound({9, i, 0}, 1);
+  std::size_t held_seeds = 40 + 20;
+  for (std::uint64_t i = 0; i + 2 < SampleStore::kMaxVerdicts; ++i) {
+    table.RecordVerdict({9, i, 0}, TaggedVerdict(1, 1));
+    held_seeds += 1;
   }
-  EXPECT_EQ(table.num_stopping_rounds(), SampleStore::kMaxRoundEntries);
-  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 7u);
-  table.RecordStoppingRound({8, 0, 0}, 2);
-  EXPECT_EQ(table.StoppingRound({1, 2, 4}), 0u);
-  EXPECT_EQ(table.StoppingRound({1, 2, 5}), 6u);
-  EXPECT_EQ(table.StoppingRound({8, 0, 0}), 2u);
-  table.RecordStoppingRound({8, 0, 1}, 3);
-  EXPECT_EQ(table.StoppingRound({1, 2, 5}), 0u);
-  EXPECT_EQ(table.StoppingRound({9, 0, 0}), 1u);
-  EXPECT_EQ(table.num_stopping_rounds(), SampleStore::kMaxRoundEntries);
-  // The table is part of the store object: its bytes never change.
-  EXPECT_EQ(table.ApproxMemoryBytes(), bytes);
+  EXPECT_EQ(table.num_verdicts(), SampleStore::kMaxVerdicts);
+  EXPECT_EQ(table.ApproxMemoryBytes(), bytes + seed_bytes(held_seeds));
+  ExpectVerdict(table, {1, 2, 4}, TaggedVerdict(7, 40));
+  table.RecordVerdict({8, 0, 0}, TaggedVerdict(2, 4));
+  held_seeds += 4 - 40;
+  EXPECT_FALSE(table.FindVerdict({1, 2, 4}).has_value());
+  ExpectVerdict(table, {1, 2, 5}, TaggedVerdict(6, 20));
+  ExpectVerdict(table, {8, 0, 0}, TaggedVerdict(2, 4));
+  table.RecordVerdict({8, 0, 1}, TaggedVerdict(3, 5));
+  held_seeds += 5 - 20;
+  EXPECT_FALSE(table.FindVerdict({1, 2, 5}).has_value());
+  ExpectVerdict(table, {9, 0, 0}, TaggedVerdict(1, 1));
+  ExpectVerdict(table, {8, 0, 1}, TaggedVerdict(3, 5));
+  EXPECT_EQ(table.num_verdicts(), SampleStore::kMaxVerdicts);
+  EXPECT_EQ(table.ApproxMemoryBytes(), bytes + seed_bytes(held_seeds));
 }
 
 }  // namespace

@@ -381,8 +381,8 @@ TEST_F(QueryEngineTest, ConcurrentSameKeyQueriesShareOneFill) {
 TEST_F(QueryEngineTest, ConcurrentMixedKeysOnOneEntryMatchColdRuns) {
   // Four workers race queries with different (k, eps, delta) on
   // one cached store, each three times, so lookups and records of the
-  // store's stopping-round table interleave with fills and reads (TSan
-  // soaks this in CI). Every answer must equal the query's cold run.
+  // store's verdict table interleave with fills and reads (TSan soaks
+  // this in CI). Every answer must equal the query's cold run.
   QueryEngineOptions options;
   options.num_workers = 4;
   QueryEngine engine(&registry_, options);
@@ -429,8 +429,82 @@ TEST_F(QueryEngineTest, ConcurrentMixedKeysOnOneEntryMatchColdRuns) {
   ASSERT_TRUE(snapshot.ok());
   const auto entries = engine.cache().EntriesForGraph("g", snapshot->version);
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries.front().second->store->num_stopping_rounds(),
-            queries.size());
+  EXPECT_EQ(entries.front().second->store->num_verdicts(), queries.size());
+}
+
+void ExpectSameAnswer(const ImResult& got, const ImResult& cold) {
+  EXPECT_EQ(got.seeds, cold.seeds);
+  EXPECT_EQ(got.influence_lower_bound, cold.influence_lower_bound);
+  EXPECT_EQ(got.optimal_upper_bound, cold.optimal_upper_bound);
+  EXPECT_EQ(got.approx_ratio, cold.approx_ratio);
+  EXPECT_EQ(got.achieved_epsilon, cold.achieved_epsilon);
+  EXPECT_EQ(got.estimated_spread, cold.estimated_spread);
+  EXPECT_EQ(got.num_rr_sets, cold.num_rr_sets);
+  EXPECT_EQ(got.total_rr_nodes, cold.total_rr_nodes);
+  EXPECT_EQ(got.deadline_hit, cold.deadline_hit);
+}
+
+TEST_F(QueryEngineTest, ConcurrentVerdictChurnOnOneEntryMatchesColdRuns) {
+  // More keys than the verdict table holds pass through one cached store:
+  // each key is submitted twice back to back, and a hot key between every
+  // pair, over two passes. Four workers then race verdict reads (hits),
+  // records (misses), overwrites (two misses of one key) and FIFO
+  // evictions (the hot key falls out and comes back) against fills and
+  // reads (TSan soaks this in CI). Every answer must equal its cold run.
+  QueryEngineOptions options;
+  options.num_workers = 4;
+  QueryEngine racing(&registry_, options);
+  std::vector<SelectSeedsQuery> keys;
+  for (std::uint32_t k = 1; k <= 24; ++k) {
+    for (const double eps : {0.2, 0.3, 0.4}) {
+      SelectSeedsQuery query = BaseQuery("g");
+      query.k = k;
+      query.epsilon = eps;
+      keys.push_back(query);
+    }
+  }
+  ASSERT_GT(keys.size(), SampleStore::kMaxVerdicts);
+  SelectSeedsQuery hot = BaseQuery("g");
+  hot.k = 25;
+  hot.epsilon = 0.15;
+  keys.push_back(hot);
+
+  std::vector<ImResult> cold;
+  for (const SelectSeedsQuery& query : keys) {
+    QueryEngine fresh(&registry_);
+    const QueryResponse response = fresh.Execute(query);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    cold.push_back(response.result);
+  }
+  const std::size_t hot_index = keys.size() - 1;
+
+  std::vector<std::pair<std::size_t, std::future<QueryResponse>>> futures;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < hot_index; ++i) {
+      futures.emplace_back(i, racing.Submit(keys[i]));
+      futures.emplace_back(i, racing.Submit(keys[i]));
+      futures.emplace_back(hot_index, racing.Submit(hot));
+    }
+  }
+  for (auto& [index, future] : futures) {
+    const QueryResponse response = future.get();
+    SCOPED_TRACE(::testing::Message() << "k=" << response.query.k
+                                      << " eps=" << response.query.epsilon);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    ExpectSameAnswer(response.result, cold[index]);
+  }
+
+  const Result<GraphSnapshot> snapshot = registry_.GetSnapshot("g");
+  ASSERT_TRUE(snapshot.ok());
+  const auto entries =
+      racing.cache().EntriesForGraph("g", snapshot->version);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.front().second->store->num_verdicts(),
+            SampleStore::kMaxVerdicts);
+  // Hits happened: the hot key alone is answered from the table most of
+  // the time.
+  EXPECT_GT(racing.metrics().Snapshot().counters["opim_c.rounds_skipped"],
+            0u);
 }
 
 TEST_F(QueryEngineTest, ExpiredDeadlineIsShedBeforeExecution) {
